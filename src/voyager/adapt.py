@@ -22,7 +22,8 @@ prediction; this module is the software loop that closes serve -> train
   reader sees.
 - :class:`AdaptationLoop` — watches a log directory for closed
   segments and, per :meth:`~AdaptationLoop.poll`, fine-tunes the live
-  weights on them with ``train(mode="sequence")``, mixing in a seeded
+  weights on them with truncated-BPTT :func:`~voyager.train.train`,
+  mixing in a seeded
   sample of already-consumed segments (``replay_mix``) so the model
   keeps hold of the old regime while learning the new one
   (catastrophic-forgetting resistance).  Vocabularies are *frozen* at
@@ -60,7 +61,7 @@ runs, so the gain is apples to apples.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
@@ -256,14 +257,19 @@ class AdaptationLoop:
        already-consumed segment pool is replayed each round so the old
        regime is rehearsed alongside the new one;
     3. fine-tunes a *copy* of the current weights with
-       ``train(mode="sequence")`` (TBPTT, cosine schedule) — the
-       serving engine aliases the live model's arrays, so training in
-       place would corrupt in-flight serving;
+       :func:`~voyager.train.train` (TBPTT, cosine schedule) on
+       segments of the base model's ``seq_len`` — the serving engine
+       aliases the live model's arrays, so training in place would
+       corrupt in-flight serving;
     4. saves ``ckpt-vNNNN`` atomically and repoints ``CURRENT`` at it.
 
     Determinism: round ``r`` derives its RNG and training seeds from
     ``(seed, r)``, so the same base checkpoint + same segments =>
     bit-identical checkpoints, regardless of wall clock or call timing.
+
+    The segment length is the base model's ``ModelConfig.seq_len``: a
+    fine-tuned checkpoint must reset state where the live sessions it
+    is swapped under do.  ``seq_len``, when given, must equal it.
     """
 
     def __init__(
@@ -274,7 +280,7 @@ class AdaptationLoop:
         steps: int = 60,
         batch_size: int = 16,
         lr: float = 0.04,
-        seq_len: int = 32,
+        seq_len: Optional[int] = None,
         tbptt: int = 8,
         lr_schedule: str = "cosine",
         replay_mix: float = 0.25,
@@ -287,8 +293,6 @@ class AdaptationLoop:
             )
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
-        if seq_len < 1:
-            raise ValueError(f"seq_len must be >= 1, got {seq_len}")
         if min_new_records < 2:
             # One access yields zero supervisable positions.
             raise ValueError(
@@ -299,13 +303,19 @@ class AdaptationLoop:
         self.model, self.pc_vocab, self.page_vocab = load_checkpoint(
             self.base_prefix
         )
+        if seq_len is not None and seq_len != self.model.config.seq_len:
+            raise ValueError(
+                f"seq_len {seq_len} differs from the base checkpoint's "
+                f"seq_len {self.model.config.seq_len}; fine-tuned weights "
+                "must reset state where the served sessions do"
+            )
         self.log_dir = Path(log_dir)
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.steps = steps
         self.batch_size = batch_size
         self.lr = lr
-        self.seq_len = seq_len
+        self.seq_len = self.model.config.seq_len
         self.tbptt = tbptt
         self.lr_schedule = lr_schedule
         self.replay_mix = replay_mix
@@ -341,7 +351,9 @@ class AdaptationLoop:
         """Run one fine-tune round if enough new traffic has landed.
 
         Returns the new checkpoint prefix, or ``None`` when there was
-        nothing (or too little) to train on.
+        nothing (or too little) to train on: fewer than
+        ``min_new_records`` new accesses, or fewer than one segment
+        (``seq_len + 1`` accesses) of training input.
         """
         fresh = self.pending_segments()
         if not fresh:
@@ -364,10 +376,11 @@ class AdaptationLoop:
                 [self._consumed[i] for i in picks]
             )
         mix = replay_trace + new_trace
-        seq_len = min(self.seq_len, max(1, len(mix) - 1))
+        if len(mix) <= self.seq_len:
+            return None
         dataset = build_sequence_dataset(
             mix,
-            seq_len=seq_len,
+            seq_len=self.seq_len,
             pc_vocab=self.pc_vocab,
             page_vocab=self.page_vocab,
         )
@@ -379,7 +392,6 @@ class AdaptationLoop:
             batch_size=self.batch_size,
             lr=self.lr,
             seed=derive_cell_seed(self.seed, f"adapt/train{self.rounds}"),
-            mode="sequence",
             tbptt=self.tbptt,
             lr_schedule=self.lr_schedule,
         )
@@ -388,14 +400,7 @@ class AdaptationLoop:
         self.version += 1
         self.trained_records += len(mix)
         prefix = self.out_dir / f"ckpt-v{self.version:04d}"
-        save_checkpoint(
-            prefix,
-            model,
-            self.pc_vocab,
-            self.page_vocab,
-            train_mode="sequence",
-            seq_len=seq_len,
-        )
+        save_checkpoint(prefix, model, self.pc_vocab, self.page_vocab)
         # Published only after both checkpoint files are fully on disk.
         write_pointer(self.out_dir / CURRENT_POINTER, prefix.name)
         self._consumed.extend(fresh)
@@ -445,7 +450,6 @@ class AdaptBenchConfig:
     degree: int = 2  # candidates per response
     embed_dim: int = 8
     hidden_dim: int = 16
-    history: int = 8
     pc_cap: int = 1024
     page_cap: int = 1024
     base_steps: int = 90  # base training on the first phase
@@ -586,8 +590,8 @@ def _run_workload(
             page_vocab_size=page_vocab.size,
             embed_dim=config.embed_dim,
             hidden_dim=config.hidden_dim,
-            history=config.history,
             seed=derive_cell_seed(config.seed, f"adapt/{workload}/base"),
+            seq_len=seq_len,
         )
     )
     train(
@@ -597,19 +601,11 @@ def _run_workload(
         batch_size=config.batch_size,
         lr=config.lr,
         seed=derive_cell_seed(config.seed, f"adapt/{workload}/train"),
-        mode="sequence",
         tbptt=config.tbptt,
         lr_schedule="cosine",
     )
     base_prefix = workdir / workload / "base"
-    save_checkpoint(
-        base_prefix,
-        model,
-        pc_vocab,
-        page_vocab,
-        train_mode="sequence",
-        seq_len=seq_len,
-    )
+    save_checkpoint(base_prefix, model, pc_vocab, page_vocab)
     serve_config = ServeConfig(degree=config.degree)
 
     # Frozen baseline: the checkpoint never changes.
@@ -634,7 +630,6 @@ def _run_workload(
         steps=config.adapt_steps,
         batch_size=config.batch_size,
         lr=config.lr,
-        seq_len=config.seq_len,
         tbptt=config.tbptt,
         replay_mix=config.replay_mix,
         seed=derive_cell_seed(config.seed, f"adapt/{workload}/loop"),

@@ -203,7 +203,7 @@ def evaluate_baseline(
     """Replay ``trace`` and score next-access block predictions.
 
     ``skip`` positions at the head are replayed for warm-up but not
-    scored (mirrors the history window the neural model consumes).
+    scored.
     """
     correct = 0
     issued = 0

@@ -34,16 +34,15 @@ kept at full precision in the in-memory report and rounded only when
 ``--profile-sim`` each cell additionally records the simulator's
 per-phase timings (encode / candidates / cache loop).
 
-Neural (and table) cells train in the profile's ``train_mode``:
-``"sequence"`` (the default since schema v5) trains with truncated
-BPTT over ``seq_len``-access segments — every timestep supervised,
-cosine LR schedule, stateful inference — while ``"window"`` replays
-the legacy stride-1 sliding-window recipe (the ``smoke-window`` /
-``full-window`` profiles reproduce the pre-v5 cells exactly).  Each
-trained cell records its ``train_mode`` and a ``train_phases``
-wall-time breakdown (encode / labels / forward / backward /
-optimizer), and ``--max-train-s`` gates the neural ``train_s`` per
-workload the same way ``--max-neural-sim-s`` gates simulation.
+Neural (and table) cells train with truncated BPTT over
+``seq_len``-access segments — every timestep supervised, cosine LR
+schedule — and simulate with state carried across accesses and reset
+every ``seq_len`` accesses, the rule the model records in its config.
+Each trained cell records its ``train_mode`` (always ``"sequence"``)
+and a ``train_phases`` wall-time breakdown (encode / labels / forward
+/ backward / optimizer), and ``--max-train-s`` gates the neural
+``train_s`` per workload the same way ``--max-neural-sim-s`` gates
+simulation.
 
 Everything is seeded, so two runs with the same profile produce
 identical metric values (wall-clock fields aside).
@@ -69,7 +68,7 @@ from voyager.ioutil import atomic_write_text, round_floats
 from voyager.labeling import LabelConfig
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import NeuralPrefetcher, SimConfig, make_prefetcher, simulate
-from voyager.train import build_dataset, build_sequence_dataset, train
+from voyager.train import build_sequence_dataset, train
 
 #: Bumped whenever the report layout changes incompatibly.
 #: v2: per-cell ``elapsed_s`` replaced by ``cpu_s``; top-level gains
@@ -100,7 +99,11 @@ from voyager.train import build_dataset, build_sequence_dataset, train
 #: ground-truth phase boundary, the adaptation lag in accesses, and
 #: fine-tune/hot-swap counters; any one of the three serving blocks
 #: (closed-loop, ``open_loop``, ``adaptation``) satisfies the section.
-BENCH_SCHEMA_VERSION = 7
+#: v8: the server predicts from each stream's carried state, so the
+#: closed-loop block's reference is the simulator's prefetcher: its
+#: ``serial``/``speedup_vs_serial`` keys are gone and
+#: ``responses_equal_serial`` became ``responses_equal_sim``.
+BENCH_SCHEMA_VERSION = 8
 
 #: Canonical report filename at the repo root.
 BENCH_FILENAME = "BENCH_voyager.json"
@@ -122,14 +125,13 @@ class BenchProfile:
     train_steps: int
     embed_dim: int
     hidden_dim: int
+    #: Accepted for compatibility and echoed in the report's config;
+    #: no computation reads it.
     history: int = 8
     batch_size: int = 32
     lr: float = 1e-2
-    #: How the neural cells train: ``"sequence"`` (truncated BPTT over
-    #: ``seq_len``-access segments, every timestep supervised, stateful
-    #: inference) or ``"window"`` (the legacy stride-1 sliding-window
-    #: recipe with zero-state window replay at inference).
-    train_mode: str = "sequence"
+    #: Training segment length, which the model records as its serving
+    #: reset period.
     seq_len: int = 32
     tbptt: int = 8
     lr_schedule: str = "cosine"
@@ -153,12 +155,10 @@ class BenchProfile:
         )
 
 
-#: The sequence profiles' training hyperparameters come from the
-#: measured speed/quality frontier (README "Training performance"):
-#: batch 16 segments of 32 timesteps, TBPTT 8, peak lr 0.04 annealed
-#: by the half-cosine schedule.  The ``*-window`` profiles keep the
-#: pre-v5 recipe (batch 32 windows, constant lr 1e-2) so the legacy
-#: cells stay reproducible for cross-PR comparison.
+#: The profiles' training hyperparameters come from the measured
+#: speed/quality frontier (README "Training performance"): batch 16
+#: segments of 32 timesteps, TBPTT 8, peak lr 0.04 annealed by the
+#: half-cosine schedule.
 SMOKE_PROFILE = BenchProfile(
     name="smoke",
     trace_length=1200,
@@ -177,49 +177,21 @@ FULL_PROFILE = BenchProfile(
     batch_size=16,
     lr=0.04,
 )
-SMOKE_WINDOW_PROFILE = BenchProfile(
-    name="smoke-window",
-    trace_length=1200,
-    train_steps=60,
-    embed_dim=8,
-    hidden_dim=16,
-    train_mode="window",
-    lr_schedule="constant",
-)
-FULL_WINDOW_PROFILE = BenchProfile(
-    name="full-window",
-    trace_length=6000,
-    train_steps=400,
-    embed_dim=16,
-    hidden_dim=32,
-    train_mode="window",
-    lr_schedule="constant",
-)
-
-
 def _train_neural(
     trace, profile: BenchProfile, seed: int
 ) -> Tuple[NeuralPrefetcher, Dict[str, Any]]:
     """Train the profile's neural prefetcher over ``trace``.
 
-    Dispatches on ``profile.train_mode`` and returns the prefetcher
-    wired for the matching inference mode (stateful continuation for
-    sequence-trained models, zero-state window replay for
-    window-trained ones) plus the cell-report fields: ``train_mode``
+    Returns the prefetcher plus the cell-report fields: ``train_mode``
     and the ``train_phases`` wall-time breakdown.
     """
-    sequence = profile.train_mode == "sequence"
-    if sequence:
-        # Tiny traces (tests, custom profiles) may be shorter than the
-        # profile's segment length; clamp so one segment still fits.
-        seq_len = min(profile.seq_len, max(1, len(trace) - 1))
-        dataset = build_sequence_dataset(
-            trace, seq_len=seq_len, label_config=LabelConfig()
-        )
-    else:
-        dataset = build_dataset(
-            trace, history=profile.history, label_config=LabelConfig()
-        )
+    # Tiny traces (tests, custom profiles) may be shorter than the
+    # profile's segment length; clamp so one segment still fits.  The
+    # model records the length it trained on as its reset period.
+    seq_len = min(profile.seq_len, max(1, len(trace) - 1))
+    dataset = build_sequence_dataset(
+        trace, seq_len=seq_len, label_config=LabelConfig()
+    )
     config = ModelConfig(
         pc_vocab_size=dataset.pc_vocab.size,
         page_vocab_size=dataset.page_vocab.size,
@@ -227,6 +199,7 @@ def _train_neural(
         hidden_dim=profile.hidden_dim,
         history=profile.history,
         seed=seed,
+        seq_len=seq_len,
     )
     model = HierarchicalModel(config)
     result = train(
@@ -236,24 +209,13 @@ def _train_neural(
         batch_size=profile.batch_size,
         lr=profile.lr,
         seed=seed,
-        tbptt=profile.tbptt if sequence else None,
+        tbptt=profile.tbptt,
         lr_schedule=profile.lr_schedule,
         profile=True,
     )
-    if sequence:
-        prefetcher = NeuralPrefetcher(
-            model,
-            dataset.pc_vocab,
-            dataset.page_vocab,
-            inference="stateful",
-            seq_len=seq_len,
-        )
-    else:
-        prefetcher = NeuralPrefetcher(
-            model, dataset.pc_vocab, dataset.page_vocab
-        )
+    prefetcher = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
     return prefetcher, {
-        "train_mode": profile.train_mode,
+        "train_mode": "sequence",
         "train_phases": result.phases,
     }
 
@@ -295,8 +257,6 @@ def bench_cell(
         # Same derived seed as the neural cell, so the table distills
         # exactly the model the neural cell simulates — the coverage
         # delta between the two cells is the distillation cost alone.
-        # The table also distills in the matching inference mode, so
-        # it tabulates the same rollout arithmetic it is compared to.
         neural, train_info = _train_neural(trace, profile, cell_seed)
         distill_start = time.perf_counter()
         table = build_table(
@@ -305,8 +265,6 @@ def bench_cell(
             neural.page_vocab,
             trace,
             profile.distill_config(),
-            inference=neural.inference,
-            seq_len=neural.seq_len,
         )
         distill_s = time.perf_counter() - distill_start
         prefetcher = make_prefetcher("table", table=table)
@@ -419,7 +377,7 @@ def run_bench(
             "embed_dim": profile.embed_dim,
             "hidden_dim": profile.hidden_dim,
             "history": profile.history,
-            "train_mode": profile.train_mode,
+            "train_mode": "sequence",
             "seq_len": profile.seq_len,
             "tbptt": profile.tbptt,
             "lr_schedule": profile.lr_schedule,
@@ -664,7 +622,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
                         f"{workload}/{kind}: missing timing {field_name}"
                     )
             if kind in ("neural", "table"):
-                if entry.get("train_mode") not in ("window", "sequence"):
+                if entry.get("train_mode") != "sequence":
                     problems.append(
                         f"{workload}/{kind}: missing/invalid train_mode"
                     )
@@ -699,10 +657,7 @@ def validate_serving(serving: Any) -> List[str]:
     problems: List[str] = []
     has_open_loop = "open_loop" in serving
     has_adaptation = "adaptation" in serving
-    has_closed_loop = any(
-        key in serving
-        for key in ("throughput_accesses_per_s", "speedup_vs_serial")
-    )
+    has_closed_loop = "throughput_accesses_per_s" in serving
     if not has_open_loop and not has_closed_loop and not has_adaptation:
         return [
             "serving: none of closed-loop keys, open_loop or "
@@ -714,12 +669,11 @@ def validate_serving(serving: Any) -> List[str]:
             or serving.get("streams", 0) < 1
         ):
             problems.append("serving: missing streams")
-        for key in ("throughput_accesses_per_s", "speedup_vs_serial"):
-            value = serving.get(key)
-            if not isinstance(value, (int, float)) or value <= 0:
-                problems.append(f"serving: missing {key}")
-        if serving.get("responses_equal_serial") is not True:
-            problems.append("serving: responses_equal_serial is not true")
+        value = serving.get("throughput_accesses_per_s")
+        if not isinstance(value, (int, float)) or value <= 0:
+            problems.append("serving: missing throughput_accesses_per_s")
+        if serving.get("responses_equal_sim") is not True:
+            problems.append("serving: responses_equal_sim is not true")
     if has_open_loop:
         problems += _validate_open_loop(serving["open_loop"])
     if has_adaptation:
@@ -877,8 +831,6 @@ def run_distill_frontier(
                     neural.page_vocab,
                     trace,
                     config,
-                    inference=neural.inference,
-                    seq_len=neural.seq_len,
                 )
                 build_s = time.perf_counter() - build_start
                 prefetcher = make_prefetcher("table", table=table)
@@ -1007,9 +959,9 @@ def check_train_budget(
 
     The training-time counterpart of :func:`check_sim_budget` — one
     problem string per offending workload (empty = ok).  Sized to
-    catch a return of the sliding-window H x supervision redundancy
-    (or an accidentally quadratic training loop), not to benchmark the
-    CI machine.
+    catch a return of per-position window replay in training (or an
+    accidentally quadratic training loop), not to benchmark the CI
+    machine.
     """
     problems: List[str] = []
     for workload, entries in report.get("workloads", {}).items():
@@ -1031,8 +983,8 @@ def check_sim_budget(
 
     Returns one problem string per offending workload (empty = ok).
     The budget is deliberately generous — it exists to catch an
-    accidental return to the O(history x degree) full-forward hot path,
-    not to benchmark the CI machine.
+    accidental return to a per-prediction window replay or full
+    forward, not to benchmark the CI machine.
     """
     problems: List[str] = []
     for workload, entries in report.get("workloads", {}).items():
@@ -1058,13 +1010,10 @@ def parse_int_list(text: str, flag: str) -> Tuple[int, ...]:
     return values
 
 
-#: Selectable profiles: the default pair trains in sequence mode, the
-#: ``*-window`` pair reproduces the pre-v5 sliding-window cells.
+#: Selectable profiles.
 PROFILES = {
     "smoke": SMOKE_PROFILE,
     "full": FULL_PROFILE,
-    "smoke-window": SMOKE_WINDOW_PROFILE,
-    "full-window": FULL_WINDOW_PROFILE,
 }
 
 
@@ -1086,8 +1035,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--profile",
         choices=tuple(sorted(PROFILES)),
         default="smoke",
-        help="workload size / training budget; the *-window variants "
-        "reproduce the legacy sliding-window cells (default: smoke)",
+        help="workload size / training budget (default: smoke)",
     )
     parser.add_argument("--out", default=BENCH_FILENAME)
     parser.add_argument("--seed", type=int, default=0)

@@ -108,6 +108,7 @@ from voyager.loadgen import (
     serve_trace,
 )
 from voyager.model import (
+    DEFAULT_SEQ_LEN,
     HierarchicalModel,
     ModelConfig,
     load_checkpoint,
@@ -115,13 +116,12 @@ from voyager.model import (
 )
 from voyager.sim import CacheConfig, SimConfig, make_prefetcher, simulate
 from voyager.traces import TraceParseError, parse_trace, write_trace
-from voyager.train import build_dataset, build_sequence_dataset, train
+from voyager.train import build_sequence_dataset, train
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--history", type=int, default=8)
     parser.add_argument("--embed-dim", type=int, default=16)
     parser.add_argument("--hidden-dim", type=int, default=32)
     parser.add_argument("--batch-size", type=int, default=32)
@@ -131,25 +131,19 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pc-cap", type=int, default=1024)
     parser.add_argument("--page-cap", type=int, default=1024)
     parser.add_argument(
-        "--train-mode",
-        choices=("window", "sequence"),
-        default="window",
-        help="window: stride-1 sliding-window training (legacy); "
-        "sequence: truncated-BPTT segments with every timestep "
-        "supervised (default: window)",
-    )
-    parser.add_argument(
         "--seq-len",
         type=int,
-        default=32,
-        help="sequence-mode segment length (default: 32)",
+        default=DEFAULT_SEQ_LEN,
+        help="training segment length; the checkpoint records it as the "
+        f"period every consumer resets LSTM state by (default: "
+        f"{DEFAULT_SEQ_LEN})",
     )
     parser.add_argument(
         "--tbptt",
         type=int,
         default=None,
-        help="sequence-mode truncated-BPTT chunk; default: the whole "
-        "segment (one update per segment batch)",
+        help="truncated-BPTT chunk; default: the whole segment (one "
+        "update per segment batch)",
     )
     parser.add_argument(
         "--lr-schedule",
@@ -293,22 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="neural inference precision: float64 is bit-identical to "
         "training, float32 trades exactness for speed",
     )
-    sim.add_argument(
-        "--inference",
-        choices=("window", "stateful"),
-        default="window",
-        help="neural inference mode (with --checkpoint); must match the "
-        "checkpoint's training mode: window for --train-mode window, "
-        "stateful for --train-mode sequence (default: window)",
-    )
-    sim.add_argument(
-        "--inference-seq-len",
-        type=int,
-        default=32,
-        metavar="T",
-        help="stateful-mode state-reset period; use the --seq-len the "
-        "checkpoint was trained with (default: 32)",
-    )
     _add_sim_args(sim)
 
     distill = sub.add_parser(
@@ -364,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         choices=tuple(sorted(PROFILES)),
         default="full",
-        help="workload size / training budget; the *-window variants "
-        "reproduce the legacy sliding-window cells (default: full)",
+        help="workload size / training budget (default: full)",
     )
     bench.add_argument("--out", default=BENCH_FILENAME)
     bench.add_argument("--seed", type=int, default=0)
@@ -520,7 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument("--steps", type=int, default=60)
     adapt.add_argument("--batch-size", type=int, default=16)
     adapt.add_argument("--lr", type=float, default=0.04)
-    adapt.add_argument("--seq-len", type=int, default=32)
+    adapt.add_argument(
+        "--seq-len",
+        type=int,
+        default=None,
+        help="segment length: must match the base checkpoint's "
+        "(default: the checkpoint's; --bench: the bench config's)",
+    )
     adapt.add_argument("--tbptt", type=int, default=8)
     adapt.add_argument(
         "--lr-schedule", choices=("constant", "cosine"), default="cosine"
@@ -666,39 +649,25 @@ def run_training(args: argparse.Namespace) -> int:
     label_config = LabelConfig(
         window=args.window, spatial_radius=args.spatial_radius
     )
-    sequence = args.train_mode == "sequence"
-    if sequence:
-        dataset = build_sequence_dataset(
-            trace,
-            seq_len=args.seq_len,
-            label_config=label_config,
-            pc_cap=args.pc_cap,
-            page_cap=args.page_cap,
-        )
-    else:
-        dataset = build_dataset(
-            trace,
-            history=args.history,
-            label_config=label_config,
-            pc_cap=args.pc_cap,
-            page_cap=args.page_cap,
-        )
+    dataset = build_sequence_dataset(
+        trace,
+        seq_len=args.seq_len,
+        label_config=label_config,
+        pc_cap=args.pc_cap,
+        page_cap=args.page_cap,
+    )
     config = ModelConfig(
         pc_vocab_size=dataset.pc_vocab.size,
         page_vocab_size=dataset.page_vocab.size,
         embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim,
-        history=args.history,
         seed=args.seed,
+        seq_len=args.seq_len,
     )
     model = HierarchicalModel(config)
-    examples = (
-        f"segments={len(dataset)}x{dataset.seq_len}"
-        if sequence
-        else f"examples={len(dataset)}"
-    )
     print(
-        f"trace={args.trace} accesses={len(trace)} {examples} "
+        f"trace={args.trace} accesses={len(trace)} "
+        f"segments={len(dataset)}x{dataset.seq_len} "
         f"params={model.num_parameters()}"
     )
     result = train(
@@ -711,19 +680,7 @@ def run_training(args: argparse.Namespace) -> int:
         tbptt=args.tbptt,
         lr_schedule=args.lr_schedule,
     )
-    if sequence:
-        # Teacher-forced window metrics need a window dataset; reuse
-        # the training vocabs so the ids mean the same thing.
-        eval_dataset = build_dataset(
-            trace,
-            history=args.history,
-            label_config=label_config,
-            pc_vocab=dataset.pc_vocab,
-            page_vocab=dataset.page_vocab,
-        )
-    else:
-        eval_dataset = dataset
-    metrics = evaluate(model, eval_dataset)
+    metrics = evaluate(model, dataset)
     print(
         f"loss={result.final_loss:.6f} "
         f"page_acc={metrics.page_accuracy:.4f} "
@@ -732,24 +689,18 @@ def run_training(args: argparse.Namespace) -> int:
         f"coverage={metrics.label_coverage:.4f}"
     )
     if not args.no_baselines:
-        skip = args.history - 1
         for name, pf in (
             ("next_line", NextLinePrefetcher()),
             ("stride", StridePrefetcher()),
         ):
-            base = evaluate_baseline(pf, trace, skip=skip)
+            base = evaluate_baseline(pf, trace)
             print(
                 f"baseline {name}: acc={base.accuracy:.4f} "
                 f"precision={base.precision:.4f} issued={base.issued}"
             )
     if args.save:
         npz_path, json_path = save_checkpoint(
-            args.save,
-            model,
-            dataset.pc_vocab,
-            dataset.page_vocab,
-            train_mode=args.train_mode,
-            seq_len=args.seq_len if sequence else None,
+            args.save, model, dataset.pc_vocab, dataset.page_vocab
         )
         print(f"saved checkpoint: {npz_path} + {json_path}")
     return 0
@@ -763,8 +714,6 @@ def run_simulate(args: argparse.Namespace) -> int:
             "--prefetcher table needs --table FILE (build one with "
             "'python -m voyager distill')"
         )
-    if args.inference != "window" and not args.checkpoint:
-        raise ValueError("--inference stateful needs --checkpoint")
     if args.workload:
         trace = synthetic.generate(args.workload, args.length, seed=args.seed)
     else:
@@ -786,8 +735,6 @@ def run_simulate(args: argparse.Namespace) -> int:
             trace,
             sim_config,
             dtype=np.float32 if args.dtype == "float32" else np.float64,
-            inference=args.inference,
-            seq_len=args.inference_seq_len,
         )
     elif args.prefetcher == "none":
         result = simulate(trace, None, sim_config)
@@ -922,8 +869,8 @@ def run_serve(args: argparse.Namespace) -> int:
     print(
         f"streams={len(candidates)} accesses={served} "
         f"throughput={served / elapsed:.1f}/s "
-        f"neural={stats['neural']} cold={stats['cold']} "
-        f"shed={stats['shed']} ticks={stats['ticks']}"
+        f"neural={stats['neural']} shed={stats['shed']} "
+        f"ticks={stats['ticks']}"
     )
     print(
         f"latency p50={latency['p50_s'] * 1e6:.1f}us "
@@ -1002,7 +949,7 @@ def _run_adapt_bench(args: argparse.Namespace) -> int:
         adapt_steps=args.adapt_steps,
         batch_size=args.batch_size,
         lr=args.lr,
-        seq_len=args.seq_len,
+        seq_len=args.seq_len if args.seq_len is not None else defaults.seq_len,
         tbptt=args.tbptt,
         segment_records=args.segment_records,
         replay_mix=args.replay_mix,

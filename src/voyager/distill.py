@@ -20,25 +20,18 @@ analogue of that compilation pass:
   coarser-context hit -> stride / next-line fallback -> nothing.  Its
   ``offline_candidates`` hook makes :func:`voyager.sim.simulate` take
   the kernel fast path, where a "prediction" is a dict probe instead
-  of ``history`` LSTM steps per lookahead step.
+  of an LSTM step per lookahead step.
 
 Unlike every prior fast path in this repo (the inference engine, the
 kernel simulator, the serving layer — all bit-exact), distillation is
-an **approximation**: a coarse context can collapse windows that the
-LSTM distinguishes, so the table answers with the *modal* rollout of
-the collapsed windows.  Two properties are still exact, and the test
-suite pins them:
-
-- every stored candidate list is bit-identical to the engine's
-  rollout from at least one build-trace position whose trailing
-  triples match the context (the table never invents candidates);
-- in window mode, at ``depth == history`` the context determines the
-  whole window, so a full-depth hit reproduces the engine's rollout
-  exactly and its first candidate is the engine's top-1 (a member of
-  any top-k).  (Stateful mode — used to distill sequence-trained
-  models, see :func:`build_table` — keeps the first property but not
-  the second: the carried segment state depends on context the key
-  does not capture.)
+an **approximation**: the model predicts from a carried state that
+depends on everything since the last segment reset, while a context
+key captures only the last ``depth`` accesses, so the table answers
+with the *modal* rollout of the positions a context collapses.  One
+property is still exact, and the test suite pins it: every stored
+candidate list is bit-identical to the engine's rollout from at least
+one build-trace position whose trailing triples match the context (the
+table never invents candidates).
 
 The coverage cost of the approximation is quantified per workload by
 the ``distill`` frontier section :mod:`voyager.bench` writes into
@@ -79,9 +72,9 @@ TABLE_SCHEMA_VERSION = 1
 #: Terminal fallbacks when every context depth misses.
 FALLBACKS = ("stride", "next_line", "none")
 
-#: ``TablePrefetcher`` provenance labels (mirrors the serve layer's
-#: response sources): ``depth<k>`` for a context hit at depth ``k``,
-#: plus the fallback names and ``cold`` for a not-yet-warm window.
+#: ``TablePrefetcher`` provenance labels: ``depth<k>`` for a context
+#: hit at depth ``k``, plus the fallback names and ``cold`` for a
+#: prefetch asked before any access was observed.
 SOURCE_COLD = "cold"
 
 
@@ -153,8 +146,8 @@ def context_key(
 
     Triples interleave as ``(pc, page, offset, pc, page, offset, ...)``
     oldest first, so keys of different depths never collide with each
-    other inside one depth's table and the full-depth key of a window
-    determines the window exactly.
+    other inside one depth's table and a key determines its ``depth``
+    accesses exactly.
     """
     lo = end - depth + 1
     out: List[int] = []
@@ -182,13 +175,11 @@ class DistilledTable:
         config: DistillConfig,
         pc_vocab: Vocab,
         page_vocab: Vocab,
-        history: int,
         tables: Optional[Dict[int, Dict[Context, Tuple[int, ...]]]] = None,
     ):
         self.config = config
         self.pc_vocab = pc_vocab
         self.page_vocab = page_vocab
-        self.history = history
         self.tables: Dict[int, Dict[Context, Tuple[int, ...]]] = (
             tables if tables is not None else {d: {} for d in config.depths}
         )
@@ -242,7 +233,6 @@ class DistilledTable:
                 "top_k": self.config.top_k,
                 "fallback": self.config.fallback,
             },
-            "history": self.history,
             "pc_vocab": self.pc_vocab.to_dict(),
             "page_vocab": self.page_vocab.to_dict(),
             "tables": {
@@ -278,7 +268,6 @@ class DistilledTable:
             config=config,
             pc_vocab=Vocab.from_dict(data["pc_vocab"]),
             page_vocab=Vocab.from_dict(data["page_vocab"]),
-            history=int(data["history"]),
             tables=tables,
         )
 
@@ -318,51 +307,29 @@ def build_table(
     trace: Sequence[MemoryAccess],
     config: Optional[DistillConfig] = None,
     dtype=np.float64,
-    inference: str = "window",
-    seq_len: int = 64,
 ) -> DistilledTable:
     """Compile ``model`` into a :class:`DistilledTable` over ``trace``.
 
     One batched inference pass computes the model's ``top_k``-step
-    candidate blocks for every trace position (exactly the arithmetic
-    :meth:`voyager.sim.NeuralPrefetcher.prime` runs for the matching
-    inference mode), then each position's candidate list is recorded
-    under its context key at every configured depth.  ``inference``
-    selects the pass: ``"window"`` (default) replays zero-state
-    ``history``-access windows via
-    :meth:`~voyager.infer.InferenceEngine.rollout_window` — the right
-    distillation for window-trained models; ``"stateful"`` carries
-    LSTM state across each ``seq_len``-access segment
-    (:meth:`~voyager.infer.InferenceEngine.segment_states`) and rolls
-    out from every position, matching sequence-trained models'
-    stateful serving mode (and covering positions before the first
-    full window, which window mode cannot).
+    candidate blocks for every trace position — exactly the arithmetic
+    :meth:`voyager.sim.NeuralPrefetcher.prime` runs: LSTM state carried
+    across each ``model.config.seq_len``-access segment
+    (:meth:`~voyager.infer.InferenceEngine.segment_states`), then a
+    rollout from every position — and each position's candidate list is
+    recorded under its context key at every configured depth.
 
     Aggregation is *modal*: a context seen with conflicting rollouts
-    (coarse contexts collapse positions the LSTM distinguishes —
-    different windows in window mode, different carried states in
-    stateful mode) stores its most frequent candidate list, first-seen
-    winning ties — so every stored list is bit-identical to a real
-    engine rollout from the build trace, never a blend.  The
-    full-depth-hit exactness property (a ``depth == history`` hit
-    reproduces the engine's rollout) holds in window mode only, where
-    the context determines the whole input; a stateful rollout also
-    depends on the segment prefix, which the context key does not
-    capture.  Tables keep the ``table_size`` most frequently *seen*
-    contexts (same count-then-first-seen rank rule as
-    :meth:`voyager.vocab.Vocab.fit`).
+    (a context key collapses positions whose carried states differ)
+    stores its most frequent candidate list, first-seen winning ties —
+    so every stored list is bit-identical to a real engine rollout from
+    the build trace, never a blend.  Tables keep the ``table_size``
+    most frequently *seen* contexts (same count-then-first-seen rank
+    rule as :meth:`voyager.vocab.Vocab.fit`).
     """
     config = config or DistillConfig()
-    if inference not in ("window", "stateful"):
-        raise ValueError(
-            f"inference must be 'window' or 'stateful', got {inference!r}"
-        )
-    if inference == "stateful" and seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    history = model.config.history
-    table = DistilledTable(config, pc_vocab, page_vocab, history)
+    table = DistilledTable(config, pc_vocab, page_vocab)
     n = len(trace)
-    if n == 0 or (inference == "window" and n < history):
+    if n == 0:
         return table
 
     pc_all = np.array(pc_vocab.encode_all(a.pc for a in trace), dtype=np.int64)
@@ -372,21 +339,9 @@ def build_table(
     off_all = np.array([a.offset for a in trace], dtype=np.int64)
 
     engine = InferenceEngine(model, dtype=dtype)
-    if inference == "stateful":
-        x = engine.feature_step(pc_all, page_all, off_all)
-        states = engine.segment_states(x, seq_len)
-        pages, offsets, valid = engine.rollout(states, pc_all, config.top_k)
-        first_pos = 0
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view
-        pc_w = windows(pc_all, history)  # (n - H + 1, H)
-        page_w = windows(page_all, history)
-        off_w = windows(off_all, history)
-        feats = engine.features(pc_w, page_w, off_w)
-        pages, offsets, valid = engine.rollout_window(
-            feats, pc_w[:, -1], config.top_k
-        )
-        first_pos = history - 1
+    x = engine.feature_step(pc_all, page_all, off_all)
+    states = engine.segment_states(x, model.config.seq_len)
+    pages, offsets, valid = engine.rollout(states, pc_all, config.top_k)
     page_table = page_id_table(page_vocab)
     blocks = (page_table[pages] << OFFSET_BITS) | offsets
     counts = np.where(
@@ -397,14 +352,12 @@ def build_table(
         ctx_counts: Counter = Counter()
         first_seen: Dict[Context, int] = {}
         cand_votes: Dict[Context, Counter] = {}
-        for row, pos in enumerate(range(first_pos, n)):
-            if depth > pos + 1:
-                continue  # not enough accesses yet for this depth
+        for pos in range(depth - 1, n):
             key = context_key(pc_all, page_all, off_all, pos, depth)
-            cands = tuple(int(b) for b in blocks[row, : counts[row]])
+            cands = tuple(int(b) for b in blocks[pos, : counts[pos]])
             ctx_counts[key] += 1
             if key not in first_seen:
-                first_seen[key] = row
+                first_seen[key] = pos
                 cand_votes[key] = Counter()
             cand_votes[key][cands] += 1
         kept = sorted(

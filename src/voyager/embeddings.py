@@ -80,12 +80,12 @@ def page_aware_offset_step(
     page_emb: np.ndarray,  # (B, d)
     offset_ids: np.ndarray,  # (B,) int
 ) -> np.ndarray:
-    """Cache-free attention for a single history position.
+    """Cache-free attention for a single access per row.
 
     Inference-mode counterpart of :func:`page_aware_offset_forward`:
     identical arithmetic on a ``(B,)`` slice of ids, but no backward
     cache is built.  In float64 the result is bit-identical to the
-    corresponding position of the full-window forward.
+    corresponding position of the segment forward.
     """
     d = offset_table.shape[-1]
     cand = offset_table[offset_ids]  # (B, K, d)

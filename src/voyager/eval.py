@@ -2,8 +2,8 @@
 
 Two views of quality live here:
 
-- :func:`evaluate` — argmax next-access accuracy of the two heads on an
-  encoded dataset (fast, model-only);
+- :func:`evaluate` — argmax next-access accuracy of the two heads at
+  every supervised position of a sequence dataset (fast, model-only);
 - :func:`simulate_model` — the cache-outcome view: wraps a trained
   model in a :class:`~voyager.sim.NeuralPrefetcher` and replays a raw
   trace through the prefetch simulator, yielding the paper's
@@ -20,7 +20,7 @@ import numpy as np
 from voyager.model import HierarchicalModel
 from voyager.sim import NeuralPrefetcher, SimConfig, SimResult, simulate
 from voyager.traces import MemoryAccess
-from voyager.train import Dataset
+from voyager.train import SequenceDataset
 from voyager.vocab import Vocab
 
 
@@ -45,35 +45,43 @@ class EvalResult:
 
 def evaluate(
     model: HierarchicalModel,
-    dataset: Dataset,
-    batch_size: int = 256,
+    dataset: SequenceDataset,
+    batch_size: int = 64,
 ) -> EvalResult:
-    """Argmax next-access accuracy of both heads over a dataset."""
-    n = len(dataset)
-    page_preds = np.empty(n, dtype=np.int64)
-    off_preds = np.empty(n, dtype=np.int64)
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        pg, off = model.predict(
+    """Argmax next-access accuracy of both heads over a sequence dataset.
+
+    Runs :meth:`~voyager.model.HierarchicalModel.forward_sequence` over
+    the segments (``batch_size`` at a time, each from a zero state, as
+    in training) and scores the argmax of both heads at every
+    supervised position against the primary label — the true next
+    access.  ``label_coverage`` counts positions whose predicted page
+    and predicted offset both carry target mass.
+    """
+    n_seg = len(dataset)
+    page_preds = np.empty(dataset.pc_ids.shape, dtype=np.int64)
+    off_preds = np.empty(dataset.pc_ids.shape, dtype=np.int64)
+    for start in range(0, n_seg, batch_size):
+        sl = slice(start, min(start + batch_size, n_seg))
+        page_probs, off_probs, _, _ = model.forward_sequence(
             dataset.pc_ids[sl], dataset.page_ids[sl], dataset.offset_ids[sl]
         )
-        page_preds[sl] = pg
-        off_preds[sl] = off
+        page_preds[sl] = page_probs.argmax(axis=-1)
+        off_preds[sl] = off_probs.argmax(axis=-1)
 
-    page_ok = page_preds == dataset.next_page_ids
-    off_ok = off_preds == dataset.next_offsets
-    # A prediction "covers" when the predicted (page, offset) pair has
-    # non-zero mass in the multi-label target distribution.
-    rows = np.arange(n)
-    covered = (dataset.page_targets[rows, page_preds] > 0) & (
-        dataset.offset_targets[rows, off_preds] > 0
-    )
+    labelled = dataset.label_weights > 0
+    page_ok = page_preds == dataset.label_page_ids[..., 0]
+    off_ok = off_preds == dataset.label_offsets[..., 0]
+    covered = (
+        (dataset.label_page_ids == page_preds[..., None]) & labelled
+    ).any(axis=-1) & (
+        (dataset.label_offsets == off_preds[..., None]) & labelled
+    ).any(axis=-1)
     return EvalResult(
         page_accuracy=float(page_ok.mean()),
         offset_accuracy=float(off_ok.mean()),
         full_accuracy=float((page_ok & off_ok).mean()),
         label_coverage=float(covered.mean()),
-        n=n,
+        n=int(page_ok.size),
     )
 
 
@@ -84,8 +92,6 @@ def simulate_model(
     trace: Sequence[MemoryAccess],
     sim_config: Optional[SimConfig] = None,
     dtype=np.float64,
-    inference: str = "window",
-    seq_len: int = 64,
 ) -> SimResult:
     """Cache-outcome evaluation of a trained model on a raw trace.
 
@@ -94,23 +100,13 @@ def simulate_model(
     is measured as coverage (misses eliminated), accuracy (useful per
     issued prefetch) and timeliness — not argmax token accuracy.
 
-    The prefetcher runs on the cache-free inference engine and is
-    primed (batched over the whole trace) by :func:`~voyager.sim.simulate`.
+    The prefetcher runs on the cache-free inference engine, carries
+    state with the model's own ``seq_len`` reset rule, and is primed
+    (batched over the whole trace) by :func:`~voyager.sim.simulate`.
     ``dtype=np.float32`` opts into the faster approximate mode; the
     float64 default is bit-identical to the training-mode forward.
-    ``inference`` must match the model's training mode: ``"window"``
-    for window-trained models, ``"stateful"`` (with the training
-    ``seq_len``) for sequence-trained ones — see
-    :class:`~voyager.sim.NeuralPrefetcher`.
     """
-    prefetcher = NeuralPrefetcher(
-        model,
-        pc_vocab,
-        page_vocab,
-        dtype=dtype,
-        inference=inference,
-        seq_len=seq_len,
-    )
+    prefetcher = NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype)
     return simulate(trace, prefetcher, sim_config or SimConfig())
 
 

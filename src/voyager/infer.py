@@ -1,28 +1,22 @@
 """Fast inference engine: incremental LSTM state, cache-free, batched.
 
-Training-mode :meth:`~voyager.model.HierarchicalModel.forward` builds
-the full backprop cache (per-step gate dicts, attention tensors) on
-every call — exactly what a simulator hot path must not pay.  This
-module is the inference-only counterpart:
+Training (:meth:`~voyager.model.HierarchicalModel.forward_sequence`)
+builds the full backprop cache on every call — exactly what a
+simulator or serving hot path must not pay.  This module is the
+inference-only counterpart:
 
 - :class:`LSTMState` — an explicit ``(h, c)`` pair that can be carried
-  incrementally, snapshotted, and advanced one access at a time;
-- :class:`InferenceEngine` — cache-free single-step and full-window
-  state computation, head logits, argmax / ``argpartition`` top-k
-  prediction, and two batched greedy rollouts:
-  :meth:`~InferenceEngine.rollout` continues from a state snapshot
-  (cheapest: one LSTM step per lookahead step), while
-  :meth:`~InferenceEngine.rollout_window` replays the trained
-  fixed-length window per step over *precomputed features* — the mode
-  the simulator uses for window-trained models, because a model only
-  ever trained on ``history``-step windows from a zero state drifts
-  badly when a state is continued past that horizon.  Sequence-trained
-  models (``train(mode="sequence")``) are the opposite: they learn on
-  long carried-state segments, so for them
-  :meth:`~InferenceEngine.segment_states` reconstructs every trace
-  position's carried state in one batched scan (resetting every
-  ``seq_len`` accesses, mirroring the training segmentation) and
-  :meth:`~InferenceEngine.rollout` continues from it;
+  incrementally, snapshotted, stacked across streams and advanced one
+  access at a time;
+- :class:`InferenceEngine` — cache-free single-step state updates,
+  head logits, argmax / ``argpartition`` top-k prediction,
+  :meth:`~InferenceEngine.segment_states` (every trace position's
+  carried state in one batched scan, resetting every ``seq_len``
+  accesses, mirroring the training segmentation) and the greedy
+  :meth:`~InferenceEngine.rollout`, which continues a carried state one
+  cell step between consecutive candidates.  A prediction of ``k``
+  candidates therefore costs ``k`` cell evaluations in all: the one
+  that consumed the access and ``k - 1`` lookahead steps;
 - an optional float32 mode (``dtype=np.float32``) that halves memory
   traffic for throughput-oriented simulation;
 - an optional ``row_exact`` mode that pins every batch-height-sensitive
@@ -32,14 +26,12 @@ module is the inference-only counterpart:
 
 Equivalence guarantee: with ``dtype=np.float64`` (the default) the
 engine shares the model's parameter arrays and performs the same
-operations in the same order as the training forward, so
-:meth:`InferenceEngine.state_from_history` followed by
-:meth:`InferenceEngine.logits` reproduces ``model.forward`` logits
-**bit-exactly**; feeding a window one access at a time through
-:meth:`InferenceEngine.step` reproduces the same state bit-exactly;
-and :meth:`InferenceEngine.rollout_window` over gathered features is
-bit-exact to forwarding each slid pseudo-window from scratch.  The
-property tests in ``tests/test_infer.py`` pin all three.
+operations in the same order as the training forward, so feeding a
+segment one access at a time through :meth:`InferenceEngine.step`
+reproduces the training forward's state at every timestep bit for bit
+(pinned in ``tests/test_sequence_train.py``), and a ``row_exact``
+engine's batched rows equal serial batch-width-1 runs bit for bit
+(pinned in ``tests/test_infer.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +47,6 @@ from voyager.model import (
     softmax,
     step_features,
     topk_from_logits,
-    window_features,
 )
 from voyager.vocab import OOV_ID
 
@@ -179,21 +170,11 @@ class InferenceEngine:
     ) -> np.ndarray:
         """Embed one access per row: ``(B,)`` ids -> ``(B, 3d)`` features.
 
-        Features carry no recurrence, so an online caller can compute
-        each access's feature exactly once and re-gather it for every
-        window that contains the access — that is what makes
-        :meth:`rollout_window` pay only the LSTM recurrence per step.
+        Features carry no recurrence, so a caller may embed many
+        accesses (of one trace, or of many streams) in one batched call
+        and feed the rows to :meth:`step_from_features` one at a time.
         """
         return step_features(self.params, pc_ids, page_ids, offset_ids)
-
-    def features(
-        self,
-        pc_ids: np.ndarray,  # (B, H)
-        page_ids: np.ndarray,  # (B, H)
-        offset_ids: np.ndarray,  # (B, H)
-    ) -> np.ndarray:
-        """Embed full windows: ``(B, H)`` ids -> ``(B, H, 3d)`` features."""
-        return window_features(self.params, pc_ids, page_ids, offset_ids)
 
     def init_state(self, batch: int = 1) -> LSTMState:
         """All-zero state for ``batch`` independent sequences."""
@@ -227,69 +208,13 @@ class InferenceEngine:
         streams) and feeds each row through here reproduces serial
         :meth:`step` bit for bit.
         """
-        # Same association as voyager.model.lstm_step:
+        # Same association as HierarchicalModel.forward_sequence:
         # (x @ w_x + h @ w_h) + b, with in-place adds.
         a = self._mm(x_t, self.params["w_x"])
         a += self._mm(state.h, self.params["w_h"])
         a += self.params["b_lstm"]
         h, c, *_ = _lstm_activate(a, state.c, state.h.shape[-1])
         return LSTMState(h=h, c=c)
-
-    def state_from_features(self, x: np.ndarray) -> LSTMState:
-        """Run the LSTM over precomputed ``(B, H, 3d)`` window features."""
-        state = self.init_state(x.shape[0])
-        for t in range(x.shape[1]):
-            state = self.step_from_features(state, x[:, t, :])
-        return state
-
-    def project_features(self, x: np.ndarray) -> np.ndarray:
-        """Input projections ``x @ w_x``: ``(B, H, 3d)`` -> ``(B, H, 4h)``.
-
-        Like the features themselves, projections carry no recurrence:
-        compute them once per column and reuse them across every LSTM
-        cell evaluation of every window that contains the column.
-        Projected column by column so each matmul has the exact shape
-        the cell step would use (see :func:`voyager.model.project_features`).
-        """
-        B, H = x.shape[0], x.shape[1]
-        w_x = self.params["w_x"]
-        ax = np.empty((B, H, w_x.shape[1]), dtype=x.dtype)
-        for t in range(H):
-            ax[:, t, :] = self._mm(x[:, t, :], w_x)
-        return ax
-
-    def state_from_projected(self, ax: np.ndarray) -> LSTMState:
-        """Run the LSTM over precomputed ``(B, H, 4h)`` input projections."""
-        state = self.init_state(ax.shape[0])
-        h, c = state.h, state.c
-        for t in range(ax.shape[1]):
-            # Same association as voyager.model.lstm_step_projected:
-            # (ax + h @ w_h) + b.
-            a = ax[:, t, :] + self._mm(h, self.params["w_h"])
-            a += self.params["b_lstm"]
-            h, c, *_ = _lstm_activate(a, c, h.shape[-1])
-        return LSTMState(h=h, c=c)
-
-    def state_from_history(
-        self,
-        pc_ids: np.ndarray,  # (B, H)
-        page_ids: np.ndarray,  # (B, H)
-        offset_ids: np.ndarray,  # (B, H)
-    ) -> LSTMState:
-        """Cache-free full-window forward: ``(B, H)`` ids -> state.
-
-        One call embeds and attends over the whole window at once (the
-        batched fast path for priming a simulator over every trace
-        position simultaneously), then steps the cell ``H`` times.
-        """
-        H = pc_ids.shape[1]
-        if H != self.config.history:
-            raise ValueError(
-                f"expected history length {self.config.history}, got {H}"
-            )
-        return self.state_from_features(
-            self.features(pc_ids, page_ids, offset_ids)
-        )
 
     def segment_states(self, x: np.ndarray, seq_len: int) -> LSTMState:
         """Carried state at *every* trace position, one batched scan.
@@ -304,9 +229,9 @@ class InferenceEngine:
         within its segment, i.e. the state a sequence-trained model
         predicts access ``p + 1`` from.
 
-        Cost is ``n`` cell evaluations total (batched ``seq_len`` at a
-        time) versus ``n * history`` for window replay — the inference
-        analogue of the training-side redundancy kill.
+        Cost is ``n`` cell evaluations total, batched ``seq_len`` at a
+        time.  ``seq_len`` is the model's ``ModelConfig.seq_len``; the
+        server applies the same reset rule one access at a time.
         """
         if seq_len < 1:
             raise ValueError(f"seq_len must be >= 1, got {seq_len}")
@@ -376,16 +301,10 @@ class InferenceEngine:
         From a snapshot ``state``, repeatedly take the argmax
         ``(page, offset)`` prediction and feed it back as the next
         pseudo-access (the PC slot repeats ``pc_ids``), advancing the
-        state in place of the slid window.  This is the cheapest
-        possible rollout — one LSTM step per lookahead step.  For a
-        *window-trained* model it carries the state past the
-        ``history``-step horizon the model was trained on, which
-        measurably degrades multi-step prediction quality; prefer
-        :meth:`rollout_window` there (the simulator does, in
-        ``inference="window"`` mode).  For a *sequence-trained* model
-        carried state is the training distribution, so this rollout —
-        continuing from :meth:`segment_states` rows — is both the
-        cheap and the faithful choice (``inference="stateful"``).
+        carried state — one LSTM step per lookahead step.  Carried
+        state is what the model trains on, so this continuation is both
+        the cheap and the faithful rollout; the simulator, the
+        distiller and the server all predict through it.
 
         Returns ``(pages, offsets, valid)`` of shape ``(B, steps)``;
         ``valid[b, j]`` is False from the first step where row ``b``
@@ -412,72 +331,6 @@ class InferenceEngine:
             valid[:, j] = alive
             if j + 1 < steps:
                 state = self.step(state, pc_ids, pid, oid)
-        return pages, offsets, valid
-
-    def rollout_window(
-        self,
-        feats: np.ndarray,  # (B, H, 3d) precomputed window features
-        pc_ids: np.ndarray,  # (B,) pc id fed at every pseudo step
-        steps: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Greedy window-replay lookahead for every row at once.
-
-        Each lookahead step slides the feature window one position —
-        dropping the oldest access, appending the feature of the
-        prediction just made (PC slot repeats ``pc_ids``) — and re-runs
-        the LSTM over the slid window from a zero state, exactly as the
-        model saw every window during training.  Because window
-        *features* have no recurrence they are computed once (here,
-        gathered; new pseudo-accesses embed once via
-        :meth:`feature_step`), and because the LSTM's input projection
-        ``x @ w_x`` depends only on the feature, that projection too is
-        computed once per column and **reused across every cell
-        evaluation** of every slid window that contains the column
-        (``H + steps - 1`` projections instead of ``H * steps``).  Each
-        step therefore costs ``H`` batched recurrent ``h @ w_h``
-        matmuls plus gate nonlinearities and nothing else — no
-        embedding or attention recompute for the ``H - 1`` retained
-        positions, no input projection recompute, no backprop cache,
-        no softmax.
-
-        Bit-exactness: the emitted predictions equal forwarding each
-        slid pseudo-window from scratch at the same batch width (the
-        projection hoist preserves the cell's summation order; see
-        :func:`voyager.model.lstm_step_projected`).
-
-        Returns ``(pages, offsets, valid)`` with the same shape and OOV
-        semantics as :meth:`rollout`.  ``feats`` is not mutated.
-        """
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        B, H = feats.shape[0], feats.shape[1]
-        pages = np.zeros((B, steps), dtype=np.int64)
-        offsets = np.zeros((B, steps), dtype=np.int64)
-        valid = np.zeros((B, steps), dtype=bool)
-        if steps == 0:
-            return pages, offsets, valid
-        # One flat buffer holds the *projections* of the real window
-        # plus every pseudo step; each iteration's window is a strided
-        # view into it, so sliding costs a single projected (B, 4h)
-        # write instead of re-projecting the whole (B, H, 3d) window.
-        proj = self.project_features(feats)
-        buf = np.empty((B, H + steps - 1, proj.shape[2]), dtype=proj.dtype)
-        buf[:, :H] = proj
-        w_x = self.params["w_x"]
-        alive = np.ones(B, dtype=bool)
-        for j in range(steps):
-            state = self.state_from_projected(buf[:, j : j + H])
-            pid, oid = self.predict(state)
-            alive = alive & (pid != OOV_ID)
-            if not alive.any():
-                break
-            pages[:, j] = pid
-            offsets[:, j] = oid
-            valid[:, j] = alive
-            if j + 1 < steps:
-                buf[:, H + j] = self._mm(
-                    self.feature_step(pc_ids, pid, oid), w_x
-                )
         return pages, offsets, valid
 
 

@@ -3,10 +3,10 @@
 Two benchmark modes over the synthetic workload zoo:
 
 - **closed loop** (the original): round-robin interleaved streams
-  through one :class:`~voyager.serve.PrefetchServer` tick loop, and
-  through the serial reference — one independent, serially driven
-  :class:`~voyager.infer.InferenceEngine` per stream doing the exact
-  same per-access work — reporting both throughputs and their ratio.
+  through one :class:`~voyager.serve.PrefetchServer` tick loop,
+  reporting its throughput and checking every stream's candidates
+  against the simulator's :class:`~voyager.sim.NeuralPrefetcher`
+  replaying the same stream.
 - **open loop** (``--open-loop``): request arrival times are drawn *up
   front* from a seeded generator — Poisson or bursty ON-OFF per stream
   (:class:`ArrivalConfig` / :func:`open_loop_schedule`) — and served by
@@ -17,11 +17,12 @@ Two benchmark modes over the synthetic workload zoo:
   and an optional ``overload`` sub-run pins the QoS shedding order
   under deliberate backlog.
 
-The drivers share all model arithmetic, so their candidate lists are
-bit-identical per stream (the server's ``row_exact`` engine guarantees
-it); both modes cross-check that on every access and record
-``responses_equal_serial`` / ``responses_equal_single`` so a silent
-divergence would fail the CI gate, not just slip a throughput number.
+The server and the simulator's prefetcher share all model arithmetic,
+so their candidate lists are bit-identical per stream (the server's
+``row_exact`` engine guarantees it); both modes cross-check on every
+access and record ``responses_equal_sim`` / ``responses_equal_single``
+so a silent divergence would fail the CI gate, not just slip a
+throughput number.
 
 Throughput fields are wall-clock measurements and therefore live with
 the other timing fields: :func:`voyager.bench.strip_timing_fields`
@@ -36,7 +37,6 @@ import argparse
 import os
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +56,6 @@ from voyager.bench import (
     validate_serving,
     write_bench,
 )
-from voyager.infer import InferenceEngine
 from voyager.ioutil import round_floats
 from voyager.model import HierarchicalModel
 from voyager.serve import (
@@ -66,7 +65,7 @@ from voyager.serve import (
     ServeConfig,
 )
 from voyager.shard import ShardConfig, drive_open_loop, run_sharded
-from voyager.sim import decode_block_candidates, page_id_table
+from voyager.sim import NeuralPrefetcher
 from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
 
@@ -329,53 +328,27 @@ def _drive_batched(
     return elapsed, candidates, server.stats.snapshot()
 
 
-def _drive_serial(
+def _sim_candidates(
     model: HierarchicalModel,
     pc_vocab: Vocab,
     page_vocab: Vocab,
     traces: Sequence[Sequence[MemoryAccess]],
     config: LoadGenConfig,
     dtype,
-) -> Tuple[float, List[List[List[int]]]]:
-    """The reference: one engine per stream, driven access by access.
-
-    Performs exactly the per-access work the server does — embed, cell
-    step, window-replay rollout, candidate decode — but with batch
-    width 1 everywhere and no cross-stream sharing.  The speedup the
-    report quotes is batched throughput over this.
+) -> List[List[List[int]]]:
+    """The reference: each stream replayed through the simulator's
+    streaming :class:`~voyager.sim.NeuralPrefetcher` (the same
+    update-then-prefetch protocol :func:`~voyager.sim.simulate` drives).
     """
-    history = model.config.history
-    table = page_id_table(page_vocab)
-    engines = [InferenceEngine(model, dtype=dtype) for _ in traces]
-    candidates: List[List[List[int]]] = [[] for _ in traces]
-    start = time.perf_counter()
-    for i, trace in enumerate(traces):
-        engine = engines[i]
-        state = engine.init_state(1)
-        pc_ids: deque = deque(maxlen=history)
-        feats: deque = deque(maxlen=history)
+    candidates: List[List[List[int]]] = []
+    for trace in traces:
+        prefetcher = NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype)
+        rows = []
         for access in trace:
-            pid = np.array([pc_vocab.encode(access.pc)], dtype=np.int64)
-            gid = np.array([page_vocab.encode(access.page)], dtype=np.int64)
-            oid = np.array([access.offset], dtype=np.int64)
-            feat = engine.feature_step(pid, gid, oid)
-            state = engine.step_from_features(state, feat)
-            pc_ids.append(int(pid[0]))
-            feats.append(feat[0])
-            if len(feats) < history:
-                candidates[i].append([])
-                continue
-            window = np.stack(feats)[None]
-            pages, offsets, valid = engine.rollout_window(
-                window, np.array([pc_ids[-1]], dtype=np.int64), config.degree
-            )
-            candidates[i].append(
-                decode_block_candidates(
-                    table, pages[0], offsets[0], valid[0], config.degree
-                )
-            )
-    elapsed = time.perf_counter() - start
-    return elapsed, candidates
+            prefetcher.update(access)
+            rows.append(prefetcher.prefetch(access, config.degree))
+        candidates.append(rows)
+    return candidates
 
 
 def run_loadgen(
@@ -384,7 +357,7 @@ def run_loadgen(
     seed: int = 0,
     dtype=np.float64,
 ) -> Dict[str, Any]:
-    """Train once, drive both paths, return the ``serving`` section.
+    """Train once, serve the streams, return the ``serving`` section.
 
     All values are full precision; :func:`attach_serving` rounds at
     serialisation time, mirroring the sweep's timing-field policy.
@@ -399,7 +372,7 @@ def run_loadgen(
     batched_s, batched_cands, stats = _drive_batched(
         neural.model, neural.pc_vocab, neural.page_vocab, traces, config, dtype
     )
-    serial_s, serial_cands = _drive_serial(
+    sim_cands = _sim_candidates(
         neural.model, neural.pc_vocab, neural.page_vocab, traces, config, dtype
     )
     return {
@@ -416,13 +389,8 @@ def run_loadgen(
             "elapsed_s": batched_s,
             "throughput_accesses_per_s": total / batched_s,
         },
-        "serial": {
-            "elapsed_s": serial_s,
-            "throughput_accesses_per_s": total / serial_s,
-        },
         "throughput_accesses_per_s": total / batched_s,
-        "speedup_vs_serial": serial_s / batched_s,
-        "responses_equal_serial": batched_cands == serial_cands,
+        "responses_equal_sim": batched_cands == sim_cands,
         "stats": stats,
     }
 
@@ -714,12 +682,6 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", default=BENCH_FILENAME)
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail (exit 1) if batched/serial speedup is below this",
-    )
-    parser.add_argument(
         "--min-throughput",
         type=float,
         default=None,
@@ -944,13 +906,6 @@ def run_serve_bench(args: argparse.Namespace) -> int:
         dtype=np.float32 if args.dtype == "float32" else np.float64,
     )
     problems = validate_serving(serving)
-    if args.min_speedup is not None and (
-        serving["speedup_vs_serial"] < args.min_speedup
-    ):
-        problems.append(
-            f"speedup_vs_serial={serving['speedup_vs_serial']:.3f} below "
-            f"--min-speedup {args.min_speedup}"
-        )
     if args.min_throughput is not None and (
         serving["throughput_accesses_per_s"] < args.min_throughput
     ):
@@ -962,10 +917,8 @@ def run_serve_bench(args: argparse.Namespace) -> int:
     latency = serving["stats"]["latency"]
     print(
         f"streams={serving['streams']} total={serving['total_accesses']} "
-        f"batched={serving['throughput_accesses_per_s']:.1f}/s "
-        f"serial={serving['serial']['throughput_accesses_per_s']:.1f}/s "
-        f"speedup={serving['speedup_vs_serial']:.2f}x "
-        f"equal={serving['responses_equal_serial']}"
+        f"throughput={serving['throughput_accesses_per_s']:.1f}/s "
+        f"equal_sim={serving['responses_equal_sim']}"
     )
     print(
         f"latency p50={latency['p50_s'] * 1e6:.1f}us "

@@ -4,12 +4,20 @@ Pure-NumPy implementation with explicit backprop-through-time so the
 model is deterministic under a fixed seed and runs anywhere.  The
 architecture follows Shi et al. (ASPLOS 2021):
 
-- PC, page and offset embeddings for each history position;
+- PC, page and offset embeddings for each access;
 - the offset embedding is page-aware via candidate attention
   (:mod:`voyager.embeddings`);
-- the concatenated features feed a shared single-layer LSTM body;
-- the final hidden state feeds two independent softmax heads, one over
-  the page vocabulary and one over the 64 block offsets.
+- the concatenated features feed a shared single-layer LSTM body whose
+  state is carried from access to access;
+- the hidden state after every access feeds two independent softmax
+  heads, one over the page vocabulary and one over the 64 block
+  offsets.
+
+The model trains on contiguous ``seq_len``-access segments (truncated
+BPTT, :mod:`voyager.train`) and every consumer serves it the same way:
+state carried across accesses and reset to zero every ``seq_len``
+accesses.  ``ModelConfig.seq_len`` records that period with the
+weights, so a checkpoint carries its own reset rule.
 
 Training targets are *distributions* (multi-label sets normalised to
 sum to one), so the same cross-entropy machinery serves both plain
@@ -23,7 +31,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,15 +48,29 @@ from voyager.traces import NUM_OFFSETS
 from voyager.vocab import Vocab
 
 #: Bumped whenever the checkpoint layout changes incompatibly.
-#: v2: added ``format_version``, ``train_mode``, ``seq_len`` and
-#: ``vocab_hash`` metadata so hot-swap (:mod:`voyager.adapt`) can reject
-#: incompatible weights before they reach a live tick.
+#: v2: added ``format_version`` and ``vocab_hash`` metadata so hot-swap
+#: (:mod:`voyager.adapt`) can reject incompatible weights before they
+#: reach a live tick.  ``model_config`` later gained ``seq_len``; a v2
+#: file written before that falls back to its top-level ``seq_len``
+#: field, then to :data:`DEFAULT_SEQ_LEN`.
 CHECKPOINT_SCHEMA_VERSION = 2
+
+#: Segment length every profile, the CLI and the adaptation loop train
+#: with, and the reset period of checkpoints that predate the field.
+DEFAULT_SEQ_LEN = 32
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Hyperparameters of :class:`HierarchicalModel`."""
+    """Hyperparameters of :class:`HierarchicalModel`.
+
+    ``seq_len`` is the training segment length, which is also the
+    serving reset rule: the simulator, the distiller and the server
+    restart a stream's LSTM state from zero every ``seq_len``
+    accesses, counted from its first access.  ``history`` is accepted
+    for compatibility with older configs and checkpoints; nothing
+    reads it.
+    """
 
     pc_vocab_size: int
     page_vocab_size: int
@@ -58,6 +80,11 @@ class ModelConfig:
     history: int = 8
     attention_candidates: int = 4
     seed: int = 0
+    seq_len: int = DEFAULT_SEQ_LEN
+
+    def __post_init__(self) -> None:
+        if self.seq_len < 1:
+            raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -99,8 +126,10 @@ def _lstm_activate(
     """Gate nonlinearities shared by every LSTM entry point.
 
     Returns ``(h_new, c_new, i, f, g, o, tanh_c)``.  Factored out so
-    the projected fast path (:func:`lstm_step_projected`) is bit-bound
-    to the canonical :func:`lstm_step` by construction.
+    the training forward (:meth:`HierarchicalModel.forward_sequence`)
+    and the inference engine's cell step
+    (:meth:`voyager.infer.InferenceEngine.step_from_features`) are
+    bit-bound to each other by construction.
     """
     # The input and forget gates are adjacent columns, so one sigmoid
     # call covers both (elementwise, so batching changes no bits).
@@ -115,82 +144,22 @@ def _lstm_activate(
     return h_new, c_new, i_g, f_g, g_g, o_g, tanh_c
 
 
-def lstm_step(
-    params: Dict[str, np.ndarray],
-    x_t: np.ndarray,  # (B, 3d)
-    h_prev: np.ndarray,  # (B, h)
-    c_prev: np.ndarray,  # (B, h)
-    with_cache: bool = False,
-) -> Tuple[np.ndarray, np.ndarray, Optional[Dict[str, np.ndarray]]]:
-    """One LSTM cell step shared by training and inference.
-
-    Returns ``(h_new, c_new, step_cache)``.  ``step_cache`` is the
-    per-step backprop record (gates, previous states) when
-    ``with_cache=True`` and ``None`` otherwise — the inference engine
-    runs entirely cache-free through this single code path, which is
-    what guarantees incremental inference is bit-identical to the full
-    training-mode forward.
-    """
-    h_dim = h_prev.shape[-1]
-    # In-place adds keep the same left-to-right association as
-    # ``x @ w_x + h @ w_h + b`` while avoiding two (B, 4h) temporaries.
-    a = x_t @ params["w_x"]
-    a += h_prev @ params["w_h"]
-    a += params["b_lstm"]
-    h_new, c_new, i_g, f_g, g_g, o_g, tanh_c = _lstm_activate(
-        a, c_prev, h_dim
-    )
-    if not with_cache:
-        return h_new, c_new, None
-    return h_new, c_new, {
-        "i": i_g,
-        "f": f_g,
-        "g": g_g,
-        "o": o_g,
-        "c_prev": c_prev,
-        "h_prev": h_prev,
-        "tanh_c": tanh_c,
-        "x": x_t,
-    }
-
-
-def lstm_step_projected(
-    params: Dict[str, np.ndarray],
-    ax_t: np.ndarray,  # (B, 4h) precomputed x_t @ w_x
-    h_prev: np.ndarray,  # (B, h)
-    c_prev: np.ndarray,  # (B, h)
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cache-free cell step over a precomputed input projection.
-
-    The input projection ``x_t @ w_x`` depends only on the features, so
-    a rollout that replays overlapping windows can compute it once per
-    feature column and reuse it across every LSTM cell evaluation that
-    touches the column (see :meth:`voyager.infer.InferenceEngine.rollout_window`).
-    Bit-exactness with :func:`lstm_step` holds because the summation
-    order is preserved: ``(x @ w_x + h @ w_h) + b`` either way.
-    """
-    a = ax_t + h_prev @ params["w_h"]
-    a += params["b_lstm"]
-    h_new, c_new, *_ = _lstm_activate(a, c_prev, h_prev.shape[-1])
-    return h_new, c_new
-
-
 def project_features(
     params: Dict[str, np.ndarray],
     x: np.ndarray,  # (B, H, 3d)
 ) -> np.ndarray:
-    """Input projections ``x[:, t] @ w_x`` for every window column.
+    """Input projections ``x[:, t] @ w_x`` for every segment column.
 
-    For ``B > 1`` the whole window batch is projected in one fused
-    ``(B*H, 3d) @ w_x`` matmul.  OpenBLAS blocks gemm over the *m*
+    For ``B > 1`` the whole segment batch is projected in one fused
+    ``(B*T, 3d) @ w_x`` matmul.  OpenBLAS blocks gemm over the *m*
     dimension, so stacking more rows does not change any row's dot
     products — the fused product is bit-identical to the per-column
     loop at every shape this repo ships, and an equivalence test pins
     that.  ``B == 1`` keeps the per-column loop: single-row products
     dispatch to a different (gemv) kernel whose reduction order differs
-    from gemm's, so fusing would change bits exactly where
-    :func:`lstm_step` (which also runs the gemv kernel at ``B == 1``)
-    must stay bit-bound to this projection.
+    from gemm's, so fusing would change bits exactly where the
+    inference engine's single-row cell step (which also runs the gemv
+    kernel) must stay bit-bound to this projection.
     """
     B, H = x.shape[0], x.shape[1]
     w_x = params["w_x"]
@@ -203,36 +172,17 @@ def project_features(
     return ax
 
 
-def state_from_projected(
-    params: Dict[str, np.ndarray],
-    ax: np.ndarray,  # (B, H, 4h) precomputed input projections
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Run the LSTM over precomputed input projections from a zero state.
-
-    Bit-identical to :func:`state_from_features` on the unprojected
-    features (see :func:`lstm_step_projected`), but only pays the
-    recurrent ``h @ w_h`` matmul per step.
-    """
-    B = ax.shape[0]
-    h_dim = params["w_h"].shape[0]
-    h_t = np.zeros((B, h_dim), dtype=params["w_h"].dtype)
-    c_t = np.zeros((B, h_dim), dtype=params["w_h"].dtype)
-    for t in range(ax.shape[1]):
-        h_t, c_t = lstm_step_projected(params, ax[:, t, :], h_t, c_t)
-    return h_t, c_t
-
-
 def step_features(
     params: Dict[str, np.ndarray],
     pc_ids: np.ndarray,  # (B,)
     page_ids: np.ndarray,  # (B,)
     offset_ids: np.ndarray,  # (B,)
 ) -> np.ndarray:
-    """Embed one history position: ``(B,) ids -> (B, 3d)`` features.
+    """Embed one access per row: ``(B,) ids -> (B, 3d)`` features.
 
     Cache-free, single-position counterpart of the embedding+attention
-    block inside :meth:`HierarchicalModel.forward`; bit-identical per
-    position in float64.
+    block inside :meth:`HierarchicalModel.forward_sequence`;
+    bit-identical per position in float64.
     """
     pc_emb = embedding_forward(params["pc_embed"], pc_ids)
     page_emb = embedding_forward(params["page_embed"], page_ids)
@@ -240,67 +190,6 @@ def step_features(
         params["offset_embed"], params["w_query"], page_emb, offset_ids
     )
     return np.concatenate([pc_emb, page_emb, off_emb], axis=-1)
-
-
-def window_features(
-    params: Dict[str, np.ndarray],
-    pc_ids: np.ndarray,  # (B, H)
-    page_ids: np.ndarray,  # (B, H)
-    offset_ids: np.ndarray,  # (B, H)
-) -> np.ndarray:
-    """Embed a full window: ``(B, H)`` ids -> ``(B, H, 3d)`` features.
-
-    Cache-free version of the embedding+attention block inside
-    :meth:`HierarchicalModel.forward`.  Features have no temporal
-    recurrence, so they can be computed once and re-gathered when a
-    rollout slides its pseudo-window — only the LSTM recurrence must be
-    re-run.
-    """
-    pc_emb = embedding_forward(params["pc_embed"], pc_ids)
-    page_emb = embedding_forward(params["page_embed"], page_ids)
-    off_emb, _ = page_aware_offset_forward(
-        params["offset_embed"], params["w_query"], page_emb, offset_ids
-    )
-    return np.concatenate([pc_emb, page_emb, off_emb], axis=-1)
-
-
-def state_from_features(
-    params: Dict[str, np.ndarray],
-    x: np.ndarray,  # (B, H, 3d)
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Run the LSTM over precomputed window features from a zero state.
-
-    Projects the whole window up front (:func:`project_features`, fused
-    for ``B > 1``) and then runs the projected cell steps — bit-identical
-    to calling :func:`lstm_step` per column (the association
-    ``(x @ w_x + h @ w_h) + b`` is preserved, see
-    :func:`lstm_step_projected`) while paying only the recurrent matmul
-    per timestep.
-    """
-    return state_from_projected(params, project_features(params, x))
-
-
-def window_state(
-    params: Dict[str, np.ndarray],
-    history: int,
-    pc_ids: np.ndarray,  # (B, H)
-    page_ids: np.ndarray,  # (B, H)
-    offset_ids: np.ndarray,  # (B, H)
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cache-free full-window LSTM state: ``(B, H)`` ids -> ``(h, c)``.
-
-    Identical arithmetic to :meth:`HierarchicalModel.forward` (same
-    embedding, attention and cell ops in the same order) minus every
-    backprop allocation, so the returned state is bit-identical to the
-    training forward's final state.  The initial state adopts the
-    parameter dtype, so a float32 parameter set runs end-to-end in
-    float32.
-    """
-    H = pc_ids.shape[1]
-    if H != history:
-        raise ValueError(f"expected history length {history}, got {H}")
-    x = window_features(params, pc_ids, page_ids, offset_ids)
-    return state_from_features(params, x)
 
 
 def head_logits(
@@ -363,169 +252,6 @@ class HierarchicalModel:
         self.params["b_lstm"][h : 2 * h] = 1.0
 
     # ------------------------------------------------------------------
-    # forward
-    # ------------------------------------------------------------------
-    def forward(
-        self,
-        pc_ids: np.ndarray,
-        page_ids: np.ndarray,
-        offset_ids: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict]:
-        """Run the model on ``(B, H)`` id arrays.
-
-        Returns ``(page_probs, offset_probs, cache)`` where the probs
-        are ``(B, page_vocab)`` / ``(B, num_offsets)`` softmax outputs.
-        """
-        p = self.params
-        cfg = self.config
-        h_dim = cfg.hidden_dim
-        B, H = pc_ids.shape
-        if H != cfg.history:
-            raise ValueError(
-                f"expected history length {cfg.history}, got {H}"
-            )
-
-        pc_emb = embedding_forward(p["pc_embed"], pc_ids)
-        page_emb = embedding_forward(p["page_embed"], page_ids)
-        off_emb, attn_cache = page_aware_offset_forward(
-            p["offset_embed"], p["w_query"], page_emb, offset_ids
-        )
-        x = np.concatenate([pc_emb, page_emb, off_emb], axis=-1)  # (B,H,3d)
-
-        h_t = np.zeros((B, h_dim))
-        c_t = np.zeros((B, h_dim))
-        steps: List[Dict[str, np.ndarray]] = []
-        for t in range(H):
-            h_t, c_t, step_cache = lstm_step(
-                p, x[:, t, :], h_t, c_t, with_cache=True
-            )
-            steps.append(step_cache)
-
-        page_logits, offset_logits = head_logits(p, h_t)
-        page_probs = softmax(page_logits)
-        offset_probs = softmax(offset_logits)
-        cache = {
-            "pc_ids": pc_ids,
-            "page_ids": page_ids,
-            "attn": attn_cache,
-            "steps": steps,
-            "h_final": h_t,
-            "page_probs": page_probs,
-            "offset_probs": offset_probs,
-        }
-        return page_probs, offset_probs, cache
-
-    # ------------------------------------------------------------------
-    # loss + backward
-    # ------------------------------------------------------------------
-    def loss_and_grads(
-        self,
-        pc_ids: np.ndarray,
-        page_ids: np.ndarray,
-        offset_ids: np.ndarray,
-        page_targets: np.ndarray,
-        offset_targets: np.ndarray,
-        phases: Optional[Dict[str, float]] = None,
-    ) -> Tuple[float, Dict[str, np.ndarray]]:
-        """Mean cross-entropy of both heads plus gradients for Adam.
-
-        ``page_targets``/``offset_targets`` are target *distributions*
-        of shape ``(B, page_vocab)`` / ``(B, num_offsets)`` (rows sum to
-        one; multi-label sets are uniform over their members).
-
-        ``phases``, when given, accumulates wall time into its
-        ``"forward"`` and ``"backward"`` keys (used by
-        ``train(profile=True)``); it never changes the arithmetic.
-        """
-        t0 = perf_counter()
-        page_probs, offset_probs, cache = self.forward(
-            pc_ids, page_ids, offset_ids
-        )
-        B = pc_ids.shape[0]
-        eps = 1e-12
-        loss_page = -(page_targets * np.log(page_probs + eps)).sum() / B
-        loss_offset = -(offset_targets * np.log(offset_probs + eps)).sum() / B
-        loss = loss_page + loss_offset
-        if phases is not None:
-            phases["forward"] += perf_counter() - t0
-            t0 = perf_counter()
-
-        grads = self._backward(
-            cache,
-            d_page_logits=(page_probs - page_targets) / B,
-            d_offset_logits=(offset_probs - offset_targets) / B,
-        )
-        if phases is not None:
-            phases["backward"] += perf_counter() - t0
-        return float(loss), grads
-
-    def _backward(
-        self,
-        cache: Dict,
-        d_page_logits: np.ndarray,
-        d_offset_logits: np.ndarray,
-    ) -> Dict[str, np.ndarray]:
-        p = self.params
-        cfg = self.config
-        h_dim = cfg.hidden_dim
-        d = cfg.embed_dim
-        steps = cache["steps"]
-        h_final = cache["h_final"]
-        B = h_final.shape[0]
-        H = len(steps)
-
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        grads["w_page"] = h_final.T @ d_page_logits
-        grads["b_page"] = d_page_logits.sum(axis=0)
-        grads["w_offset"] = h_final.T @ d_offset_logits
-        grads["b_offset"] = d_offset_logits.sum(axis=0)
-
-        dh = d_page_logits @ p["w_page"].T + d_offset_logits @ p["w_offset"].T
-        dc = np.zeros((B, h_dim))
-        dx = np.zeros((B, H, 3 * d))
-        for t in range(H - 1, -1, -1):
-            s = steps[t]
-            do = dh * s["tanh_c"]
-            dc = dc + dh * s["o"] * (1.0 - s["tanh_c"] ** 2)
-            di = dc * s["g"]
-            dg = dc * s["i"]
-            df = dc * s["c_prev"]
-            dc = dc * s["f"]
-            da = np.concatenate(
-                [
-                    di * s["i"] * (1.0 - s["i"]),
-                    df * s["f"] * (1.0 - s["f"]),
-                    dg * (1.0 - s["g"] ** 2),
-                    do * s["o"] * (1.0 - s["o"]),
-                ],
-                axis=1,
-            )
-            grads["w_x"] += s["x"].T @ da
-            grads["w_h"] += s["h_prev"].T @ da
-            grads["b_lstm"] += da.sum(axis=0)
-            dx[:, t, :] = da @ p["w_x"].T
-            dh = da @ p["w_h"].T
-
-        d_pc_emb = dx[:, :, :d]
-        d_page_emb = dx[:, :, d : 2 * d]
-        d_off_emb = dx[:, :, 2 * d :]
-
-        g_off_table, g_w_query, g_page_from_attn = page_aware_offset_backward(
-            p["offset_embed"], p["w_query"], d_off_emb, cache["attn"]
-        )
-        grads["offset_embed"] = g_off_table
-        grads["w_query"] = g_w_query
-        d_page_emb = d_page_emb + g_page_from_attn
-
-        grads["pc_embed"] = embedding_backward(
-            p["pc_embed"], cache["pc_ids"], d_pc_emb
-        )
-        grads["page_embed"] = embedding_backward(
-            p["page_embed"], cache["page_ids"], d_page_emb
-        )
-        return grads
-
-    # ------------------------------------------------------------------
     # sequence (truncated-BPTT) forward + backward
     # ------------------------------------------------------------------
     def forward_sequence(
@@ -538,13 +264,11 @@ class HierarchicalModel:
     ) -> Tuple[np.ndarray, np.ndarray, Dict, Tuple[np.ndarray, np.ndarray]]:
         """Run the model over ``(B, T)`` contiguous segments, heads at every step.
 
-        Unlike :meth:`forward` — which replays an ``H``-long window per
-        supervised position — this evaluates each cell exactly once and
-        reads out both heads at *every* timestep, so a segment of length
-        ``T`` supervises ``T`` positions at ``O(T)`` cell cost.  ``T``
-        is arbitrary (no ``history`` check).  ``h0``/``c0`` carry LSTM
-        state in from the previous TBPTT chunk of the same segment;
-        ``None`` starts from zeros.
+        Each cell is evaluated exactly once and both heads are read out
+        at *every* timestep, so a segment of length ``T`` supervises
+        ``T`` positions at ``O(T)`` cell cost.  ``T`` is arbitrary.
+        ``h0``/``c0`` carry LSTM state in from the previous TBPTT chunk
+        of the same segment; ``None`` starts from zeros.
 
         Embeddings and attention are gathered for the whole segment at
         once, the input projection is one fused matmul
@@ -633,16 +357,15 @@ class HierarchicalModel:
         padding slots, so the loss gathers ``L`` probabilities per
         position instead of materialising dense ``(B, T, vocab)``
         target tensors.  The loss is the mean over all ``B * T``
-        supervised positions of both heads' cross-entropies — the same
-        per-position quantity :meth:`loss_and_grads` averages over its
-        batch.
+        supervised positions of both heads' cross-entropies.
 
         Gradients flow through every timestep down to the embeddings;
         ``h0``/``c0`` are treated as constants (truncated BPTT — no
         gradient crosses the chunk boundary).  Returns
         ``(loss, grads, (h, c))`` where the state feeds the next chunk.
-        ``phases`` accumulates ``"forward"``/``"backward"`` wall time
-        like in :meth:`loss_and_grads`.
+        ``phases``, when given, accumulates wall time into its
+        ``"forward"`` and ``"backward"`` keys (used by
+        ``train(profile=True)``); it never changes the arithmetic.
         """
         t0 = perf_counter()
         page_probs, offset_probs, cache, state = self.forward_sequence(
@@ -767,63 +490,6 @@ class HierarchicalModel:
         )
         return grads
 
-    # ------------------------------------------------------------------
-    # inference helpers
-    # ------------------------------------------------------------------
-    def forward_nocache(
-        self,
-        pc_ids: np.ndarray,
-        page_ids: np.ndarray,
-        offset_ids: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the LSTM over ``(B, H)`` id arrays without any backprop cache.
-
-        Returns the final ``(h, c)`` state.  Arithmetic is identical to
-        :meth:`forward` (same embedding, attention and cell ops in the
-        same order), so the state — and any logits derived from it — is
-        bit-identical to the training-mode forward, at a fraction of the
-        allocation cost.  This is the entry point of the inference
-        engine (:mod:`voyager.infer`).
-        """
-        return window_state(
-            self.params, self.config.history, pc_ids, page_ids, offset_ids
-        )
-
-    def predict(
-        self,
-        pc_ids: np.ndarray,
-        page_ids: np.ndarray,
-        offset_ids: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Argmax page and offset predictions for a batch.
-
-        Runs cache-free: softmax is monotonic, so the argmax over raw
-        logits equals the argmax over probabilities.
-        """
-        h_t, _ = self.forward_nocache(pc_ids, page_ids, offset_ids)
-        page_logits, offset_logits = head_logits(self.params, h_t)
-        return page_logits.argmax(axis=-1), offset_logits.argmax(axis=-1)
-
-    def predict_topk(
-        self,
-        pc_ids: np.ndarray,
-        page_ids: np.ndarray,
-        offset_ids: np.ndarray,
-        k: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` page and offset ids per row, descending by score.
-
-        Uses :func:`topk_from_logits` (``argpartition`` selection) so a
-        degree-``k`` prefetcher does not pay a full vocabulary sort.
-        ``k`` is clamped nowhere: it must fit both heads' vocabularies.
-        """
-        h_t, _ = self.forward_nocache(pc_ids, page_ids, offset_ids)
-        page_logits, offset_logits = head_logits(self.params, h_t)
-        return (
-            topk_from_logits(page_logits, k),
-            topk_from_logits(offset_logits, k),
-        )
-
     def num_parameters(self) -> int:
         return sum(int(v.size) for v in self.params.values())
 
@@ -836,8 +502,9 @@ def vocab_fingerprint(pc_vocab: Vocab, page_vocab: Vocab) -> str:
 
     Two checkpoints with equal fingerprints encode every pc/page key to
     the same id, which is the precondition for hot-swapping weights
-    under live sessions whose feature windows were encoded by the old
-    vocabs (:meth:`voyager.serve.PrefetchServer.swap_checkpoint`).
+    under live sessions whose carried states and table contexts were
+    encoded by the old vocabs
+    (:meth:`voyager.serve.PrefetchServer.swap_checkpoint`).
     """
     payload = json.dumps(
         [pc_vocab.to_dict(), page_vocab.to_dict()],
@@ -852,24 +519,16 @@ def save_checkpoint(
     model: HierarchicalModel,
     pc_vocab: Vocab,
     page_vocab: Vocab,
-    train_mode: Optional[str] = None,
-    seq_len: Optional[int] = None,
 ) -> Tuple[Path, Path]:
     """Persist a trained model plus its vocabularies.
 
     Writes two sibling files derived from ``prefix``:
 
     - ``<prefix>.npz`` — the raw float64 parameter arrays (bit-exact);
-    - ``<prefix>.vocab.json`` — model config, schema/format version,
-      training provenance (``train_mode``/``seq_len``), a content hash
-      of both vocab mappings (``vocab_hash``), and the mappings
-      themselves in id order.
-
-    ``train_mode``/``seq_len`` record how the weights were produced
-    (``"window"`` or ``"sequence"``; ``seq_len`` only meaningful for
-    sequence training) so consumers — the serving hot-swap path above
-    all — can reject weights trained under an incompatible regime with
-    a clean error instead of a shape mismatch mid-tick.
+    - ``<prefix>.vocab.json`` — model config (including the training
+      ``seq_len`` every consumer resets state by), schema/format
+      version, a content hash of both vocab mappings (``vocab_hash``),
+      and the mappings themselves in id order.
 
     Both files are written atomically (staged next to the destination,
     published with ``os.replace``), so a run killed mid-save can leave
@@ -887,8 +546,6 @@ def save_checkpoint(
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "format_version": CHECKPOINT_SCHEMA_VERSION,
         "model_config": asdict(model.config),
-        "train_mode": train_mode,
-        "seq_len": seq_len,
         "vocab_hash": vocab_fingerprint(pc_vocab, page_vocab),
         "pc_vocab": pc_vocab.to_dict(),
         "page_vocab": page_vocab.to_dict(),
@@ -901,8 +558,8 @@ def checkpoint_metadata(prefix: Union[str, Path]) -> Dict[str, object]:
     """Read and validate a checkpoint's JSON metadata without the arrays.
 
     Cheap pre-flight for hot-swap compatibility checks: returns the
-    parsed ``<prefix>.vocab.json`` object (config, ``train_mode``,
-    ``seq_len``, ``vocab_hash``, vocab mappings) with the same
+    parsed ``<prefix>.vocab.json`` object (config, ``vocab_hash``,
+    vocab mappings) with the same
     :class:`FileNotFoundError`/:class:`ValueError` contract as
     :func:`load_checkpoint`, but skips the ``.npz`` load entirely.
     """
@@ -950,10 +607,18 @@ def load_checkpoint(
         )
     meta = checkpoint_metadata(prefix)
     try:
-        model = HierarchicalModel(ModelConfig(**meta["model_config"]))
+        fields = dict(meta["model_config"])
+        if "seq_len" not in fields:
+            # Written before the config carried it: the top-level
+            # provenance field, when present, is the training length.
+            legacy = meta.get("seq_len")
+            fields["seq_len"] = (
+                legacy if isinstance(legacy, int) else DEFAULT_SEQ_LEN
+            )
+        model = HierarchicalModel(ModelConfig(**fields))
         pc_vocab = Vocab.from_dict(meta["pc_vocab"])
         page_vocab = Vocab.from_dict(meta["page_vocab"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"checkpoint metadata {json_path} is corrupt or incomplete: "
             f"{exc!r}"

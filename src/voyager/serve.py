@@ -7,28 +7,33 @@ under a latency budget — the practicality framing of Hashemi et al.
 (2018) and the tabularization line of Zhang et al. (2024).  This
 module is that missing layer:
 
-- :class:`StreamSession` — per-stream serving state: an incremental
-  :class:`~voyager.infer.LSTMState` plus the sliding feature window the
-  window-replay rollout needs.  Features are embedded once per access
-  and never recomputed.
+- :class:`StreamSession` — per-stream serving state: the carried
+  :class:`~voyager.infer.LSTMState`, reset to zero every
+  ``ModelConfig.seq_len`` accesses (the segment length the weights
+  trained on, counted from the stream's first access), plus the access
+  count that drives the reset.
 - :class:`PrefetchServer` — the façade: ``open_stream`` / ``access`` /
   ``close_stream``, a bounded session table with LRU eviction, and a
   queue-depth cap with an explicit shed policy (degrade to next-line
   candidates, or drop) so overload degrades instead of queueing
   unboundedly.
 - the micro-batching scheduler inside :meth:`PrefetchServer.tick`: all
-  pending ``step`` requests across streams are coalesced into **one**
-  batched feature embed, one batched LSTM cell evaluation per wave
-  (wave ``k`` = the ``k``-th pending access of each stream, so
-  per-stream recurrence order is preserved), and one batched
-  window-replay rollout for every prediction-eligible request.  Per
-  stream the arithmetic is bit-identical to driving a serial
-  :class:`~voyager.infer.InferenceEngine`: the server's engine runs in
+  pending requests across streams are coalesced into **one** batched
+  feature embed, one batched LSTM cell evaluation per wave (wave ``k``
+  = the ``k``-th pending access of each stream, so per-stream
+  recurrence order is preserved), and one batched
+  :meth:`~voyager.infer.InferenceEngine.rollout` that continues each
+  prediction-eligible request from the state its own access produced.
+  A prediction of ``degree`` candidates costs ``degree`` cell
+  evaluations in all, the access's own step included.  Per stream the
+  arithmetic is bit-identical to the simulator's streaming
+  :class:`~voyager.sim.NeuralPrefetcher`: the server's engine runs in
   ``row_exact`` mode, which pins every batch-height-sensitive matmul to
   its batch-width-1 shape (BLAS changes summation order with batch
   height), and every other op in the pipeline is row-independent.
-  ``tests/test_serve.py`` pins the equivalence — states, top-k and
-  candidates — with hypothesis property tests in float64 and float32.
+  ``tests/test_serve.py`` and ``tests/test_crosslayer.py`` pin the
+  equivalence — states, top-k and candidates — with hypothesis
+  property tests.
 - :class:`ServerStats` — request/shed/batch-size-histogram counters and
   p50/p95/p99 response latency measured through an injected clock, so
   tests pin exact percentile values and production callers get
@@ -45,8 +50,8 @@ module is that missing layer:
   the batch in priority order (per-stream FIFO order is always
   preserved, so the recurrence stays exact).
 - **evicted-session checkpoint/restore**: with ``ServeConfig.spill_dir``
-  set, LRU-evicted sessions serialize their :class:`LSTMState` plus
-  feature window to an atomic ``.npz`` spill file
+  set, LRU-evicted sessions serialize their :class:`LSTMState`, access
+  count and table context to an atomic ``.npz`` spill file
   (:class:`SpillStore`) and are restored transparently on the next
   ``submit`` — total stream count can vastly exceed resident capacity,
   and a restored session is bit-identical to one that was never
@@ -86,9 +91,8 @@ from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
 
 #: ``PrefetchResponse.source`` values.
-SOURCE_NEURAL = "neural"  # batched rollout over the stream's window
+SOURCE_NEURAL = "neural"  # batched rollout from the stream's state
 SOURCE_TABLE = "table"  # distilled-table context hit: no rollout needed
-SOURCE_COLD = "cold"  # stream has fewer than ``history`` accesses
 SOURCE_SHED = "shed"  # backpressure: degraded or dropped at submit
 SOURCE_ORPHANED = "orphaned"  # session evicted/closed before the tick
 
@@ -155,18 +159,16 @@ class PrefetchResponse:
 class StreamSession:
     """Per-stream serving state owned by :class:`PrefetchServer`.
 
-    Carries the incremental recurrent state (advanced by the batched
-    cell step each tick) and the sliding window of per-access features
-    (consumed by the batched window-replay rollout).  Both live here so
-    a stream can be evicted or closed without touching any other
-    stream's state.
+    Carries the recurrent state after the stream's latest access
+    (advanced by the batched cell step each tick, and the start of that
+    access's rollout) and the access count that places the stream in
+    its current ``seq_len`` segment.  Everything lives here so a stream
+    can be evicted or closed without touching any other stream's state.
     """
 
     __slots__ = (
         "stream_id",
         "state",
-        "pc_ids",
-        "feats",
         "ctx",
         "accesses",
         "qos",
@@ -182,9 +184,6 @@ class StreamSession:
     ):
         self.stream_id = stream_id
         self.state = engine.init_state(1)
-        history = engine.config.history
-        self.pc_ids: deque = deque(maxlen=history)
-        self.feats: deque = deque(maxlen=history)  # (3d,) per access
         # Encoded (pc, page, offset) triples for distilled-table
         # lookups; empty (maxlen=0) on servers without a table.
         self.ctx: deque = deque(maxlen=ctx_depth)
@@ -271,7 +270,6 @@ class ServerStats:
         self.responses = 0
         self.neural = 0
         self.table = 0
-        self.cold = 0
         self.shed = 0
         self.orphaned = 0
         self.ticks = 0
@@ -302,8 +300,6 @@ class ServerStats:
             self.neural += 1
         elif response.source == SOURCE_TABLE:
             self.table += 1
-        elif response.source == SOURCE_COLD:
-            self.cold += 1
         elif response.source == SOURCE_ORPHANED:
             self.orphaned += 1
         self._reservoir.add(response.latency_s)
@@ -318,7 +314,6 @@ class ServerStats:
             "responses": self.responses,
             "neural": self.neural,
             "table": self.table,
-            "cold": self.cold,
             "shed": self.shed,
             "shed_by_class": dict(self.shed_by_class),
             "orphaned": self.orphaned,
@@ -342,9 +337,9 @@ class SpillStore:
     ``repr(stream_id)``, so any hashable id maps to a filesystem-safe
     name), written via :func:`~voyager.ioutil.atomic_savez` so a crash
     mid-evict never leaves a torn checkpoint.  The payload is the
-    session's entire serving state — ``LSTMState`` rows, the sliding
-    pc-id/feature windows, distilled-table context, access count and
-    QoS class — at full bit precision, which is what lets
+    session's entire serving state — ``LSTMState`` rows, access count
+    (its position in the current reset segment), distilled-table
+    context and QoS class — at full bit precision, which is what lets
     ``tests/test_serve.py`` pin a restored session bit-identical to a
     never-evicted one.
     """
@@ -367,11 +362,6 @@ class SpillStore:
         return self._path(stream_id).exists()
 
     def save(self, session: StreamSession) -> Path:
-        feats = (
-            np.stack(list(session.feats))
-            if session.feats
-            else np.zeros((0, 0))
-        )
         ctx = np.array(list(session.ctx), dtype=np.int64).reshape(
             len(session.ctx), 3
         )
@@ -379,8 +369,6 @@ class SpillStore:
             self._path(session.stream_id),
             h=session.state.h,
             c=session.state.c,
-            pc_ids=np.array(list(session.pc_ids), dtype=np.int64),
-            feats=feats,
             ctx=ctx,
             ctx_depth=np.int64(session.ctx.maxlen or 0),
             accesses=np.int64(session.accesses),
@@ -401,10 +389,6 @@ class SpillStore:
             session.state = LSTMState(
                 h=data["h"].copy(), c=data["c"].copy()
             )
-            for pc in data["pc_ids"]:
-                session.pc_ids.append(int(pc))
-            for row in data["feats"]:
-                session.feats.append(row.copy())
             for triple in data["ctx"]:
                 session.ctx.append(
                     (int(triple[0]), int(triple[1]), int(triple[2]))
@@ -462,7 +446,6 @@ class PrefetchServer:
         # engines bit for bit per stream (see voyager.infer._mm).
         self.model = model
         self.engine = InferenceEngine(model, dtype=dtype, row_exact=True)
-        self.history = model.config.history
         # Optional served-traffic logger (duck-typed: anything with a
         # ``log(pc, address, tick, stream_id)`` method — in practice
         # :class:`voyager.adapt.AccessLogger`).  ``log`` only buffers;
@@ -721,9 +704,9 @@ class PrefetchServer:
     ) -> int:
         """Install new weights between ticks without dropping sessions.
 
-        Every session's serving state — recurrent ``LSTMState``, the
-        sliding pc-id/feature windows, distilled-table context, access
-        counts — carries over untouched; only the parameter arrays
+        Every session's serving state — recurrent ``LSTMState``,
+        distilled-table context, access counts — carries over
+        untouched; only the parameter arrays
         behind the shared engine change.  In-flight requests are
         drained first on the *old* weights (their responses land in the
         :meth:`poll` buffer), so no request is ever served by a model
@@ -737,12 +720,13 @@ class PrefetchServer:
         old checkpoint serving:
 
         - the new :class:`~voyager.model.ModelConfig` must equal the
-          serving one in every field except ``seed`` (hidden/embed
-          dims, history and vocab sizes shape the carried states and
-          feature windows);
+          serving one in every field except ``seed`` and the unused
+          ``history`` (hidden/embed dims and vocab sizes shape the
+          carried states; ``seq_len`` places every live stream in its
+          reset segment);
         - both vocabs must hash identically
-          (:func:`~voyager.model.vocab_fingerprint`) — live feature
-          windows were embedded under the old vocab's ids, so a
+          (:func:`~voyager.model.vocab_fingerprint`) — live states and
+          table contexts were built from the old vocab's ids, so a
           different mapping would silently misdecode every prediction.
 
         Returns the new ``model_version`` (also in ``ServerStats``).
@@ -752,7 +736,7 @@ class PrefetchServer:
         mismatched = [
             field
             for field, value in asdict(new).items()
-            if field != "seed" and asdict(old)[field] != value
+            if field not in ("seed", "history") and asdict(old)[field] != value
         ]
         if mismatched:
             raise ValueError(
@@ -792,11 +776,13 @@ class PrefetchServer:
         cell evaluation per *wave* advances the recurrent state (wave
         ``k`` holds the ``k``-th pending access of each stream, which
         preserves per-stream ordering while batching across streams);
-        one batched window-replay rollout serves every
-        prediction-eligible request.  When the backlog exceeds
-        ``max_batch``, admission is in QoS-priority order (latency
-        first) with per-stream FIFO order preserved.  Responses come
-        back in submit order.
+        one batched rollout continues every prediction-eligible request
+        from the state its own access produced.  A stream's state
+        restarts from zero every ``seq_len`` accesses, counted from its
+        first access — the segmentation the weights trained on.  When
+        the backlog exceeds ``max_batch``, admission is in QoS-priority
+        order (latency first) with per-stream FIFO order preserved.
+        Responses come back in submit order.
         """
         batch = self._select_batch()
         if not batch:
@@ -840,6 +826,9 @@ class PrefetchServer:
             # Phase B: batched cell step per wave.  A stream with m
             # pending accesses needs m sequential steps; batching the
             # k-th access of every stream keeps each stream's order.
+            # Each request keeps the state after *its* access: a stream
+            # with several accesses in this tick predicts each one from
+            # its own step, not from the stream's last.
             waves: List[List[int]] = []
             depth: Dict[Hashable, int] = {}
             for i, (req, _) in enumerate(live):
@@ -848,17 +837,23 @@ class PrefetchServer:
                 if k == len(waves):
                     waves.append([])
                 waves[k].append(i)
+            seq_len = self.model.config.seq_len
+            stepped: List[Optional[LSTMState]] = [None] * len(live)
             for wave in waves:
-                stacked = LSTMState.stack([live[i][1].state for i in wave])
-                stepped = self.engine.step_from_features(stacked, feats[wave])
-                for j, i in enumerate(wave):
-                    live[i][1].state = stepped.row(j)
+                sessions = [live[i][1] for i in wave]
+                for session in sessions:
+                    if session.accesses % seq_len == 0:
+                        session.state = self.engine.init_state(1)
+                    session.accesses += 1
+                state = self.engine.step_from_features(
+                    LSTMState.stack([s.state for s in sessions]), feats[wave]
+                )
+                for j, (i, session) in enumerate(zip(wave, sessions)):
+                    session.state = stepped[i] = state.row(j)
 
-            # Phase C: append features in submit order and snapshot the
-            # windows of rollout-eligible requests.
-            rollout_rows: List[np.ndarray] = []
-            rollout_pcs: List[int] = []
-            rollout_seqs: List[int] = []
+            # Phase C: log, extend table contexts, answer table hits,
+            # and collect the rollout-eligible requests.
+            rollout_rows: List[int] = []
             for i, (req, session) in enumerate(live):
                 if self.logger is not None:
                     self.logger.log(
@@ -867,9 +862,6 @@ class PrefetchServer:
                         tick=self.stats.ticks,
                         stream_id=req.stream_id,
                     )
-                session.accesses += 1
-                session.pc_ids.append(int(pc_ids[i]))
-                session.feats.append(feats[i])
                 if self.table is not None:
                     session.ctx.append(
                         (int(pc_ids[i]), int(page_ids[i]), int(offset_ids[i]))
@@ -879,30 +871,24 @@ class PrefetchServer:
                 if self.table is not None:
                     cands, _ = self.table.lookup(session.ctx)
                     if cands is not None:
-                        # Table hit: answered without the rollout (and
-                        # even before the window is warm — a context
-                        # can be shallower than ``history``).
+                        # Table hit: answered without the rollout.
                         sources_by_seq[req.seq] = SOURCE_TABLE
                         candidates_by_seq[req.seq] = cands[
                             : self.config.degree
                         ]
                         continue
-                if len(session.feats) < self.history:
-                    sources_by_seq[req.seq] = SOURCE_COLD
-                    candidates_by_seq[req.seq] = []
-                    continue
-                rollout_rows.append(np.stack(session.feats))
-                rollout_pcs.append(session.pc_ids[-1])
-                rollout_seqs.append(req.seq)
+                rollout_rows.append(i)
 
-            # Phase D: one batched rollout + shared decode.
+            # Phase D: one batched rollout from each request's own
+            # stepped state, then the shared decode.
             if rollout_rows:
-                windows = np.stack(rollout_rows)  # (R, H, 3d)
-                pc_last = np.array(rollout_pcs, dtype=np.int64)
-                pages, offsets, valid = self.engine.rollout_window(
-                    windows, pc_last, self.config.degree
+                pages, offsets, valid = self.engine.rollout(
+                    LSTMState.stack([stepped[i] for i in rollout_rows]),
+                    pc_ids[rollout_rows],
+                    self.config.degree,
                 )
-                for r, seq in enumerate(rollout_seqs):
+                for r, i in enumerate(rollout_rows):
+                    seq = live[i][0].seq
                     sources_by_seq[seq] = SOURCE_NEURAL
                     candidates_by_seq[seq] = decode_block_candidates(
                         self._page_table,
@@ -1020,8 +1006,8 @@ class PrefetchServer:
     def topk(self, stream_id: Hashable, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Top-``k`` ``(page_ids, offset_ids)`` from a stream's live state.
 
-        Served from the incrementally-stepped recurrent state (not the
-        window rollout), so this is exactly what a serial
+        Served from the state after the stream's latest access, so
+        this is exactly what a serial
         :meth:`~voyager.infer.InferenceEngine.predict_topk` over the
         stream's accesses would return — the equivalence the batched
         cell step guarantees per row.
@@ -1043,7 +1029,6 @@ __all__ = [
     "QOS_CLASSES",
     "QOS_PRIORITY",
     "SHED_POLICIES",
-    "SOURCE_COLD",
     "SOURCE_NEURAL",
     "SOURCE_ORPHANED",
     "SOURCE_SHED",

@@ -345,7 +345,6 @@ _MERGED_COUNTERS = (
     "responses",
     "neural",
     "table",
-    "cold",
     "shed",
     "orphaned",
     "opened",

@@ -679,30 +679,12 @@ class NeuralPrefetcher:
     """Adapts a trained :class:`HierarchicalModel` to the sim protocol.
 
     Drives a cache-free :class:`~voyager.infer.InferenceEngine` instead
-    of the training forward, in one of two inference modes matching the
-    two training modes (:func:`voyager.train.train`):
-
-    - ``inference="window"`` (default, for ``mode="window"`` models):
-      keeps a sliding window of the last ``history`` accesses (encoded
-      through the training vocabularies).  ``update`` embeds+attends
-      each observed access exactly once (features carry no recurrence);
-      ``prefetch`` rolls out ``degree`` steps with the engine's
-      window-replay rollout — each step takes the argmax ``(page,
-      offset)`` prediction, emits its block address, slides the cached
-      feature window by the prediction (the PC slot repeats the current
-      access's PC id), and re-runs only the LSTM recurrence.  A
-      window-trained model sees exclusively ``history``-step windows
-      from a zero state, so replaying the slid window is what keeps its
-      multi-step predictions in distribution.
-    - ``inference="stateful"`` (for ``mode="sequence"`` models): the
-      LSTM state is carried across accesses and reset every ``seq_len``
-      accesses — the segmentation ``build_sequence_dataset`` trains on.
-      ``update`` is one cell step; ``prefetch`` continues the carried
-      state with the engine's cheap state-continuation rollout (one
-      cell step per lookahead step, no window replay).  Carried state
-      *is* a sequence-trained model's training distribution; replaying
-      zero-state windows under it measurably degrades accuracy, which
-      is why the mode must match the training mode.
+    of the training forward and serves the model the way it trained:
+    the LSTM state is carried across accesses and reset to zero every
+    ``model.config.seq_len`` accesses, counted from the first access —
+    the segmentation ``build_sequence_dataset`` trains on.  ``update``
+    is one cell step; ``prefetch`` continues the carried state with the
+    engine's rollout (one cell step per lookahead step).
 
     The candidate list is temporally ordered — candidate ``k`` is the
     model's guess for the access ``k + 1`` steps ahead — matching the
@@ -714,14 +696,13 @@ class NeuralPrefetcher:
     Two execution modes share the same arithmetic graph:
 
     - *streaming* (default): ``update``/``prefetch`` per access — the
-      online deployment shape;
+      online deployment shape, and what :class:`voyager.serve.PrefetchServer`
+      reproduces bit for bit per stream;
     - *primed*: :meth:`prime` precomputes the rollout for **every**
-      trace position in one batched pass (window mode: all window
-      features embedded at once, then ``degree`` batched replay steps;
-      stateful mode: one
+      trace position in one batched pass (one
       :meth:`~voyager.infer.InferenceEngine.segment_states` scan, then
-      ``degree`` batched continuation steps), after which ``prefetch``
-      is a list lookup and ``update`` is a counter bump.
+      the lookahead's batched continuation steps), after which
+      ``prefetch`` is a list lookup and ``update`` is a counter bump.
       :func:`simulate` primes automatically; this is what makes the
       neural simulator hot path competitive with the table baselines.
 
@@ -738,26 +719,14 @@ class NeuralPrefetcher:
         pc_vocab: Vocab,
         page_vocab: Vocab,
         dtype=np.float64,
-        inference: str = "window",
-        seq_len: int = 64,
     ):
-        if inference not in ("window", "stateful"):
-            raise ValueError(
-                f"inference must be 'window' or 'stateful', got {inference!r}"
-            )
-        if seq_len < 1:
-            raise ValueError(f"seq_len must be >= 1, got {seq_len}")
         self.model = model
         self.pc_vocab = pc_vocab
         self.page_vocab = page_vocab
-        self.inference = inference
-        self.seq_len = seq_len
+        self.seq_len = model.config.seq_len
         self.engine = InferenceEngine(model, dtype=dtype)
-        history = model.config.history
-        self._pc_ids: deque = deque(maxlen=history)
-        self._feats: deque = deque(maxlen=history)  # (3d,) per access
         self._page_table = page_id_table(page_vocab)
-        # stateful-mode storage: carried (h, c) + last pc id
+        # streaming-mode storage: carried (h, c) + the last access's pc id
         self._state = None
         self._last_pc_id = 0
         # primed-mode storage: candidate blocks per trace position
@@ -774,25 +743,10 @@ class NeuralPrefetcher:
             np.array([self.page_vocab.encode(access.page)], dtype=np.int64),
             np.array([access.offset], dtype=np.int64),
         )
-        if self.inference == "stateful":
-            if self._state is None or self._pos % self.seq_len == 0:
-                self._state = self.engine.init_state(1)
-            self._state = self.engine.step_from_features(self._state, feat)
-            self._last_pc_id = pc_id
-            return
-        self._pc_ids.append(pc_id)
-        self._feats.append(feat[0])
-
-    def _decode_blocks(
-        self,
-        pages: np.ndarray,  # (S,) page vocab ids
-        offsets: np.ndarray,  # (S,)
-        valid: np.ndarray,  # (S,) bool
-        limit: int,
-    ) -> List[int]:
-        return decode_block_candidates(
-            self._page_table, pages, offsets, valid, limit
-        )
+        if self._pos % self.seq_len == 0:
+            self._state = self.engine.init_state(1)
+        self._state = self.engine.step_from_features(self._state, feat)
+        self._last_pc_id = pc_id
 
     def prefetch(self, access: MemoryAccess, degree: int = 1) -> List[int]:
         if degree < 1:
@@ -801,46 +755,30 @@ class NeuralPrefetcher:
             if 0 <= self._pos < len(self._primed):
                 return self._primed[self._pos][:degree]
             return []
-        if self.inference == "stateful":
-            if self._state is None:
-                return []
-            pages, offsets, valid = self.engine.rollout(
-                self._state,
-                np.array([self._last_pc_id], dtype=np.int64),
-                degree,
-            )
-            return self._decode_blocks(
-                pages[0], offsets[0], valid[0], degree
-            )
-        if len(self._pc_ids) < self.model.config.history:
+        if self._state is None:
             return []
-
-        feats = np.stack(self._feats)[None, :, :]  # (1, H, 3d)
-        pc_last = np.array([self._pc_ids[-1]], dtype=np.int64)
-        pages, offsets, valid = self.engine.rollout_window(
-            feats, pc_last, degree
+        pages, offsets, valid = self.engine.rollout(
+            self._state, np.array([self._last_pc_id], dtype=np.int64), degree
         )
-        return self._decode_blocks(pages[0], offsets[0], valid[0], degree)
+        return decode_block_candidates(
+            self._page_table, pages[0], offsets[0], valid[0], degree
+        )
 
     def prime(self, trace: Sequence[MemoryAccess], lookahead: int) -> None:
         """Precompute ``lookahead`` candidates for every position of ``trace``.
 
-        Resets the online window and switches the prefetcher to serving
+        Resets the carried state and switches the prefetcher to serving
         candidates by position as the caller replays the same trace
         through ``update``/``prefetch``.  Predictions depend only on
         the access stream, so this is a pure batching transform — the
         arithmetic per position matches the streaming mode.
         """
-        history = self.model.config.history
-        self._pc_ids.clear()
-        self._feats.clear()
         self._state = None
         self._pos = -1
         n = len(trace)
         self._primed = [[] for _ in range(n)]
         if lookahead < 1 or n == 0:
             return
-
         pc_all = np.array(
             self.pc_vocab.encode_all(a.pc for a in trace), dtype=np.int64
         )
@@ -848,36 +786,13 @@ class NeuralPrefetcher:
             self.page_vocab.encode_all(a.page for a in trace), dtype=np.int64
         )
         off_all = np.array([a.offset for a in trace], dtype=np.int64)
-
-        if self.inference == "stateful":
-            x = self.engine.feature_step(pc_all, page_all, off_all)
-            states = self.engine.segment_states(x, self.seq_len)
-            pages, offsets, valid = self.engine.rollout(
-                states, pc_all, lookahead
-            )
-            blocks = (self._page_table[pages] << OFFSET_BITS) | offsets
-            counts = np.where(
-                valid.all(axis=1), lookahead, valid.argmin(axis=1)
-            )
-            for pos in range(n):
-                self._primed[pos] = blocks[pos, : counts[pos]].tolist()
-            return
-
-        if n < history:
-            return
-        windows = np.lib.stride_tricks.sliding_window_view
-        pc_w = windows(pc_all, history)  # (n - H + 1, H)
-        page_w = windows(page_all, history)
-        off_w = windows(off_all, history)
-
-        feats = self.engine.features(pc_w, page_w, off_w)
-        pages, offsets, valid = self.engine.rollout_window(
-            feats, pc_w[:, -1], lookahead
-        )
+        x = self.engine.feature_step(pc_all, page_all, off_all)
+        states = self.engine.segment_states(x, self.seq_len)
+        pages, offsets, valid = self.engine.rollout(states, pc_all, lookahead)
         blocks = (self._page_table[pages] << OFFSET_BITS) | offsets
         counts = np.where(valid.all(axis=1), lookahead, valid.argmin(axis=1))
-        for row, pos in enumerate(range(history - 1, n)):
-            self._primed[pos] = blocks[row, : counts[row]].tolist()
+        for pos in range(n):
+            self._primed[pos] = blocks[pos, : counts[pos]].tolist()
 
     def offline_candidates(
         self, trace: Sequence[MemoryAccess], degree: int, distance: int
@@ -903,8 +818,6 @@ def make_prefetcher(
     page_vocab: Optional[Vocab] = None,
     dtype=np.float64,
     table=None,
-    inference: str = "window",
-    seq_len: int = 64,
 ) -> Prefetcher:
     """Factory over the four prefetcher kinds used by bench and the CLI.
 
@@ -923,14 +836,7 @@ def make_prefetcher(
             raise ValueError(
                 "kind='neural' requires model, pc_vocab and page_vocab"
             )
-        return NeuralPrefetcher(
-            model,
-            pc_vocab,
-            page_vocab,
-            dtype=dtype,
-            inference=inference,
-            seq_len=seq_len,
-        )
+        return NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype)
     if kind == "table":
         from voyager.distill import DistilledTable, TablePrefetcher
 

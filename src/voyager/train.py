@@ -1,20 +1,14 @@
-"""Dataset encoding and the teacher-forced training loops.
+"""Dataset encoding and the truncated-BPTT training loop.
 
-Two dataset/training shapes share this module:
-
-- **window mode** (the original): :func:`build_dataset` materialises
-  stride-1 sliding windows — each row replays ``history`` timesteps for
-  one supervised position — and :func:`train` runs seeded
-  minibatch-Adam over the rows.  Kept bit-identical across releases
-  (golden constants pin it) and still the right tool for tiny traces.
-- **sequence mode** (truncated BPTT): :func:`build_sequence_dataset`
-  chops the encoded trace into contiguous ``(num_segments, seq_len)``
-  segments with *per-timestep* multi-label targets, and
-  ``train(mode="sequence")`` carries LSTM state across TBPTT chunks
-  within each segment.  Every cell evaluation supervises a position
-  (instead of ``history`` evaluations per position), which is the
-  paper's — and Hashemi et al. 2018's — training shape and roughly a
-  ``history``× reduction in work per supervised position.
+:func:`build_sequence_dataset` chops the encoded trace into contiguous
+``(num_segments, seq_len)`` segments with *per-timestep* multi-label
+targets, and :func:`train` carries LSTM state across TBPTT chunks
+within each segment.  Every cell evaluation supervises a position,
+which is the paper's — and Hashemi et al. 2018's — training shape.
+The segment length is part of the model (``ModelConfig.seq_len``):
+every consumer resets a stream's state on the same ``seq_len``
+boundaries the model trained on, so :func:`train` rejects a dataset
+cut to any other length.
 
 Everything is deterministic for a given seed.  ``train(profile=True)``
 returns a wall-time phase breakdown (encode / labels / forward /
@@ -30,42 +24,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from voyager.labeling import (
-    LabelConfig,
-    distributions_from_arrays,
-    label_arrays,
-    label_weights,
-)
-from voyager.model import HierarchicalModel
+from voyager.labeling import LabelConfig, label_arrays, label_weights
+from voyager.model import DEFAULT_SEQ_LEN, HierarchicalModel
 from voyager.optim import Adam
 from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
-
-
-@dataclass
-class Dataset:
-    """Encoded training examples for the hierarchical model.
-
-    Row ``b`` holds the ``history`` accesses ending at trace position
-    ``positions[b]`` and the labels for the access that follows it.
-    """
-
-    pc_ids: np.ndarray  # (B, H)
-    page_ids: np.ndarray  # (B, H)
-    offset_ids: np.ndarray  # (B, H)
-    page_targets: np.ndarray  # (B, page_vocab)
-    offset_targets: np.ndarray  # (B, num_offsets)
-    next_page_ids: np.ndarray  # (B,) true next page (vocab id)
-    next_offsets: np.ndarray  # (B,) true next offset
-    positions: np.ndarray  # (B,) trace index of the last history access
-    pc_vocab: Vocab = field(repr=False)
-    page_vocab: Vocab = field(repr=False)
-    #: Wall time of the build, keyed ``encode``/``labels`` (see
-    #: ``train(profile=True)``).
-    phases: Dict[str, float] = field(default_factory=dict, repr=False)
-
-    def __len__(self) -> int:
-        return self.pc_ids.shape[0]
 
 
 @dataclass
@@ -77,14 +40,12 @@ class SequenceDataset:
     with the labels for the access after ``positions[s, t]``.  Targets
     are *sparse*: up to ``L`` labels per timestep as parallel
     id/offset/weight arrays, with ``label_weights == 0`` marking padded
-    slots (each row's weights sum to one — the same distributions
-    :func:`build_dataset` stores densely).
+    slots (each row's weights sum to one).
 
     Segments tile the supervisable positions ``0 .. len(trace) - 2``
     end to end; the final segment is shifted back to end exactly at the
     last position, so **every** position is supervised at least once
-    (the overlap region twice) — never fewer positions than the window
-    dataset of any ``history`` sees.
+    (the overlap region twice).
     """
 
     pc_ids: np.ndarray  # (S, T)
@@ -151,69 +112,9 @@ def _encode_trace(
     return pc_vocab, page_vocab, pcs, pages, offsets
 
 
-def build_dataset(
-    trace: Sequence[MemoryAccess],
-    history: int,
-    pc_vocab: Optional[Vocab] = None,
-    page_vocab: Optional[Vocab] = None,
-    label_config: Optional[LabelConfig] = None,
-    pc_cap: int = 1024,
-    page_cap: int = 1024,
-) -> Dataset:
-    """Encode a trace into model-ready arrays with multi-label targets.
-
-    ``label_config=None`` (the default) uses ``LabelConfig()`` — the
-    paper-default window/spatial-radius knobs.  A shared default
-    *instance* is deliberately avoided: ``LabelConfig`` is frozen today,
-    but a mutable-default signature would silently alias state across
-    calls if that ever changed.
-
-    Labels are built by the vectorized path
-    (:func:`voyager.labeling.label_arrays`), bit-identical to the
-    scalar ``make_labels`` loop it replaced.
-    """
-    if label_config is None:
-        label_config = LabelConfig()
-    if len(trace) < history + 2:
-        raise ValueError(
-            f"trace too short: need at least {history + 2} accesses, "
-            f"got {len(trace)}"
-        )
-    t0 = perf_counter()
-    pc_vocab, page_vocab, pcs, pages, offsets = _encode_trace(
-        trace, pc_vocab, page_vocab, pc_cap, page_cap
-    )
-    encode_s = perf_counter() - t0
-
-    positions = np.arange(history - 1, len(trace) - 1, dtype=np.int64)
-    idx = positions[:, None] - np.arange(history - 1, -1, -1)[None, :]
-    t0 = perf_counter()
-    arrays = label_arrays(trace, positions, label_config)
-    page_targets, offset_targets = distributions_from_arrays(
-        arrays,
-        pages,
-        page_vocab.size,
-        primary_weight=label_config.primary_weight,
-    )
-    labels_s = perf_counter() - t0
-    return Dataset(
-        pc_ids=pcs[idx],
-        page_ids=pages[idx],
-        offset_ids=offsets[idx],
-        page_targets=page_targets,
-        offset_targets=offset_targets,
-        next_page_ids=pages[positions + 1],
-        next_offsets=offsets[positions + 1],
-        positions=positions,
-        pc_vocab=pc_vocab,
-        page_vocab=page_vocab,
-        phases={"encode": encode_s, "labels": labels_s},
-    )
-
-
 def build_sequence_dataset(
     trace: Sequence[MemoryAccess],
-    seq_len: int = 64,
+    seq_len: int = DEFAULT_SEQ_LEN,
     pc_vocab: Optional[Vocab] = None,
     page_vocab: Optional[Vocab] = None,
     label_config: Optional[LabelConfig] = None,
@@ -282,8 +183,6 @@ def build_sequence_dataset(
 class TrainResult:
     losses: List[float]
     model: HierarchicalModel
-    #: Which training loop ran: ``"window"`` or ``"sequence"``.
-    mode: str = "window"
     #: Wall-time breakdown (``encode``/``labels``/``forward``/
     #: ``backward``/``optimizer``) when ``train(profile=True)``.
     phases: Optional[Dict[str, float]] = None
@@ -321,40 +220,32 @@ def batch_indices(
 
 def train(
     model: HierarchicalModel,
-    dataset,
+    dataset: SequenceDataset,
     steps: int = 200,
     batch_size: int = 32,
     lr: float = 1e-2,
     seed: int = 0,
     log_every: int = 0,
-    mode: Optional[str] = None,
     tbptt: Optional[int] = None,
     lr_schedule: str = "constant",
     profile: bool = False,
 ) -> TrainResult:
-    """Teacher-forced minibatch training with Adam.
+    """Teacher-forced truncated-BPTT minibatch training with Adam.
 
-    ``dataset`` selects the loop: a :class:`Dataset` trains in
-    ``"window"`` mode (one supervised position per row, bit-identical
-    to the pre-sequence releases), a :class:`SequenceDataset` in
-    ``"sequence"`` mode (truncated BPTT with per-timestep losses).
-    ``mode`` may be passed explicitly and is validated against the
-    dataset type.  In both modes ``steps`` counts optimizer updates and
-    batches come from :func:`batch_indices` — seeded epoch permutations
-    — so two calls with identical arguments produce bit-identical
-    parameter trajectories.
-
-    Sequence mode draws a batch of segments, runs them in TBPTT chunks
-    of ``tbptt`` timesteps (default: the whole segment), carries
-    ``(h, c)`` across chunks of the same segments, and applies one Adam
-    update per chunk.
+    ``steps`` counts optimizer updates and batches of segments come
+    from :func:`batch_indices` — seeded epoch permutations — so two
+    calls with identical arguments produce bit-identical parameter
+    trajectories.  Each batch runs in TBPTT chunks of ``tbptt``
+    timesteps (default: the whole segment), carries ``(h, c)`` across
+    chunks of the same segments, and applies one Adam update per
+    chunk.  The dataset's segment length must equal the model's
+    ``ModelConfig.seq_len``, the reset period it will be served with.
 
     ``lr_schedule="cosine"`` anneals the learning rate from ``lr`` to 0
     over ``steps`` updates (half-cosine) — worth roughly a third fewer
-    updates to reach a given loss in sequence mode, which is how the
-    bench's sequence profile hits its training-time budget.  The
-    default ``"constant"`` keeps every update at ``lr``, bit-identical
-    to the pre-schedule releases.
+    updates to reach a given loss, which is how the bench profiles hit
+    their training-time budget.  The default ``"constant"`` keeps every
+    update at ``lr``.
 
     ``profile=True`` attaches a wall-time phase breakdown to the
     result: ``encode``/``labels`` from the dataset build plus
@@ -362,95 +253,60 @@ def train(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    is_seq = isinstance(dataset, SequenceDataset)
-    if mode is None:
-        mode = "sequence" if is_seq else "window"
-    if mode not in ("window", "sequence"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sequence" and not is_seq:
-        raise TypeError(
-            "mode='sequence' needs a SequenceDataset "
-            "(build_sequence_dataset)"
+    if dataset.seq_len != model.config.seq_len:
+        raise ValueError(
+            f"dataset seq_len {dataset.seq_len} differs from the model's "
+            f"seq_len {model.config.seq_len}; build the dataset with the "
+            "segment length the model will be served with"
         )
-    if mode == "window" and is_seq:
-        raise TypeError("mode='window' needs a Dataset (build_dataset)")
-    if tbptt is not None and mode != "sequence":
-        raise ValueError("tbptt only applies to mode='sequence'")
     if lr_schedule not in ("constant", "cosine"):
         raise ValueError(
             f"lr_schedule must be 'constant' or 'cosine', got {lr_schedule!r}"
         )
+    T = dataset.seq_len
+    chunk = T if tbptt is None else tbptt
+    if chunk < 1:
+        raise ValueError(f"tbptt must be >= 1, got {tbptt}")
 
     rng = np.random.default_rng(seed)
     opt = Adam(model.params, lr=lr)
-    if lr_schedule == "cosine":
-        def _lr_at(step: int) -> float:
-            return lr * 0.5 * (1.0 + math.cos(math.pi * step / steps))
-    else:
-        _lr_at = None
-    n = len(dataset)
     losses: List[float] = []
     model_phases = {"forward": 0.0, "backward": 0.0} if profile else None
     optimizer_s = 0.0
 
-    if mode == "window":
-        for step, batch in enumerate(
-            batch_indices(n, batch_size, steps, rng)
-        ):
-            loss, grads = model.loss_and_grads(
-                dataset.pc_ids[batch],
-                dataset.page_ids[batch],
-                dataset.offset_ids[batch],
-                dataset.page_targets[batch],
-                dataset.offset_targets[batch],
+    bounds = [(s, min(s + chunk, T)) for s in range(0, T, chunk)]
+    batches = batch_indices(len(dataset), batch_size, steps, rng)
+    step = 0
+    while step < steps:
+        batch = next(batches)
+        h = c = None
+        for lo, hi in bounds:
+            loss, grads, (h, c) = model.loss_and_grads_sequence(
+                dataset.pc_ids[batch, lo:hi],
+                dataset.page_ids[batch, lo:hi],
+                dataset.offset_ids[batch, lo:hi],
+                dataset.label_page_ids[batch, lo:hi],
+                dataset.label_offsets[batch, lo:hi],
+                dataset.label_weights[batch, lo:hi],
+                h0=h,
+                c0=c,
                 phases=model_phases,
             )
             t0 = perf_counter()
-            if _lr_at is not None:
-                opt.lr = _lr_at(step)
+            if lr_schedule == "cosine":
+                opt.lr = lr * 0.5 * (1.0 + math.cos(math.pi * step / steps))
             opt.step(grads)
             optimizer_s += perf_counter() - t0
             losses.append(loss)
-            if log_every and (step + 1) % log_every == 0:
-                print(f"step {step + 1:5d}  loss {loss:.4f}")
-    else:
-        T = dataset.seq_len
-        chunk = T if tbptt is None else tbptt
-        if chunk < 1:
-            raise ValueError(f"tbptt must be >= 1, got {tbptt}")
-        bounds = [(s, min(s + chunk, T)) for s in range(0, T, chunk)]
-        batches = batch_indices(n, batch_size, steps, rng)
-        step = 0
-        while step < steps:
-            batch = next(batches)
-            h = c = None
-            for lo, hi in bounds:
-                loss, grads, (h, c) = model.loss_and_grads_sequence(
-                    dataset.pc_ids[batch, lo:hi],
-                    dataset.page_ids[batch, lo:hi],
-                    dataset.offset_ids[batch, lo:hi],
-                    dataset.label_page_ids[batch, lo:hi],
-                    dataset.label_offsets[batch, lo:hi],
-                    dataset.label_weights[batch, lo:hi],
-                    h0=h,
-                    c0=c,
-                    phases=model_phases,
-                )
-                t0 = perf_counter()
-                if _lr_at is not None:
-                    opt.lr = _lr_at(step)
-                opt.step(grads)
-                optimizer_s += perf_counter() - t0
-                losses.append(loss)
-                step += 1
-                if log_every and step % log_every == 0:
-                    print(f"step {step:5d}  loss {loss:.4f}")
-                if step >= steps:
-                    break
+            step += 1
+            if log_every and step % log_every == 0:
+                print(f"step {step:5d}  loss {loss:.4f}")
+            if step >= steps:
+                break
 
     phases = None
     if profile:
         phases = dict(dataset.phases)
         phases.update(model_phases)
         phases["optimizer"] = optimizer_s
-    return TrainResult(losses=losses, model=model, mode=mode, phases=phases)
+    return TrainResult(losses=losses, model=model, phases=phases)

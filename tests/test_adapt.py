@@ -21,6 +21,7 @@ The contracts this file pins:
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -169,14 +170,14 @@ def _seed_checkpoint(tmp_path, trace, name="base"):
             page_vocab_size=page_vocab.size,
             embed_dim=4,
             hidden_dim=6,
-            history=3,
             seed=0,
+            seq_len=8,
         )
     )
     dataset = build_sequence_dataset(
         trace, seq_len=8, pc_vocab=pc_vocab, page_vocab=page_vocab
     )
-    train(model, dataset, steps=5, batch_size=4, seed=0, mode="sequence")
+    train(model, dataset, steps=5, batch_size=4, seed=0)
     prefix = tmp_path / name
     save_checkpoint(prefix, model, pc_vocab, page_vocab)
     return prefix
@@ -209,6 +210,10 @@ def test_adaptation_loop_is_deterministic(tmp_path):
         assert loop.current_prefix() == prefix
         assert loop.poll() is None  # nothing new to consume
         outs.append(load_checkpoint(prefix))
+    # The fine-tune segment length is the base model's reset period.
+    assert outs[0][0].config.seq_len == 8
+    with pytest.raises(ValueError, match="seq_len"):
+        AdaptationLoop(base, log_dir, tmp_path / "mismatch", seq_len=16)
     params_a = outs[0][0].params
     params_b = outs[1][0].params
     assert set(params_a) == set(params_b)
@@ -285,6 +290,13 @@ def test_swap_rejects_incompatible_config():
     )
     with pytest.raises(ValueError, match="hidden_dim"):
         server.swap_checkpoint(bad, pc_vocab, page_vocab)
+    # a different reset period would misplace every live stream in its
+    # segment
+    other_period = HierarchicalModel(
+        dataclasses.replace(model.config, seq_len=model.config.seq_len + 1)
+    )
+    with pytest.raises(ValueError, match="seq_len"):
+        server.swap_checkpoint(other_period, pc_vocab, page_vocab)
     assert server.stats.model_version == 0
 
 

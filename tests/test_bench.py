@@ -277,19 +277,6 @@ def test_main_rejects_unknown_profile():
 # ----------------------------------------------------------------------
 from voyager.bench import check_train_budget  # noqa: E402
 
-TINY_WINDOW = BenchProfile(
-    name="tiny-window",
-    trace_length=300,
-    train_steps=10,
-    embed_dim=8,
-    hidden_dim=16,
-    train_mode="window",
-    lr_schedule="constant",
-    workloads=("stride", "page_cycle"),
-    sim=SimConfig(degree=2, distance=4, latency=4),
-)
-
-
 def test_trained_cells_record_train_mode_and_phases(report):
     for entries in report["workloads"].values():
         for kind in ("neural", "table"):
@@ -307,21 +294,6 @@ def test_trained_cells_record_train_mode_and_phases(report):
         for kind in ("next_line", "stride"):
             assert "train_mode" not in entries[kind]
             assert "train_phases" not in entries[kind]
-
-
-def test_window_profile_cells_record_window_mode():
-    win = run_bench(TINY_WINDOW, seed=0)
-    assert validate_report(win) == []
-    assert win["config"]["train_mode"] == "window"
-    entry = win["workloads"]["stride"]["neural"]
-    assert entry["train_mode"] == "window"
-    assert set(entry["train_phases"]) == {
-        "encode",
-        "labels",
-        "forward",
-        "backward",
-        "optimizer",
-    }
 
 
 def test_config_records_sequence_hyperparameters(report):

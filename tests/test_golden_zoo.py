@@ -16,7 +16,7 @@ import pytest
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import NeuralPrefetcher, SimConfig, make_prefetcher, simulate
 from voyager.synthetic import generate
-from voyager.train import build_dataset, train
+from voyager.train import build_sequence_dataset, train
 
 #: The four workloads the zoo PR added (the original three are pinned
 #: in test_sim.py's GOLDEN_SIM) plus drifting_zipf from the online-
@@ -48,14 +48,15 @@ GOLDEN_ZOO_BASELINE = {
 }
 
 # workload: (misses, baseline_misses, issued, timely, late) for a small
-# trained model (embed 8 / hidden 16 / 40 steps, seed 0) simulated with
-# degree=2, distance=2.
+# sequence-trained model (embed 8 / hidden 16, 32-access segments,
+# TBPTT 8, 40 cosine-annealed steps, seed 0) simulated with degree=2,
+# distance=2.
 GOLDEN_ZOO_NEURAL = {
-    "multi_phase": (560, 576, 47, 17, 6),
-    "interleaved_mix": (433, 453, 108, 29, 4),
-    "pointer_chase": (598, 600, 15, 2, 0),
-    "zipf_db": (302, 303, 46, 9, 5),
-    "drifting_zipf": (378, 383, 64, 14, 13),
+    "multi_phase": (541, 576, 82, 35, 20),
+    "interleaved_mix": (423, 453, 153, 45, 8),
+    "pointer_chase": (583, 600, 131, 17, 0),
+    "zipf_db": (289, 303, 67, 23, 11),
+    "drifting_zipf": (358, 383, 124, 38, 26),
 }
 
 
@@ -80,17 +81,25 @@ def test_golden_zoo_baseline_counters(workload, kind):
 def zoo_neural_run(request):
     workload = request.param
     trace = generate(workload, ZOO_N, seed=ZOO_SEED)
-    dataset = build_dataset(trace, history=8)
+    dataset = build_sequence_dataset(trace, seq_len=32)
     config = ModelConfig(
         pc_vocab_size=dataset.pc_vocab.size,
         page_vocab_size=dataset.page_vocab.size,
         embed_dim=8,
         hidden_dim=16,
-        history=8,
         seed=0,
     )
     model = HierarchicalModel(config)
-    train(model, dataset, steps=40, batch_size=32, lr=1e-2, seed=0)
+    train(
+        model,
+        dataset,
+        steps=40,
+        batch_size=16,
+        lr=0.04,
+        seed=0,
+        tbptt=8,
+        lr_schedule="cosine",
+    )
     prefetcher = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
     return workload, simulate(trace, prefetcher, SimConfig(degree=2, distance=2))
 

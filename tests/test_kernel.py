@@ -22,7 +22,7 @@ from voyager.sim import (
     simulate,
 )
 from voyager.synthetic import WORKLOADS, generate
-from voyager.train import build_dataset, train
+from voyager.train import build_sequence_dataset, train
 
 
 # ----------------------------------------------------------------------
@@ -140,14 +140,13 @@ def test_kernel_matches_streaming_for_baselines(workload, kind):
 @pytest.fixture(scope="module")
 def tiny_neural():
     trace = generate("stride", 400, seed=5)
-    dataset = build_dataset(trace, history=8, label_config=LabelConfig())
+    dataset = build_sequence_dataset(trace, label_config=LabelConfig())
     model = HierarchicalModel(
         ModelConfig(
             pc_vocab_size=dataset.pc_vocab.size,
             page_vocab_size=dataset.page_vocab.size,
             embed_dim=8,
             hidden_dim=16,
-            history=8,
             seed=5,
         )
     )

@@ -88,11 +88,11 @@ def test_loadgen_config_validation():
 
 def test_serving_section_shape_and_equivalence(serving):
     assert validate_serving(serving) == []
-    assert serving["responses_equal_serial"] is True
+    assert serving["responses_equal_sim"] is True
     assert serving["streams"] == 3
     assert serving["total_accesses"] == 120
-    assert serving["speedup_vs_serial"] > 0
     assert serving["throughput_accesses_per_s"] > 0
+    assert "serial" not in serving and "speedup_vs_serial" not in serving
     stats = serving["stats"]
     assert stats["requests"] == 120
     assert stats["responses"] == 120
@@ -102,11 +102,13 @@ def test_serving_section_shape_and_equivalence(serving):
 def test_validate_serving_flags_problems(serving):
     assert validate_serving("nope") == ["serving: expected a dict"]
     broken = json.loads(json.dumps(serving))
-    broken["responses_equal_serial"] = False
-    assert any("responses_equal_serial" in p for p in validate_serving(broken))
+    broken["responses_equal_sim"] = False
+    assert any("responses_equal_sim" in p for p in validate_serving(broken))
     missing = json.loads(json.dumps(serving))
-    del missing["speedup_vs_serial"]
-    assert any("speedup_vs_serial" in p for p in validate_serving(missing))
+    missing["throughput_accesses_per_s"] = 0
+    assert any(
+        "throughput_accesses_per_s" in p for p in validate_serving(missing)
+    )
     assert validate_serving({}) == [
         "serving: none of closed-loop keys, open_loop or adaptation present"
     ]
@@ -120,8 +122,8 @@ def test_attach_serving_creates_skeleton(serving, tmp_path):
     assert loaded["schema_version"] == BENCH_SCHEMA_VERSION
     assert validate_serving(loaded["serving"]) == []
     # floats were rounded at serialisation
-    speedup = loaded["serving"]["speedup_vs_serial"]
-    assert speedup == round(speedup, 6)
+    throughput = loaded["serving"]["throughput_accesses_per_s"]
+    assert throughput == round(throughput, 6)
 
 
 def test_attach_serving_preserves_existing_sweep(serving, tmp_path):
@@ -183,13 +185,13 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
             "40",
             "--out",
             str(out),
-            "--min-speedup",
-            "0.01",
+            "--min-throughput",
+            "1",
         ]
     )
     assert rc == 0
     captured = capsys.readouterr()
-    assert "speedup" in captured.out
+    assert "equal_sim=True" in captured.out
     loaded = json.loads(out.read_text())
     assert validate_serving(loaded["serving"]) == []
 
@@ -203,15 +205,12 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
             "40",
             "--out",
             str(out),
-            "--min-speedup",
-            "1e9",
             "--min-throughput",
             "1e18",
         ]
     )
     assert rc == 1
     err = capsys.readouterr().err
-    assert "below --min-speedup" in err
     assert "below --min-throughput" in err
 
 
@@ -223,7 +222,7 @@ def test_float32_run_also_matches_serial():
         dtype=np.float32,
     )
     assert serving["dtype"] == "float32"
-    assert serving["responses_equal_serial"] is True
+    assert serving["responses_equal_sim"] is True
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +346,7 @@ def test_attach_serving_merges_open_loop_and_closed_loop(
     merged = load_report(out)["serving"]
     # both halves coexist: the open-loop attach kept the closed-loop keys
     assert merged["streams"] == 3
-    assert merged["speedup_vs_serial"] > 0
+    assert merged["throughput_accesses_per_s"] > 0
     assert merged["open_loop"]["requests"] == 100
     assert validate_serving(merged) == []
     # floats in the open-loop block were rounded at serialisation

@@ -2,27 +2,27 @@
 
 The tentpole contract: N interleaved streams through the
 micro-batching scheduler produce **bit-identical** per-stream results —
-recurrent states, top-k ids and candidate blocks — to N independent,
-serially driven :class:`~voyager.infer.InferenceEngine` instances, in
-float64 and float32.  The hypothesis property tests drive that over
-random models, stream counts and interleavings; the unit tests cover
-the operational envelope (LRU eviction, shed policies, cold starts,
-batch accounting, injected-clock latency percentiles).
+recurrent states, top-k ids and candidate blocks — to N independent
+streaming :class:`~voyager.sim.NeuralPrefetcher` instances (the
+simulator's prefetcher), in float64 and float32, across state resets.
+The hypothesis property tests drive that over random models, stream
+counts and interleavings; the unit tests cover the operational
+envelope (LRU eviction, shed policies, batch accounting,
+injected-clock latency percentiles).  ``tests/test_crosslayer.py`` pins
+the same contract on trained models and zoo traces.
 """
 
 import json
-from collections import deque
 
 import numpy as np
 import pytest
 
 from voyager.baselines import next_line_candidates
+from voyager.distill import DistillConfig, DistilledTable
 from voyager.infer import InferenceEngine
 from voyager.model import HierarchicalModel, ModelConfig
-from voyager.distill import DistillConfig, DistilledTable
 from voyager.serve import (
     QOS_CLASSES,
-    SOURCE_COLD,
     SOURCE_NEURAL,
     SOURCE_ORPHANED,
     SOURCE_SHED,
@@ -34,7 +34,7 @@ from voyager.serve import (
     ServerStats,
     SpillStore,
 )
-from voyager.sim import decode_block_candidates, page_id_table
+from voyager.sim import NeuralPrefetcher
 from voyager.traces import NUM_OFFSETS, MemoryAccess, join_address
 from voyager.vocab import Vocab
 
@@ -44,7 +44,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 PCS = [0x400000 + 4 * i for i in range(6)]
 PAGES = [512 + 3 * i for i in range(8)]
-HISTORY = 3
+#: Short, so the hypothesis runs cross several state resets.
+SEQ_LEN = 3
 DEGREE = 2
 
 
@@ -59,9 +60,9 @@ def serving_setup(model_seed: int = 1):
             num_offsets=NUM_OFFSETS,
             embed_dim=3,
             hidden_dim=4,
-            history=HISTORY,
             attention_candidates=2,
             seed=model_seed,
+            seq_len=SEQ_LEN,
         )
     )
     return model, pc_vocab, page_vocab
@@ -75,43 +76,25 @@ def random_access(rng) -> MemoryAccess:
 
 
 class SerialStream:
-    """Reference: one engine driven access by access, batch width 1.
+    """Reference: the simulator's streaming prefetcher, one per stream.
 
-    Mirrors exactly the per-access work the server performs — embed,
-    cell step, window-replay rollout, candidate decode — with no
-    cross-stream batching anywhere.
+    Update-then-prefetch per access at batch width 1, with the model's
+    own ``seq_len`` reset rule — no cross-stream batching anywhere.
     """
 
     def __init__(self, model, pc_vocab, page_vocab, dtype):
-        self.engine = InferenceEngine(model, dtype=dtype)
-        self.pc_vocab = pc_vocab
-        self.page_vocab = page_vocab
-        self.table = page_id_table(page_vocab)
-        self.state = self.engine.init_state(1)
-        self.pc_ids = deque(maxlen=HISTORY)
-        self.feats = deque(maxlen=HISTORY)
+        self.prefetcher = NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype)
 
     def access(self, access: MemoryAccess):
-        pid = np.array([self.pc_vocab.encode(access.pc)], dtype=np.int64)
-        gid = np.array([self.page_vocab.encode(access.page)], dtype=np.int64)
-        oid = np.array([access.offset], dtype=np.int64)
-        feat = self.engine.feature_step(pid, gid, oid)
-        self.state = self.engine.step_from_features(self.state, feat)
-        self.pc_ids.append(int(pid[0]))
-        self.feats.append(feat[0])
-        if len(self.feats) < HISTORY:
-            return []
-        pages, offsets, valid = self.engine.rollout_window(
-            np.stack(self.feats)[None],
-            np.array([self.pc_ids[-1]], dtype=np.int64),
-            DEGREE,
-        )
-        return decode_block_candidates(
-            self.table, pages[0], offsets[0], valid[0], DEGREE
-        )
+        self.prefetcher.update(access)
+        return self.prefetcher.prefetch(access, DEGREE)
+
+    @property
+    def state(self):
+        return self.prefetcher._state
 
     def topk(self, k: int):
-        pages, offsets = self.engine.predict_topk(self.state, k)
+        pages, offsets = self.prefetcher.engine.predict_topk(self.state, k)
         return pages[0], offsets[0]
 
 
@@ -129,9 +112,10 @@ class SerialStream:
 def test_interleaved_streams_match_independent_engines(
     dtype, model_seed, data_seed, n_streams, rounds
 ):
-    """Micro-batched serving == N independent engines (states, top-k,
-    candidates), including streams that submit multiple accesses per
-    tick (multi-wave batching)."""
+    """Micro-batched serving == N independent streaming prefetchers
+    (states, top-k, candidates), including streams that submit multiple
+    accesses per tick (multi-wave batching): each access is predicted
+    from the state after its own step, not after its stream's last."""
     model, pc_vocab, page_vocab = serving_setup(model_seed)
     server = PrefetchServer(
         model,
@@ -160,11 +144,8 @@ def test_interleaved_streams_match_independent_engines(
         for response in responses:
             i, ref_candidates = expected[response.seq]
             assert response.stream_id == sids[i]
-            if response.source == SOURCE_NEURAL:
-                assert response.candidates == ref_candidates
-            else:
-                assert response.source == SOURCE_COLD
-                assert ref_candidates == []
+            assert response.source == SOURCE_NEURAL
+            assert response.candidates == ref_candidates
         for i, sid in enumerate(sids):
             state = server.session_state(sid)
             np.testing.assert_array_equal(state.h, serial[i].state.h)
@@ -288,23 +269,6 @@ def test_shed_requests_degrade_but_still_update_state(policy):
     np.testing.assert_array_equal(state.c, serial.state.c)
 
 
-def test_cold_streams_return_empty_neural_candidates():
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(model, pc_vocab, page_vocab)
-    server.open_stream("a")
-    rng = np.random.default_rng(2)
-    for i in range(HISTORY):
-        access = random_access(rng)
-        response = server.access("a", access.pc, access.address)
-        if i < HISTORY - 1:
-            assert response.source == SOURCE_COLD
-            assert response.candidates == []
-        else:
-            assert response.source == SOURCE_NEURAL
-    assert server.stats.cold == HISTORY - 1
-    assert server.stats.neural == 1
-
-
 # ----------------------------------------------------------------------
 # batching and accounting
 # ----------------------------------------------------------------------
@@ -368,14 +332,14 @@ def test_stats_snapshot_is_json_safe():
     server = PrefetchServer(model, pc_vocab, page_vocab)
     server.open_stream("a")
     rng = np.random.default_rng(8)
-    for _ in range(HISTORY + 1):
+    for _ in range(4):
         access = random_access(rng)
         server.access("a", access.pc, access.address)
     snapshot = server.stats.snapshot()
     assert json.loads(json.dumps(snapshot)) is not None
-    assert snapshot["requests"] == HISTORY + 1
-    assert snapshot["responses"] == HISTORY + 1
-    assert snapshot["latency"]["count"] == HISTORY + 1
+    assert snapshot["requests"] == 4
+    assert snapshot["responses"] == 4
+    assert snapshot["latency"]["count"] == 4
 
 
 def test_empty_tick_is_a_noop():
@@ -422,7 +386,6 @@ def full_depth1_table(pc_vocab, page_vocab, candidates_for):
         DistillConfig(depths=(1,), top_k=4, fallback="none"),
         pc_vocab,
         page_vocab,
-        history=HISTORY,
         tables={1: entries},
     )
 
@@ -443,13 +406,13 @@ def test_table_backed_server_answers_every_access_from_the_table():
     )
     server.open_stream("a")
     rng = np.random.default_rng(11)
-    for _ in range(HISTORY + 2):  # includes accesses a cold server would drop
+    for _ in range(5):
         access = random_access(rng)
         response = server.access("a", access.pc, access.address)
         assert response.source == SOURCE_TABLE
         assert response.candidates == [access.block + 1, access.block + 2]
-    assert server.stats.table == HISTORY + 2
-    assert server.stats.neural == 0 and server.stats.cold == 0
+    assert server.stats.table == 5
+    assert server.stats.neural == 0
 
 
 def test_table_backed_server_state_matches_plain_server():
@@ -461,7 +424,6 @@ def test_table_backed_server_state_matches_plain_server():
         DistillConfig(depths=(1,), top_k=4, fallback="none"),
         pc_vocab,
         page_vocab,
-        history=HISTORY,
         tables={1: {(pc_vocab.encode(PCS[0]), page_vocab.encode(PAGES[0]), 0): (7,)}},
     )
     with_table = PrefetchServer(
@@ -473,7 +435,7 @@ def test_table_backed_server_state_matches_plain_server():
     for server in (with_table, without):
         server.open_stream("a")
     rng = np.random.default_rng(13)
-    for _ in range(3 * HISTORY):
+    for _ in range(4 * SEQ_LEN):
         access = random_access(rng)
         rt = with_table.access("a", access.pc, access.address)
         rp = without.access("a", access.pc, access.address)
@@ -491,7 +453,6 @@ def test_table_ctx_depth_sizes_session_context():
         DistillConfig(depths=(3, 1), top_k=2),
         pc_vocab,
         page_vocab,
-        history=HISTORY,
     )
     server = PrefetchServer(model, pc_vocab, page_vocab, table=table)
     server.open_stream("a")
@@ -520,7 +481,7 @@ def test_latency_percentiles_match_numpy_inverted_cdf(latencies):
     for value in latencies:
         stats.observe_response(
             PrefetchResponse(
-                seq=0, stream_id="a", source=SOURCE_COLD, candidates=[],
+                seq=0, stream_id="a", source=SOURCE_NEURAL, candidates=[],
                 latency_s=value,
             )
         )
@@ -588,7 +549,7 @@ def test_latency_samples_are_bounded():
     for i in range(10):
         stats.observe_response(
             PrefetchResponse(
-                seq=i, stream_id="a", source=SOURCE_COLD, candidates=[],
+                seq=i, stream_id="a", source=SOURCE_NEURAL, candidates=[],
                 latency_s=float(i),
             )
         )
@@ -852,8 +813,9 @@ def test_spill_store_roundtrips_any_hashable_stream_id(tmp_path):
 
     session = StreamSession(("tenant", 7), engine, ctx_depth=2,
                             qos="latency")
-    session.pc_ids.append(3)
-    session.feats.append(np.arange(9, dtype=np.float64))
+    session.state = engine.step(
+        session.state, np.array([1]), np.array([2]), np.array([3])
+    )
     session.ctx.append((1, 2, 3))
     session.accesses = 5
     store.save(session)
@@ -861,10 +823,9 @@ def test_spill_store_roundtrips_any_hashable_stream_id(tmp_path):
     back = store.load(("tenant", 7), engine)
     assert back.qos == "latency"
     assert back.accesses == 5
-    assert list(back.pc_ids) == [3]
-    assert np.array_equal(back.feats[0], session.feats[0])
     assert list(back.ctx) == [(1, 2, 3)]
     assert np.array_equal(back.state.h, session.state.h)
+    assert np.array_equal(back.state.c, session.state.c)
     assert store.discard(("tenant", 7))
     assert not store.discard(("tenant", 7))
 
