@@ -50,7 +50,6 @@ from voyager.serve import (
     ServerStats,
 )
 from voyager.sim import (
-    ArrayCache,
     CacheConfig,
     NeuralPrefetcher,
     SetAssociativeCache,
@@ -79,7 +78,6 @@ __all__ = [
     "WORKLOADS",
     "AccessLogger",
     "AdaptationLoop",
-    "ArrayCache",
     "CacheConfig",
     "ExternalRecord",
     "HierarchicalModel",

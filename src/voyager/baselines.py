@@ -13,12 +13,12 @@ Both baselines speak two protocols:
   candidate block addresses to hand the issue queue.
 
 Both also implement ``offline_candidates(trace, degree, distance)``:
-table predictions are pure functions of the access stream, so the whole
-per-position candidate table can be produced with vectorised NumPy ops,
-which is what lets :func:`voyager.sim.simulate` take its kernel fast
-path for the baselines.  A row value of ``-1`` marks "no prediction at
-this slot" — the kernel skips negative candidates exactly as the
-streaming path skips them (or receives no candidates at all).
+their predictions are pure functions of the access stream, so the
+whole candidate table :func:`voyager.sim.simulate` issues from can be
+produced with vectorised NumPy ops instead of a per-access
+``update``/``prefetch`` replay.  A row value of ``-1`` marks "no
+prediction at this slot"; the simulator never issues a negative
+candidate.
 """
 
 from __future__ import annotations
@@ -60,11 +60,8 @@ class NextLinePrefetcher:
     def offline_candidates(
         self, trace: Sequence[MemoryAccess], degree: int, distance: int
     ) -> List[List[int]]:
-        """Vectorised per-position issue windows for the kernel path.
-
-        Row ``t`` equals the streaming path's
-        ``prefetch(trace[t], degree + distance)[distance:]``.
-        """
+        """Vectorised candidate table: row ``t`` is
+        ``prefetch(trace[t], degree + distance)[distance:]``."""
         blocks = np.fromiter(
             (a.block for a in trace), dtype=np.int64, count=len(trace)
         )
@@ -93,9 +90,10 @@ class StridePrefetcher:
         self.max_entries = max_entries
         self.table: Dict[int, _StrideEntry] = {}
         #: True once :meth:`offline_candidates` declined a trace (too
-        #: many PCs) and the simulator fell back to the streaming path.
-        #: Bench cells surface it as ``stride_fallback`` so a silent
-        #: perf cliff shows up in the report.
+        #: many PCs) and the simulator fell back to replaying
+        #: ``update``/``prefetch`` per access.  Bench cells surface it
+        #: as ``stride_fallback`` so a silent perf cliff shows up in
+        #: the report.
         self.fallback = False
 
     def predict(self, access: MemoryAccess) -> Optional[int]:
@@ -128,21 +126,21 @@ class StridePrefetcher:
     def offline_candidates(
         self, trace: Sequence[MemoryAccess], degree: int, distance: int
     ) -> Optional[List[List[int]]]:
-        """Vectorised per-position issue windows for the kernel path.
+        """Vectorised candidate table of a fresh prefetcher.
 
         Replicates the update-then-prefetch protocol: row ``t`` is what
         ``prefetch`` would return *after* ``update(trace[t])``, sliced
         to the issue window — a PC's prediction is confirmed from its
         third occurrence on when the last two deltas are equal and
-        nonzero.  Unconfirmed rows are filled with ``-1`` (kernel-
-        skipped), matching the streaming path's empty candidate list.
+        nonzero.  Unconfirmed rows are filled with ``-1`` (never
+        issued), matching the protocol's empty candidate list.
 
         Returns ``None`` when the trace touches more PCs than the table
-        holds: then streaming-mode evictions can reset per-PC state and
-        the eviction-free vectorised recurrence would diverge, so the
-        simulator falls back to the streaming path.  That fallback is
-        loud: it warns once per prefetcher instance and latches
-        :attr:`fallback` so bench reports can record it.
+        holds: then evictions can reset per-PC state and the
+        eviction-free vectorised recurrence would diverge, so the
+        simulator replays ``update``/``prefetch`` per access instead.
+        That fallback is loud: it warns once per prefetcher instance
+        and latches :attr:`fallback` so bench reports can record it.
         """
         n = len(trace)
         pcs = np.fromiter((a.pc for a in trace), dtype=np.int64, count=n)
@@ -154,7 +152,7 @@ class StridePrefetcher:
                     f"stride offline candidates: trace touches "
                     f"{distinct_pcs} distinct PCs, more than the "
                     f"{self.max_entries}-entry table; falling back to the "
-                    f"(slower) streaming simulation path",
+                    f"(slower) per-access update/prefetch replay",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -291,8 +291,8 @@ def bench_cell(
         entry["table_hit_rate"] = prefetcher.hit_rate
     if kind == "stride":
         # Latched by StridePrefetcher.offline_candidates when the trace
-        # overflows the table and the sim fell back to streaming mode —
-        # recorded so the perf cliff is visible in the report.
+        # overflows the table and the sim fell back to the per-access
+        # replay — recorded so the perf cliff is visible in the report.
         entry["stride_fallback"] = bool(getattr(prefetcher, "fallback", False))
     return entry
 
@@ -1025,17 +1025,13 @@ def _profile_by_name(name: str) -> BenchProfile:
     return PROFILES[name]
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m voyager.bench`` — run a sweep with an optional timing gate."""
-    parser = argparse.ArgumentParser(
-        prog="voyager.bench",
-        description="Sweep workloads x prefetchers, write a bench report.",
-    )
+def add_bench_args(parser: argparse.ArgumentParser) -> None:
+    """The bench flag set, shared with ``python -m voyager bench``."""
     parser.add_argument(
         "--profile",
         choices=tuple(sorted(PROFILES)),
-        default="smoke",
-        help="workload size / training budget (default: smoke)",
+        default="full",
+        help="workload size / training budget (default: full)",
     )
     parser.add_argument("--out", default=BENCH_FILENAME)
     parser.add_argument("--seed", type=int, default=0)
@@ -1096,29 +1092,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="fail (exit 1) if any workload's table coverage trails "
         "neural by more than this (in coverage points, e.g. 0.10)",
     )
-    args = parser.parse_args(argv)
 
-    try:
-        profile = profile_with_workloads(
-            _profile_by_name(args.profile), args.workloads
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+
+def run_bench_args(args: argparse.Namespace) -> int:
+    """Execute a parsed bench invocation (both entry points' handler).
+
+    Every argument is checked before the first cell runs; a bad one
+    raises :class:`ValueError`.  The report is written only when it
+    passes its checks and every requested gate: on any problem the
+    problems are printed, the existing ``--out`` file is left untouched
+    and the exit code is 1.
+    """
+    profile = profile_with_workloads(
+        _profile_by_name(args.profile), args.workloads
+    )
+    jobs = resolve_jobs(args.jobs)
+    table_sizes = parse_int_list(
+        args.distill_table_sizes, "--distill-table-sizes"
+    )
+    depths = parse_int_list(args.distill_depths, "--distill-depths")
     report = run_bench(
-        profile,
-        seed=args.seed,
-        jobs=args.jobs,
-        profile_sim=args.profile_sim,
+        profile, seed=args.seed, jobs=jobs, profile_sim=args.profile_sim
     )
     if args.distill_frontier:
         report["distill"] = run_distill_frontier(
-            profile,
-            seed=args.seed,
-            table_sizes=parse_int_list(
-                args.distill_table_sizes, "--distill-table-sizes"
-            ),
-            depths=parse_int_list(args.distill_depths, "--distill-depths"),
+            profile, seed=args.seed, table_sizes=table_sizes, depths=depths
         )
     problems = validate_report(report)
     if args.max_neural_sim_s is not None:
@@ -1135,14 +1133,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 else float("inf")
             ),
         )
-    report = preserve_sections(report, args.out)
-    path = write_bench(report, args.out)
     for workload, entries in report["workloads"].items():
         for kind, entry in entries.items():
             print(
                 f"{workload:12s} {kind:10s} "
                 f"coverage={entry['coverage']:.4f} "
                 f"accuracy={entry['accuracy']:.4f} "
+                f"timeliness={entry['timeliness']:.4f} "
+                f"miss_rate={entry['miss_rate']:.4f} "
                 f"train_s={entry['train_s']:.3f} "
                 f"sim_s={entry['sim_s']:.3f}"
             )
@@ -1156,15 +1154,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"speedup={cell['speedup_vs_neural']:.1f}x "
                     f"hit_rate={cell['hit_rate']:.3f}"
                 )
+    if problems:
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
+        print(f"error: {args.out} not written", file=sys.stderr)
+        return 1
+    path = write_bench(preserve_sections(report, args.out), args.out)
     print(
         f"wrote {path} (profile={report['profile']}, jobs={report['jobs']}, "
         f"cpu={report['cpu_s']:.3f}s, wall={report['elapsed_s']:.3f}s)"
     )
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
     return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``python -m voyager.bench`` / ``python -m voyager bench``."""
+    parser = argparse.ArgumentParser(
+        prog="voyager.bench",
+        description="Sweep workloads x prefetchers, write a bench report.",
+    )
+    add_bench_args(parser)
+    try:
+        return run_bench_args(parser.parse_args(argv))
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI

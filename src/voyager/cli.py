@@ -23,8 +23,9 @@ Subcommands:
   ``python -m voyager distill --trace trace.txt --checkpoint ckpt/model
   --out tables.json``
 - ``bench`` — sweep synthetic workloads x prefetchers and write a
-  schema-versioned ``BENCH_voyager.json``:
-  ``python -m voyager bench --smoke``
+  schema-versioned ``BENCH_voyager.json`` (the same flags and handler
+  as ``python -m voyager.bench``):
+  ``python -m voyager bench --profile smoke``
 - ``serve`` — serve a trace as interleaved streams through the online
   serving layer (micro-batched), printing throughput and latency:
   ``python -m voyager serve --trace trace.txt --checkpoint ckpt/model``.
@@ -75,22 +76,7 @@ from voyager.baselines import (
     StridePrefetcher,
     evaluate_baseline,
 )
-from voyager.bench import (
-    BENCH_FILENAME,
-    FRONTIER_DEPTHS,
-    FRONTIER_TABLE_SIZES,
-    PROFILES,
-    parse_int_list,
-    check_distill_budget,
-    check_sim_budget,
-    check_train_budget,
-    preserve_sections,
-    profile_with_workloads,
-    run_bench,
-    run_distill_frontier,
-    validate_report,
-    write_bench,
-)
+from voyager.bench import BENCH_FILENAME, add_bench_args, run_bench_args
 from voyager.distill import (
     FALLBACKS,
     DistillConfig,
@@ -333,76 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="sweep workloads x prefetchers, write BENCH_voyager.json"
     )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shorthand for --profile smoke",
-    )
-    bench.add_argument(
-        "--profile",
-        choices=tuple(sorted(PROFILES)),
-        default="full",
-        help="workload size / training budget (default: full)",
-    )
-    bench.add_argument("--out", default=BENCH_FILENAME)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--workloads",
-        default=None,
-        help="comma-separated registry workloads to sweep "
-        "(default: the whole registry)",
-    )
-    bench.add_argument(
-        "--jobs",
-        default="1",
-        help="parallel bench cells: an integer or 'auto' (cpu count)",
-    )
-    bench.add_argument(
-        "--profile-sim",
-        action="store_true",
-        help="record per-phase simulator timings in each cell",
-    )
-    bench.add_argument(
-        "--max-neural-sim-s",
-        type=float,
-        default=None,
-        help="fail if any workload's neural sim_s exceeds this budget",
-    )
-    bench.add_argument(
-        "--max-train-s",
-        type=float,
-        default=None,
-        help="fail if any workload's neural train_s exceeds this budget",
-    )
-    bench.add_argument(
-        "--distill-frontier",
-        action="store_true",
-        help="also sweep the table-size x depth frontier into 'distill'",
-    )
-    bench.add_argument(
-        "--distill-table-sizes",
-        default=",".join(str(s) for s in FRONTIER_TABLE_SIZES),
-        help="comma-separated table sizes for the frontier sweep",
-    )
-    bench.add_argument(
-        "--distill-depths",
-        default=",".join(str(d) for d in FRONTIER_DEPTHS),
-        help="comma-separated context depths for the frontier sweep",
-    )
-    bench.add_argument(
-        "--min-table-speedup",
-        type=float,
-        default=None,
-        help="fail if any workload's table sim speedup over neural is "
-        "below this factor",
-    )
-    bench.add_argument(
-        "--max-table-coverage-drop",
-        type=float,
-        default=None,
-        help="fail if any workload's table coverage trails neural by "
-        "more than this (coverage points, e.g. 0.10)",
-    )
+    add_bench_args(bench)
 
     serve = sub.add_parser(
         "serve",
@@ -765,59 +682,6 @@ def run_distill(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_bench_cmd(args: argparse.Namespace) -> int:
-    profile = PROFILES["smoke" if args.smoke else args.profile]
-    profile = profile_with_workloads(profile, args.workloads)
-    report = run_bench(
-        profile, seed=args.seed, jobs=args.jobs, profile_sim=args.profile_sim
-    )
-    if args.distill_frontier:
-        report["distill"] = run_distill_frontier(
-            profile,
-            seed=args.seed,
-            table_sizes=parse_int_list(
-                args.distill_table_sizes, "--distill-table-sizes"
-            ),
-            depths=parse_int_list(args.distill_depths, "--distill-depths"),
-        )
-    problems = validate_report(report)
-    if args.max_neural_sim_s is not None:
-        problems += check_sim_budget(report, args.max_neural_sim_s)
-    if args.max_train_s is not None:
-        problems += check_train_budget(report, args.max_train_s)
-    if args.min_table_speedup is not None or args.max_table_coverage_drop is not None:
-        problems += check_distill_budget(
-            report,
-            min_speedup=args.min_table_speedup or 0.0,
-            max_coverage_drop=(
-                args.max_table_coverage_drop
-                if args.max_table_coverage_drop is not None
-                else float("inf")
-            ),
-        )
-    if problems:
-        for problem in problems:
-            print(f"error: invalid bench report: {problem}", file=sys.stderr)
-        return 1
-    report = preserve_sections(report, args.out)
-    path = write_bench(report, args.out)
-    for workload, entries in report["workloads"].items():
-        for kind, entry in entries.items():
-            print(
-                f"{workload:12s} {kind:10s} "
-                f"coverage={entry['coverage']:.4f} "
-                f"accuracy={entry['accuracy']:.4f} "
-                f"timeliness={entry['timeliness']:.4f} "
-                f"miss_rate={entry['miss_rate']:.4f} "
-                f"sim_s={entry['sim_s']:.3f}"
-            )
-    print(
-        f"wrote {path} (profile={profile.name}, jobs={report['jobs']}, "
-        f"cpu={report['cpu_s']:.3f}s, wall={report['elapsed_s']:.3f}s)"
-    )
-    return 0
-
-
 def run_serve(args: argparse.Namespace) -> int:
     trace = parse_trace(args.trace)
     model, pc_vocab, page_vocab = load_checkpoint(args.checkpoint)
@@ -995,7 +859,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "train": run_training,
         "simulate": run_simulate,
         "distill": run_distill,
-        "bench": run_bench_cmd,
+        "bench": run_bench_args,
         "serve": run_serve,
         "serve-bench": run_serve_bench,
         "adapt": run_adapt,

@@ -18,20 +18,20 @@ analogue of that compilation pass:
 - :class:`TablePrefetcher` adapts a table to the simulator protocol
   with a configurable fallback chain: exact (deepest) context hit ->
   coarser-context hit -> stride / next-line fallback -> nothing.  Its
-  ``offline_candidates`` hook makes :func:`voyager.sim.simulate` take
-  the kernel fast path, where a "prediction" is a dict probe instead
-  of an LSTM step per lookahead step.
+  ``offline_candidates`` hook builds :func:`voyager.sim.simulate`'s
+  candidate table with a dict probe per position instead of an LSTM
+  step per lookahead step.
 
-Unlike every prior fast path in this repo (the inference engine, the
-kernel simulator, the serving layer — all bit-exact), distillation is
-an **approximation**: the model predicts from a carried state that
-depends on everything since the last segment reset, while a context
-key captures only the last ``depth`` accesses, so the table answers
-with the *modal* rollout of the positions a context collapses.  One
-property is still exact, and the test suite pins it: every stored
-candidate list is bit-identical to the engine's rollout from at least
-one build-trace position whose trailing triples match the context (the
-table never invents candidates).
+Unlike every other fast path in this repo (the inference engine, the
+batched candidate tables, the serving layer — all bit-exact),
+distillation is an **approximation**: the model predicts from a
+carried state that depends on everything since the last segment reset,
+while a context key captures only the last ``depth`` accesses, so the
+table answers with the *modal* rollout of the positions a context
+collapses. One property is still exact, and the test suite pins it:
+every stored candidate list is bit-identical to the engine's rollout
+from at least one build-trace position whose trailing triples match
+the context (the table never invents candidates).
 
 The coverage cost of the approximation is quantified per workload by
 the ``distill`` frontier section :mod:`voyager.bench` writes into
@@ -59,11 +59,10 @@ from typing import (
 import numpy as np
 
 from voyager.baselines import StridePrefetcher, next_line_candidates
-from voyager.infer import InferenceEngine
 from voyager.ioutil import atomic_write_text
 from voyager.model import HierarchicalModel
-from voyager.sim import page_id_table
-from voyager.traces import OFFSET_BITS, MemoryAccess
+from voyager.sim import NeuralPrefetcher
+from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
 
 #: Bumped whenever the serialized table layout changes incompatibly.
@@ -310,13 +309,12 @@ def build_table(
 ) -> DistilledTable:
     """Compile ``model`` into a :class:`DistilledTable` over ``trace``.
 
-    One batched inference pass computes the model's ``top_k``-step
-    candidate blocks for every trace position — exactly the arithmetic
-    :meth:`voyager.sim.NeuralPrefetcher.prime` runs: LSTM state carried
-    across each ``model.config.seq_len``-access segment
-    (:meth:`~voyager.infer.InferenceEngine.segment_states`), then a
-    rollout from every position — and each position's candidate list is
-    recorded under its context key at every configured depth.
+    :meth:`voyager.sim.NeuralPrefetcher.offline_candidates` computes
+    the model's ``top_k``-step candidate blocks for every trace position
+    in one batched pass — the candidates the simulator issues from,
+    with LSTM state carried across each ``model.config.seq_len``-access
+    segment — and each position's candidate list is recorded under its
+    context key at every configured depth.
 
     Aggregation is *modal*: a context seen with conflicting rollouts
     (a context key collapses positions whose carried states differ)
@@ -329,24 +327,12 @@ def build_table(
     config = config or DistillConfig()
     table = DistilledTable(config, pc_vocab, page_vocab)
     n = len(trace)
-    if n == 0:
-        return table
-
-    pc_all = np.array(pc_vocab.encode_all(a.pc for a in trace), dtype=np.int64)
-    page_all = np.array(
-        page_vocab.encode_all(a.page for a in trace), dtype=np.int64
-    )
-    off_all = np.array([a.offset for a in trace], dtype=np.int64)
-
-    engine = InferenceEngine(model, dtype=dtype)
-    x = engine.feature_step(pc_all, page_all, off_all)
-    states = engine.segment_states(x, model.config.seq_len)
-    pages, offsets, valid = engine.rollout(states, pc_all, config.top_k)
-    page_table = page_id_table(page_vocab)
-    blocks = (page_table[pages] << OFFSET_BITS) | offsets
-    counts = np.where(
-        valid.all(axis=1), config.top_k, valid.argmin(axis=1)
-    )
+    rollouts = NeuralPrefetcher(
+        model, pc_vocab, page_vocab, dtype=dtype
+    ).offline_candidates(trace, config.top_k, 0)
+    pc_all = pc_vocab.encode_all(a.pc for a in trace)
+    page_all = page_vocab.encode_all(a.page for a in trace)
+    off_all = [a.offset for a in trace]
 
     for depth in config.depths:
         ctx_counts: Counter = Counter()
@@ -354,7 +340,7 @@ def build_table(
         cand_votes: Dict[Context, Counter] = {}
         for pos in range(depth - 1, n):
             key = context_key(pc_all, page_all, off_all, pos, depth)
-            cands = tuple(int(b) for b in blocks[pos, : counts[pos]])
+            cands = tuple(rollouts[pos])
             ctx_counts[key] += 1
             if key not in first_seen:
                 first_seen[key] = pos
@@ -382,13 +368,12 @@ class TablePrefetcher:
     deepest-first dict probe with the configured terminal fallback —
     no model arithmetic anywhere, which is the entire point.
 
-    ``offline_candidates`` replays a fresh clone through the identical
-    update-then-prefetch protocol so :func:`voyager.sim.simulate` can
-    take the kernel fast path; per-position work is a few dict probes,
-    orders of magnitude cheaper than the neural prefetcher's batched
-    rollout.  ``stats`` counts hits per depth, fallback answers and
-    cold/short-context answers so bench cells can report the table hit
-    rate next to the coverage it buys.
+    ``offline_candidates`` builds :func:`voyager.sim.simulate`'s
+    candidate table over whole-trace arrays; per-position work is a few
+    dict probes, orders of magnitude cheaper than the neural
+    prefetcher's batched rollout.  ``stats`` counts hits per depth,
+    fallback answers and cold/short-context answers so bench cells can
+    report the table hit rate next to the coverage it buys.
     """
 
     name = "table"
@@ -447,20 +432,22 @@ class TablePrefetcher:
 
     def offline_candidates(
         self, trace: Sequence[MemoryAccess], degree: int, distance: int
-    ) -> List[List[int]]:
-        """Per-position issue windows for the kernel path.
+    ) -> Optional[List[List[int]]]:
+        """The candidate table of a fresh prefetcher over ``trace``.
 
-        Replays the exact streaming protocol — row ``t`` is
-        ``prefetch(trace[t], degree + distance)[distance:]`` after
-        ``update(trace[t])`` — but over whole-trace encoded arrays: the
-        vocab encode happens once, each position's context keys are
-        slices of one flat ``(pc, page, offset)`` list, and stride
-        fallback rows come from the baseline's own vectorised
-        ``offline_candidates`` (``-1`` rows are kernel-skipped, the
-        moral equivalent of streaming's empty list).  Lookup stats are
-        folded into this instance so bench cells still see the hit
-        rate; counters stay bit-identical to the streaming path, which
-        the tests pin.
+        Row ``t`` is ``prefetch(trace[t], degree + distance)[distance:]``
+        after ``update(trace[t])``, computed over whole-trace encoded
+        arrays: the vocab encode happens once, each position's context
+        keys are slices of one flat ``(pc, page, offset)`` list, and
+        stride fallback rows come from the baseline's own vectorised
+        ``offline_candidates`` (``-1`` entries are never issued).
+        Lookup stats are folded into this instance so bench cells still
+        see the hit rate.
+
+        Returns ``None`` when that stride hook declines (the trace has
+        more PCs than its table holds); :func:`voyager.sim.simulate`
+        then replays this prefetcher through the protocol, which counts
+        the same stats.
         """
         n = len(trace)
         want = degree + distance
@@ -474,17 +461,7 @@ class TablePrefetcher:
                 trace, degree, distance
             )
             if stride_rows is None:
-                # Stride's vectorised recurrence declined (table
-                # overflow); replay the slow streaming protocol so
-                # eviction effects stay bit-exact.
-                clone = TablePrefetcher(self.table)
-                out = []
-                for access in trace:
-                    clone.update(access)
-                    out.append(clone.prefetch(access, want)[distance:want])
-                for source, count in clone.stats.items():
-                    self.stats[source] = self.stats.get(source, 0) + count
-                return out
+                return None
 
         flat: List[int] = [0] * (3 * n)
         flat[0::3] = self.table.pc_vocab.encode_all(a.pc for a in trace)

@@ -100,9 +100,10 @@ def simulate_model(
     is measured as coverage (misses eliminated), accuracy (useful per
     issued prefetch) and timeliness — not argmax token accuracy.
 
-    The prefetcher runs on the cache-free inference engine, carries
-    state with the model's own ``seq_len`` reset rule, and is primed
-    (batched over the whole trace) by :func:`~voyager.sim.simulate`.
+    The prefetcher runs on the cache-free inference engine and carries
+    state with the model's own ``seq_len`` reset rule;
+    :func:`~voyager.sim.simulate` computes its candidates for the whole
+    trace in one batched pass.
     ``dtype=np.float32`` opts into the faster approximate mode; the
     float64 default is bit-identical to the training-mode forward.
     """

@@ -65,7 +65,7 @@ from voyager.serve import (
     ServeConfig,
 )
 from voyager.shard import ShardConfig, drive_open_loop, run_sharded
-from voyager.sim import NeuralPrefetcher
+from voyager.sim import NeuralPrefetcher, protocol_candidates
 from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
 
@@ -337,18 +337,16 @@ def _sim_candidates(
     dtype,
 ) -> List[List[List[int]]]:
     """The reference: each stream replayed through the simulator's
-    streaming :class:`~voyager.sim.NeuralPrefetcher` (the same
-    update-then-prefetch protocol :func:`~voyager.sim.simulate` drives).
-    """
-    candidates: List[List[List[int]]] = []
-    for trace in traces:
-        prefetcher = NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype)
-        rows = []
-        for access in trace:
-            prefetcher.update(access)
-            rows.append(prefetcher.prefetch(access, config.degree))
-        candidates.append(rows)
-    return candidates
+    streaming :class:`~voyager.sim.NeuralPrefetcher`."""
+    return [
+        protocol_candidates(
+            NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype),
+            trace,
+            config.degree,
+            0,
+        )
+        for trace in traces
+    ]
 
 
 def run_loadgen(

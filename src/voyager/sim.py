@@ -8,7 +8,8 @@ prefetcher *does* to a cache.  This module provides the machinery:
 - the ``Prefetcher`` protocol — ``update(access)`` observes a demand
   access, then ``prefetch(access, degree)`` returns up to ``degree``
   candidate block addresses (both baselines in
-  :mod:`voyager.baselines` and :class:`NeuralPrefetcher` implement it);
+  :mod:`voyager.baselines`, :class:`NeuralPrefetcher` and the
+  distilled :class:`~voyager.distill.TablePrefetcher` implement it);
 - :func:`simulate` — replays a trace through a demand cache with a
   bounded in-flight prefetch queue and a fixed fill latency, and
   reports coverage / accuracy / timeliness plus miss rates with and
@@ -35,20 +36,16 @@ Accounting rules (documented here because they define the metrics):
   issue and never count as issued.  When the in-flight queue is full,
   further candidates are dropped (counted in ``dropped_prefetches``).
 
-Two execution paths share these semantics bit for bit:
-
-- the *streaming* path replays :class:`~voyager.traces.MemoryAccess`
-  objects through :class:`SetAssociativeCache` and calls
-  ``update``/``prefetch`` per access — the reference implementation and
-  the only option for prefetchers whose predictions depend on cache
-  state;
-- the *kernel* path (default whenever the prefetcher supports it)
-  precomputes the trace's block-id array and the full per-position
-  candidate table offline (vectorised for the table baselines, batched
-  through the inference engine for the neural model), then drives an
-  :class:`ArrayCache`-backed cache/issue-queue loop on plain ints.
-  ``simulate(..., use_kernel=False)`` forces the streaming path;
-  the equivalence tests pin identical counters from both.
+The protocol gives a prefetcher no cache state, so its candidates
+depend only on the access stream.  :func:`simulate` therefore builds
+the whole candidate table first — the blocks to issue at each trace
+position — and then replays the trace's block ids through one
+cache/issue-queue loop.  The table comes from the prefetcher's
+``offline_candidates(trace, degree, distance)`` hook (vectorised for
+the baselines, one batched rollout for the neural model, dict probes
+for a distilled table) or, without one, from
+:func:`protocol_candidates`, which replays ``update``/``prefetch`` per
+access and is the reference the tests pin every hook against.
 """
 
 from __future__ import annotations
@@ -56,13 +53,13 @@ from __future__ import annotations
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
 from voyager.infer import InferenceEngine
 from voyager.model import HierarchicalModel
-from voyager.traces import BLOCK_BITS, NUM_OFFSETS, OFFSET_BITS, MemoryAccess
+from voyager.traces import NUM_OFFSETS, OFFSET_BITS, MemoryAccess
 from voyager.vocab import Vocab
 
 
@@ -71,7 +68,11 @@ class Prefetcher(Protocol):
 
     The simulator calls ``update`` with each demand access *before*
     asking ``prefetch`` for candidates, so implementations may use the
-    current access when predicting.
+    current access when predicting.  A prefetcher may also offer
+    ``offline_candidates(trace, degree, distance)``: the
+    :func:`protocol_candidates` table of a fresh instance computed in
+    one pass (negative entries are never issued), or ``None`` to
+    decline.
     """
 
     name: str
@@ -154,119 +155,6 @@ class SetAssociativeCache:
         lines[block] = CacheLine(prefetched=prefetched, demanded=not prefetched)
         return evicted
 
-    def resident_blocks(self) -> List[int]:
-        """All resident blocks (test/debug helper), set by set, LRU->MRU."""
-        out: List[int] = []
-        for lines in self._sets:
-            out.extend(lines.keys())
-        return out
-
-
-class ArrayCache:
-    """Array-backed set-associative LRU cache: the kernel counterpart.
-
-    Canonical state lives in dense NumPy arrays — a ``(num_sets, ways)``
-    int64 block plane (``-1`` marks an empty way), a monotonic LRU stamp
-    plane, and boolean ``prefetched``/``demanded`` flag planes — so
-    victim selection is an ``argmin`` over a stamp row and a fill is a
-    handful of scalar array writes.  A block -> way dict *indexes* the
-    arrays to make residency probes O(1); it never holds state of its
-    own.
-
-    Replacement semantics are exactly those of
-    :class:`SetAssociativeCache`: ``lookup`` and ``fill`` promote the
-    touched block to MRU (a fresh stamp), ``contains`` never touches LRU
-    state, and the eviction victim is the smallest stamp in the set —
-    empty ways carry stamp ``-1`` so they are always consumed before any
-    resident line is evicted.  Stamps are unique (one global monotonic
-    clock per cache), so victim choice is deterministic and the
-    hypothesis property suite pins this class against the
-    :class:`~collections.OrderedDict` reference model op for op.
-    """
-
-    def __init__(self, config: Optional[CacheConfig] = None):
-        self.config = config or CacheConfig()
-        shape = (self.config.num_sets, self.config.ways)
-        self.blocks = np.full(shape, -1, dtype=np.int64)
-        self.stamps = np.full(shape, -1, dtype=np.int64)
-        self.prefetched = np.zeros(shape, dtype=bool)
-        self.demanded = np.zeros(shape, dtype=bool)
-        self._clock = 0
-        self._way: Dict[int, int] = {}  # resident block -> way index
-
-    def __contains__(self, block: int) -> bool:
-        return block in self._way
-
-    def contains(self, block: int) -> bool:
-        """Residency probe without touching LRU state."""
-        return block in self._way
-
-    def lookup(self, block: int) -> Optional[Tuple[bool, bool]]:
-        """Demand lookup: ``(prefetched, demanded)`` flags or ``None``.
-
-        A hit is promoted to MRU; the returned flags are the line's
-        state *before* any demand marking (callers score timeliness from
-        them, then call :meth:`set_demanded`).
-        """
-        way = self._way.get(block)
-        if way is None:
-            return None
-        s = block % self.config.num_sets
-        self._clock += 1
-        self.stamps[s, way] = self._clock
-        return bool(self.prefetched[s, way]), bool(self.demanded[s, way])
-
-    def set_demanded(self, block: int) -> None:
-        """Mark a resident block as demand-touched (no LRU effect)."""
-        way = self._way[block]
-        self.demanded[block % self.config.num_sets, way] = True
-
-    def fill(
-        self, block: int, prefetched: bool = False
-    ) -> Optional[Tuple[int, bool, bool]]:
-        """Insert ``block`` as MRU, evicting the LRU way if the set is full.
-
-        Returns the evicted ``(block, prefetched, demanded)`` triple or
-        ``None``.  Filling a resident block just promotes it.
-        """
-        s = block % self.config.num_sets
-        self._clock += 1
-        way = self._way.get(block)
-        if way is not None:
-            self.stamps[s, way] = self._clock
-            return None
-        row = self.stamps[s]
-        way = int(row.argmin())  # empty ways stamp -1: consumed first
-        old = int(self.blocks[s, way])
-        evicted = None
-        if old >= 0:
-            evicted = (
-                old,
-                bool(self.prefetched[s, way]),
-                bool(self.demanded[s, way]),
-            )
-            del self._way[old]
-        self.blocks[s, way] = block
-        self.stamps[s, way] = self._clock
-        self.prefetched[s, way] = prefetched
-        self.demanded[s, way] = not prefetched
-        self._way[block] = way
-        return evicted
-
-    def resident_blocks(self) -> List[int]:
-        """All resident blocks, set by set, LRU->MRU (stamp order).
-
-        Matches :meth:`SetAssociativeCache.resident_blocks` exactly,
-        which is what lets the property tests compare full LRU ordering
-        and not just residency membership.
-        """
-        out: List[int] = []
-        for s in range(self.config.num_sets):
-            for way in np.argsort(self.stamps[s], kind="stable"):
-                if self.blocks[s, way] >= 0:
-                    out.append(int(self.blocks[s, way]))
-        return out
-
 
 # ----------------------------------------------------------------------
 # simulation
@@ -318,8 +206,8 @@ class SimResult:
     dropped_prefetches: int  # queue full at issue time
     evicted_unused_prefetches: int  # cache pollution
     #: per-phase wall-clock seconds (``simulate(..., profile=True)`` only):
-    #: ``encode_s`` (trace -> block-id array), ``candidates_s`` (offline
-    #: candidate generation / priming), ``cache_loop_s`` (replay loop).
+    #: ``encode_s`` (trace -> block ids), ``candidates_s`` (building the
+    #: candidate table), ``cache_loop_s`` (replay loop).
     phases: Optional[Dict[str, float]] = None
 
     @property
@@ -377,12 +265,33 @@ class SimResult:
         return out
 
 
+def protocol_candidates(
+    prefetcher: Prefetcher,
+    trace: Sequence[MemoryAccess],
+    degree: int,
+    distance: int,
+) -> List[List[int]]:
+    """The candidate table by the :class:`Prefetcher` protocol.
+
+    Row ``t`` is ``prefetch(trace[t], degree + distance)[distance:]``
+    after ``update(trace[t])``: the blocks to issue at position ``t``.
+    This is the reference every ``offline_candidates`` hook is tested
+    against, and what :func:`simulate` uses for a prefetcher without a
+    hook or whose hook declines.  It advances ``prefetcher``'s state.
+    """
+    want = degree + distance
+    rows = []
+    for access in trace:
+        prefetcher.update(access)
+        rows.append(prefetcher.prefetch(access, want)[distance:want])
+    return rows
+
+
 def simulate(
     trace: Sequence[MemoryAccess],
     prefetcher: Optional[Prefetcher],
     config: Optional[SimConfig] = None,
     *,
-    use_kernel: Optional[bool] = None,
     profile: bool = False,
 ) -> SimResult:
     """Replay ``trace`` through the cache with ``prefetcher`` driving fills.
@@ -392,69 +301,41 @@ def simulate(
     degree-0 invariant the tests pin.  The no-prefetch baseline cache
     is replayed in the same pass, so one call yields both miss rates.
 
-    ``use_kernel`` selects the execution path: ``None`` (default) takes
-    the kernel fast path whenever the prefetcher supports offline
-    candidate generation (falling back to streaming otherwise),
-    ``False`` forces the streaming reference path, ``True`` requires
-    the kernel and raises :class:`ValueError` if the prefetcher cannot
-    provide offline candidates for this trace.  Both paths produce
-    bit-identical counters.  ``profile=True`` attaches per-phase
-    wall-clock timings to :attr:`SimResult.phases`.
+    The candidate table comes first: the prefetcher's
+    ``offline_candidates(trace, degree, distance)`` hook where it has
+    one and the hook does not decline (return ``None``), else
+    :func:`protocol_candidates`.  Then one loop replays the trace's
+    block ids, issuing row ``t`` after demand access ``t``.
+    ``profile=True`` attaches per-phase wall-clock timings to
+    :attr:`SimResult.phases`.
     """
     config = config or SimConfig()
     phases: Optional[Dict[str, float]] = {} if profile else None
 
-    candidates: Optional[List[List[int]]] = None
-    kernel_ok = prefetcher is None or config.degree == 0
-    if not kernel_ok and use_kernel is not False:
-        offline = getattr(prefetcher, "offline_candidates", None)
-        if offline is not None:
-            t0 = time.perf_counter()
-            candidates = offline(trace, config.degree, config.distance)
-            if phases is not None:
-                phases["candidates_s"] = time.perf_counter() - t0
-            kernel_ok = candidates is not None
+    t0 = time.perf_counter()
+    blocks = [access.block for access in trace]
+    if phases is not None:
+        phases["encode_s"] = time.perf_counter() - t0
 
-    if use_kernel is True and not kernel_ok:
-        raise ValueError(
-            "use_kernel=True but the prefetcher cannot provide offline "
-            "candidates for this trace (no offline_candidates hook, or "
-            "it declined); use use_kernel=None to allow the streaming "
-            "fallback"
-        )
-    if use_kernel is False or not kernel_ok:
-        return _simulate_streaming(trace, prefetcher, config, phases)
-    return _run_kernel(trace, prefetcher, config, candidates, phases)
+    rows: Optional[List[List[int]]] = None
+    if prefetcher is not None and config.degree > 0:
+        t0 = time.perf_counter()
+        hook = getattr(prefetcher, "offline_candidates", None)
+        if hook is not None:
+            rows = hook(trace, config.degree, config.distance)
+        if rows is None:
+            rows = protocol_candidates(
+                prefetcher, trace, config.degree, config.distance
+            )
+        if phases is not None:
+            phases["candidates_s"] = time.perf_counter() - t0
 
-
-def _simulate_streaming(
-    trace: Sequence[MemoryAccess],
-    prefetcher: Optional[Prefetcher],
-    config: SimConfig,
-    phases: Optional[Dict[str, float]],
-) -> SimResult:
-    """Reference path: per-access ``update``/``prefetch`` calls against
-    :class:`SetAssociativeCache` — the only option for prefetchers whose
-    predictions depend on cache state."""
     cache = SetAssociativeCache(config.cache)
     baseline_cache = SetAssociativeCache(config.cache)
-
-    # Offline fast path: a prefetcher whose predictions depend only on
-    # the access stream (not on cache state) may precompute them for
-    # the whole trace in one batched pass.  The hook is optional — the
-    # baselines stay streaming — and changes no simulation semantics.
-    if prefetcher is not None and config.degree > 0:
-        prime = getattr(prefetcher, "prime", None)
-        if prime is not None:
-            t0 = time.perf_counter()
-            prime(trace, config.degree + config.distance)
-            if phases is not None:
-                phases["candidates_s"] = (
-                    phases.get("candidates_s", 0.0) + time.perf_counter() - t0
-                )
-
-    in_flight: "OrderedDict[int, int]" = OrderedDict()  # block -> arrival time
+    in_flight: Set[int] = set()
     arrivals: deque = deque()  # (arrival_time, block) in issue order
+    latency = config.latency
+    capacity = config.queue_capacity
 
     misses = 0
     baseline_misses = 0
@@ -465,14 +346,13 @@ def _simulate_streaming(
     evicted_unused = 0
 
     t0 = time.perf_counter()
-    for t, access in enumerate(trace):
-        block = access.block
-
+    for t, block in enumerate(blocks):
         # 1. land prefetches whose latency has elapsed.
         while arrivals and arrivals[0][0] <= t:
             _, arrived = arrivals.popleft()
-            if in_flight.pop(arrived, None) is None:
+            if arrived not in in_flight:
                 continue  # consumed early by a late demand miss
+            in_flight.remove(arrived)
             evicted = cache.fill(arrived, prefetched=True)
             if evicted is not None and evicted[1].prefetched and not evicted[1].demanded:
                 evicted_unused += 1
@@ -493,24 +373,21 @@ def _simulate_streaming(
                 # Correct prediction, but the fill is still in flight:
                 # the demand turns it into an ordinary (late) miss fill.
                 late += 1
-                del in_flight[block]
+                in_flight.remove(block)
             evicted = cache.fill(block)
             if evicted is not None and evicted[1].prefetched and not evicted[1].demanded:
                 evicted_unused += 1
 
-        # 3. observe, then issue new prefetches.
-        if prefetcher is not None and config.degree > 0:
-            prefetcher.update(access)
-            want = config.degree + config.distance
-            candidates = prefetcher.prefetch(access, want)
-            for cand in candidates[config.distance : want]:
+        # 3. issue this position's row of the candidate table.
+        if rows is not None:
+            for cand in rows[t]:
                 if cand < 0 or cand in in_flight or cache.contains(cand):
                     continue
-                if len(in_flight) >= config.queue_capacity:
+                if len(in_flight) >= capacity:
                     dropped += 1
                     continue
-                in_flight[cand] = t + config.latency
-                arrivals.append((t + config.latency, cand))
+                in_flight.add(cand)
+                arrivals.append((t + latency, cand))
                 issued += 1
     if phases is not None:
         phases["cache_loop_s"] = time.perf_counter() - t0
@@ -520,113 +397,7 @@ def _simulate_streaming(
     # hardware accounting for a finite evaluation window.
     return SimResult(
         prefetcher=prefetcher.name if prefetcher is not None else "none",
-        accesses=len(trace),
-        misses=misses,
-        baseline_misses=baseline_misses,
-        issued_prefetches=issued,
-        timely_prefetches=timely,
-        late_prefetches=late,
-        dropped_prefetches=dropped,
-        evicted_unused_prefetches=evicted_unused,
-        phases=phases,
-    )
-
-
-def _run_kernel(
-    trace: Sequence[MemoryAccess],
-    prefetcher: Optional[Prefetcher],
-    config: SimConfig,
-    candidates: Optional[List[List[int]]],
-    phases: Optional[Dict[str, float]],
-) -> SimResult:
-    """Kernel fast path: precomputed block ids + offline candidates
-    drive an :class:`ArrayCache` replay loop on plain ints.
-
-    ``candidates[t]`` is the already-sliced issue window for access
-    ``t`` — exactly what the streaming path's
-    ``prefetch(access, degree + distance)[distance:]`` yields — so the
-    loop below mirrors the streaming accounting line for line and the
-    equivalence tests pin identical counters.
-    """
-    t0 = time.perf_counter()
-    n = len(trace)
-    blocks = (
-        np.fromiter((a.address for a in trace), dtype=np.int64, count=n)
-        >> BLOCK_BITS
-    ).tolist()
-    if phases is not None:
-        phases["encode_s"] = time.perf_counter() - t0
-
-    cache = ArrayCache(config.cache)
-    baseline_cache = ArrayCache(config.cache)
-
-    in_flight: "OrderedDict[int, int]" = OrderedDict()  # block -> arrival time
-    arrivals: deque = deque()  # (arrival_time, block) in issue order
-
-    misses = 0
-    baseline_misses = 0
-    issued = 0
-    timely = 0
-    late = 0
-    dropped = 0
-    evicted_unused = 0
-
-    do_prefetch = (
-        prefetcher is not None and config.degree > 0 and candidates is not None
-    )
-    latency = config.latency
-    capacity = config.queue_capacity
-
-    t0 = time.perf_counter()
-    for t, block in enumerate(blocks):
-        # 1. land prefetches whose latency has elapsed.
-        while arrivals and arrivals[0][0] <= t:
-            _, arrived = arrivals.popleft()
-            if in_flight.pop(arrived, None) is None:
-                continue  # consumed early by a late demand miss
-            evicted = cache.fill(arrived, prefetched=True)
-            if evicted is not None and evicted[1] and not evicted[2]:
-                evicted_unused += 1
-
-        # 2. demand access against both caches.
-        if baseline_cache.lookup(block) is None:
-            baseline_misses += 1
-            baseline_cache.fill(block)
-
-        flags = cache.lookup(block)
-        if flags is not None:
-            if flags[0] and not flags[1]:
-                timely += 1
-            cache.set_demanded(block)
-        else:
-            misses += 1
-            if block in in_flight:
-                # Correct prediction, but the fill is still in flight:
-                # the demand turns it into an ordinary (late) miss fill.
-                late += 1
-                del in_flight[block]
-            evicted = cache.fill(block)
-            if evicted is not None and evicted[1] and not evicted[2]:
-                evicted_unused += 1
-
-        # 3. issue from the precomputed candidate table (offline
-        # candidates already embed the update-then-prefetch protocol).
-        if do_prefetch:
-            for cand in candidates[t]:
-                if cand < 0 or cand in in_flight or cand in cache:
-                    continue
-                if len(in_flight) >= capacity:
-                    dropped += 1
-                    continue
-                in_flight[cand] = t + latency
-                arrivals.append((t + latency, cand))
-                issued += 1
-    if phases is not None:
-        phases["cache_loop_s"] = time.perf_counter() - t0
-
-    return SimResult(
-        prefetcher=prefetcher.name if prefetcher is not None else "none",
-        accesses=n,
+        accesses=len(blocks),
         misses=misses,
         baseline_misses=baseline_misses,
         issued_prefetches=issued,
@@ -693,18 +464,10 @@ class NeuralPrefetcher:
     step predicts the OOV page: the model cannot name a concrete page
     beyond that horizon.
 
-    Two execution modes share the same arithmetic graph:
-
-    - *streaming* (default): ``update``/``prefetch`` per access — the
-      online deployment shape, and what :class:`voyager.serve.PrefetchServer`
-      reproduces bit for bit per stream;
-    - *primed*: :meth:`prime` precomputes the rollout for **every**
-      trace position in one batched pass (one
-      :meth:`~voyager.infer.InferenceEngine.segment_states` scan, then
-      the lookahead's batched continuation steps), after which
-      ``prefetch`` is a list lookup and ``update`` is a counter bump.
-      :func:`simulate` primes automatically; this is what makes the
-      neural simulator hot path competitive with the table baselines.
+    ``update``/``prefetch`` per access is the online deployment shape,
+    and what :class:`voyager.serve.PrefetchServer` reproduces bit for
+    bit per stream; :meth:`offline_candidates` computes the same
+    candidates for a whole trace in one batched pass.
 
     Float32 mode (``dtype=np.float32``) trades bit-exactness for
     roughly halved memory traffic; float64 (default) predictions are
@@ -726,17 +489,14 @@ class NeuralPrefetcher:
         self.seq_len = model.config.seq_len
         self.engine = InferenceEngine(model, dtype=dtype)
         self._page_table = page_id_table(page_vocab)
-        # streaming-mode storage: carried (h, c) + the last access's pc id
+        # streaming state: carried (h, c), the last access's pc id and
+        # its position (the seq_len reset counter)
         self._state = None
         self._last_pc_id = 0
-        # primed-mode storage: candidate blocks per trace position
-        self._primed: Optional[List[List[int]]] = None
         self._pos = -1
 
     def update(self, access: MemoryAccess) -> None:
         self._pos += 1
-        if self._primed is not None:
-            return  # primed mode: candidates are precomputed by position
         pc_id = self.pc_vocab.encode(access.pc)
         feat = self.engine.feature_step(
             np.array([pc_id], dtype=np.int64),
@@ -749,13 +509,7 @@ class NeuralPrefetcher:
         self._last_pc_id = pc_id
 
     def prefetch(self, access: MemoryAccess, degree: int = 1) -> List[int]:
-        if degree < 1:
-            return []
-        if self._primed is not None:
-            if 0 <= self._pos < len(self._primed):
-                return self._primed[self._pos][:degree]
-            return []
-        if self._state is None:
+        if degree < 1 or self._state is None:
             return []
         pages, offsets, valid = self.engine.rollout(
             self._state, np.array([self._last_pc_id], dtype=np.int64), degree
@@ -764,21 +518,22 @@ class NeuralPrefetcher:
             self._page_table, pages[0], offsets[0], valid[0], degree
         )
 
-    def prime(self, trace: Sequence[MemoryAccess], lookahead: int) -> None:
-        """Precompute ``lookahead`` candidates for every position of ``trace``.
+    def offline_candidates(
+        self, trace: Sequence[MemoryAccess], degree: int, distance: int
+    ) -> List[List[int]]:
+        """The candidate table of a fresh prefetcher over ``trace``.
 
-        Resets the carried state and switches the prefetcher to serving
-        candidates by position as the caller replays the same trace
-        through ``update``/``prefetch``.  Predictions depend only on
-        the access stream, so this is a pure batching transform — the
-        arithmetic per position matches the streaming mode.
+        Row ``t`` is ``prefetch(trace[t], degree + distance)[distance:]``
+        after ``update(trace[t])``, computed in one batched pass: one
+        :meth:`~voyager.infer.InferenceEngine.segment_states` scan for
+        the carried states, then the lookahead's batched continuation
+        steps — the same arithmetic per position as the streaming
+        mode.  The streaming state is left alone.
         """
-        self._state = None
-        self._pos = -1
         n = len(trace)
-        self._primed = [[] for _ in range(n)]
-        if lookahead < 1 or n == 0:
-            return
+        want = degree + distance
+        if want < 1 or n == 0:
+            return [[] for _ in range(n)]
         pc_all = np.array(
             self.pc_vocab.encode_all(a.pc for a in trace), dtype=np.int64
         )
@@ -788,27 +543,10 @@ class NeuralPrefetcher:
         off_all = np.array([a.offset for a in trace], dtype=np.int64)
         x = self.engine.feature_step(pc_all, page_all, off_all)
         states = self.engine.segment_states(x, self.seq_len)
-        pages, offsets, valid = self.engine.rollout(states, pc_all, lookahead)
-        blocks = (self._page_table[pages] << OFFSET_BITS) | offsets
-        counts = np.where(valid.all(axis=1), lookahead, valid.argmin(axis=1))
-        for pos in range(n):
-            self._primed[pos] = blocks[pos, : counts[pos]].tolist()
-
-    def offline_candidates(
-        self, trace: Sequence[MemoryAccess], degree: int, distance: int
-    ) -> List[List[int]]:
-        """Per-position issue windows for the kernel path.
-
-        Primes the whole trace (one batched rollout) and returns, for
-        each position, exactly the slice the streaming path would issue
-        from: ``prefetch(access, degree + distance)[distance:]``.
-        Predictions depend only on the access stream, never on cache
-        state, so the kernel is always available for this prefetcher.
-        """
-        self.prime(trace, degree + distance)
-        assert self._primed is not None
-        want = degree + distance
-        return [row[distance:want] for row in self._primed]
+        pages, offsets, valid = self.engine.rollout(states, pc_all, want)
+        blocks = ((self._page_table[pages] << OFFSET_BITS) | offsets).tolist()
+        counts = np.where(valid.all(axis=1), want, valid.argmin(axis=1)).tolist()
+        return [row[distance:count] for row, count in zip(blocks, counts)]
 
 
 def make_prefetcher(
@@ -854,7 +592,6 @@ def make_prefetcher(
 
 #: Offset count re-exported for sim users that reason about block maths.
 __all__ = [
-    "ArrayCache",
     "CacheConfig",
     "CacheLine",
     "NeuralPrefetcher",
@@ -865,6 +602,7 @@ __all__ = [
     "decode_block_candidates",
     "make_prefetcher",
     "page_id_table",
+    "protocol_candidates",
     "simulate",
     "NUM_OFFSETS",
 ]

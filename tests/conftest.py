@@ -95,6 +95,42 @@ def trace_factory():
     return make
 
 
+class _ProtocolOnly:
+    """A prefetcher seen through the bare protocol: ``name``, ``update``
+    and ``prefetch``, no ``offline_candidates`` hook."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    def update(self, access):
+        self.inner.update(access)
+
+    def prefetch(self, access, degree=1):
+        return self.inner.prefetch(access, degree)
+
+
+@pytest.fixture
+def protocol_only():
+    """``protocol_only(p)`` hides ``p``'s ``offline_candidates`` hook, so
+    ``simulate`` builds its candidate table with
+    :func:`voyager.sim.protocol_candidates` — the reference every hook
+    must equal."""
+    return _ProtocolOnly
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fail the test if a bench cell runs: bad arguments must be
+    rejected before the sweep starts."""
+    import voyager.bench
+
+    def run_bench(*args, **kwargs):
+        raise AssertionError("a cell ran before the arguments were checked")
+
+    monkeypatch.setattr(voyager.bench, "run_bench", run_bench)
+
+
 @pytest.fixture
 def stride_trace_small(trace_factory):
     return trace_factory("stride", n=400)

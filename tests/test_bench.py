@@ -249,7 +249,7 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
     """``python -m voyager.bench`` on a tiny profile: exit 0, then gate."""
     import voyager.bench as bench_mod
 
-    monkeypatch.setattr(bench_mod, "SMOKE_PROFILE", TINY)
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
     out = tmp_path / "BENCH_voyager.json"
     rc = bench_mod.main(
         ["--profile", "smoke", "--out", str(out), "--max-neural-sim-s", "1e9"]
@@ -263,6 +263,44 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
     )
     assert rc == 1
     assert "exceeds budget" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_the_report_untouched(tmp_path, capsys, monkeypatch):
+    """The write rule: a report that fails a check or gate is printed,
+    never written — the existing file keeps its bytes."""
+    import voyager.bench as bench_mod
+
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
+    out = tmp_path / "BENCH_voyager.json"
+    out.write_text("previous report\n")
+    for gate in (["--max-train-s", "-1"], ["--min-table-speedup", "1e9"]):
+        rc = bench_mod.main(["--profile", "smoke", "--out", str(out), *gate])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not written" in err
+        assert out.read_text() == "previous report\n"
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--jobs", "0"], "jobs"),
+        (["--distill-table-sizes", "16,zero"], "--distill-table-sizes"),
+        (["--distill-depths", "0"], "--distill-depths"),
+        (["--workloads", "zigzag"], "unknown workload"),
+    ],
+)
+def test_main_checks_arguments_before_any_cell_runs(
+    argv, flag, tmp_path, capsys, no_sweep
+):
+    import voyager.bench as bench_mod
+
+    out = tmp_path / "BENCH_voyager.json"
+    assert bench_mod.main(["--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_main_rejects_unknown_profile():

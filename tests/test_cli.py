@@ -227,7 +227,7 @@ def test_simulate_none_reproduces_baseline_miss_rate(stride_trace_file, capsys):
 # ----------------------------------------------------------------------
 def test_bench_cmd_tiny_profile(tmp_path, capsys, monkeypatch):
     """Fast-tier bench coverage: shrink the smoke profile, same code path."""
-    import voyager.cli as cli_mod
+    import voyager.bench as bench_mod
     from voyager.bench import BenchProfile
 
     tiny = BenchProfile(
@@ -238,9 +238,9 @@ def test_bench_cmd_tiny_profile(tmp_path, capsys, monkeypatch):
         hidden_dim=16,
         workloads=("stride", "page_cycle"),
     )
-    monkeypatch.setitem(cli_mod.PROFILES, "smoke", tiny)
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", tiny)
     out_path = tmp_path / "BENCH_voyager.json"
-    rc = main(["bench", "--smoke", "--out", str(out_path)])
+    rc = main(["bench", "--profile", "smoke", "--out", str(out_path)])
     assert rc == 0
     report = json.loads(out_path.read_text())
     assert validate_report(report) == []
@@ -250,7 +250,7 @@ def test_bench_cmd_tiny_profile(tmp_path, capsys, monkeypatch):
 @pytest.mark.slow
 def test_bench_smoke_writes_valid_report(tmp_path, capsys):
     out_path = tmp_path / "BENCH_voyager.json"
-    rc = main(["bench", "--smoke", "--out", str(out_path)])
+    rc = main(["bench", "--profile", "smoke", "--out", str(out_path)])
     assert rc == 0
     report = json.loads(out_path.read_text())
     assert report["schema_version"] == BENCH_SCHEMA_VERSION
@@ -372,18 +372,19 @@ def test_unknown_prefetcher_is_usage_error(stride_trace_file, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_bench_jobs_zero_is_clean_error(capsys):
-    rc = main(["bench", "--smoke", "--jobs", "0"])
+def test_bench_jobs_zero_is_clean_error(capsys, no_sweep):
+    rc = main(["bench", "--profile", "smoke", "--jobs", "0"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "jobs" in err
 
 
-def test_bench_bad_distill_sizes_is_clean_error(capsys):
+def test_bench_bad_distill_sizes_is_clean_error(capsys, no_sweep):
     rc = main(
         [
             "bench",
-            "--smoke",
+            "--profile",
+            "smoke",
             "--distill-frontier",
             "--distill-table-sizes",
             "16,zero",

@@ -1,9 +1,10 @@
 """Cross-layer pin: one access stream, the same candidates everywhere.
 
-The simulator's :class:`~voyager.sim.NeuralPrefetcher` — primed, as
-:func:`~voyager.sim.simulate` drives it, and streaming — is the
-reference.  For every access of random zoo streams longer than two
-reset periods, these layers must answer with exactly its candidates:
+The simulator's :class:`~voyager.sim.NeuralPrefetcher` — its batched
+candidate table, as :func:`~voyager.sim.simulate` builds it, and its
+streaming protocol — is the reference.  For every access of random
+zoo streams longer than two reset periods, these layers must answer
+with exactly its candidates:
 
 - a single-stream :class:`~voyager.serve.PrefetchServer`;
 - a multi-stream server under random submit/tick interleavings, with
@@ -28,7 +29,7 @@ from voyager.serve import (
     ServeConfig,
 )
 from voyager.shard import ShardConfig, run_sharded
-from voyager.sim import NeuralPrefetcher
+from voyager.sim import NeuralPrefetcher, protocol_candidates
 from voyager.synthetic import WORKLOADS, generate
 from voyager.train import build_sequence_dataset, build_vocabs, train
 
@@ -73,16 +74,16 @@ def trained():
 
 
 def reference(model, pc_vocab, page_vocab, trace):
-    """Per-access candidates of the primed simulator prefetcher, checked
-    against the streaming one."""
-    primed = NeuralPrefetcher(model, pc_vocab, page_vocab).offline_candidates(
+    """Per-access candidates of the simulator's batched candidate table,
+    checked against the streaming protocol."""
+    batched = NeuralPrefetcher(model, pc_vocab, page_vocab).offline_candidates(
         trace, DEGREE, 0
     )
-    streaming = NeuralPrefetcher(model, pc_vocab, page_vocab)
-    for t, access in enumerate(trace):
-        streaming.update(access)
-        assert streaming.prefetch(access, DEGREE) == primed[t], t
-    return primed
+    streaming = protocol_candidates(
+        NeuralPrefetcher(model, pc_vocab, page_vocab), trace, DEGREE, 0
+    )
+    assert batched == streaming
+    return batched
 
 
 def interleaving(lengths, seed):

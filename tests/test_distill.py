@@ -5,8 +5,9 @@ contract is different from the bit-exact tiers: the tests pin what
 stays exact — every stored candidate list is a real engine rollout of
 some build-trace position whose context matches (never a blend), a
 deepest-depth hit on a context whose build-trace rollouts agree
-reproduces that rollout bit for bit, and the kernel/streaming simulator
-paths agree — plus hypothesis property
+reproduces that rollout bit for bit, and the table prefetcher's
+candidate-table hook agrees with the per-access protocol — plus
+hypothesis property
 tests over table build, lookup fallback order, serialization and the
 frontier/budget plumbing in :mod:`voyager.bench`.
 """
@@ -38,8 +39,15 @@ from voyager.distill import (
     depth_chain,
 )
 from voyager.model import HierarchicalModel, ModelConfig
-from voyager.sim import NeuralPrefetcher, SimConfig, make_prefetcher, simulate
+from voyager.sim import (
+    NeuralPrefetcher,
+    SimConfig,
+    make_prefetcher,
+    protocol_candidates,
+    simulate,
+)
 from voyager.synthetic import generate
+from voyager.traces import BLOCK_BITS, MemoryAccess
 from voyager.train import build_vocabs
 from voyager.vocab import Vocab
 
@@ -76,25 +84,20 @@ def distill_setup(workload: str = "stride", n: int = 300, seed: int = 0):
 
 
 def engine_rollouts(model, pc_vocab, page_vocab, trace, k):
-    """Reference rollouts per trace position via NeuralPrefetcher.prime.
-
-    Independent of :func:`build_table`'s own arithmetic — this is the
-    code path the simulator itself trusts.
-    """
-    neural = NeuralPrefetcher(model, pc_vocab, page_vocab)
-    neural.prime(trace, k)
-    return neural._primed
+    """Reference rollouts per trace position: the batched candidate
+    table the simulator issues from (pinned against the streaming
+    protocol in ``test_kernel``)."""
+    return NeuralPrefetcher(model, pc_vocab, page_vocab).offline_candidates(
+        trace, k, 0
+    )
 
 
 def streaming_rollouts(model, pc_vocab, page_vocab, trace, k):
     """Reference rollouts per position from the *streaming* prefetcher:
     one cell step per access, state reset every ``seq_len`` accesses."""
-    neural = NeuralPrefetcher(model, pc_vocab, page_vocab)
-    out = []
-    for access in trace:
-        neural.update(access)
-        out.append(neural.prefetch(access, k))
-    return out
+    return protocol_candidates(
+        NeuralPrefetcher(model, pc_vocab, page_vocab), trace, k, 0
+    )
 
 
 def encoded_triples(pc_vocab, page_vocab, trace):
@@ -355,7 +358,7 @@ def test_load_missing_fields_raises(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# TablePrefetcher: protocol, fallbacks, kernel equivalence
+# TablePrefetcher: protocol, fallbacks, candidate-table equivalence
 # ----------------------------------------------------------------------
 def test_prefetcher_cold_and_degree_zero():
     table = manual_table({1: {(1, 1, 1): (300,)}})
@@ -403,19 +406,54 @@ def test_hit_rate_counts_depth_sources_only():
 
 @pytest.mark.parametrize("fallback", FALLBACKS)
 @pytest.mark.parametrize("workload", ["stride", "random_walk"])
-def test_kernel_and_streaming_paths_are_bit_identical(workload, fallback):
+def test_kernel_and_streaming_paths_are_bit_identical(
+    workload, fallback, protocol_only
+):
+    """The candidate-table hook and the per-access protocol give equal
+    counters and equal lookup stats."""
     model, pc_vocab, page_vocab, trace = distill_setup(workload, seed=2)
     config = DistillConfig(
         depths=(3, 1), top_k=TOP_K, table_size=64, fallback=fallback
     )
     table = build_table(model, pc_vocab, page_vocab, trace, config)
     sim_config = SimConfig(degree=2, distance=3, latency=4)
-    pf_kernel = TablePrefetcher(table)
-    kernel = simulate(trace, pf_kernel, sim_config, use_kernel=True)
-    pf_stream = TablePrefetcher(table)
-    stream = simulate(trace, pf_stream, sim_config, use_kernel=False)
-    assert kernel.as_dict() == stream.as_dict()
-    assert pf_kernel.stats == pf_stream.stats
+    pf_hooked = TablePrefetcher(table)
+    hooked = simulate(trace, pf_hooked, sim_config)
+    pf_replay = TablePrefetcher(table)
+    replay = simulate(trace, protocol_only(pf_replay), sim_config)
+    assert hooked.as_dict() == replay.as_dict()
+    assert pf_hooked.stats == pf_replay.stats
+
+
+def test_overflowing_stride_fallback_replays_the_protocol(protocol_only):
+    """More PCs than the stride fallback's 4096 entries: the hook
+    declines and ``simulate`` replays the prefetcher itself, whose
+    fallback evicts each PC before it recurs, so nothing is confirmed.
+    Without evictions the same pattern confirms every PC's stride."""
+    table = manual_table({1: {}}, depths=(1,), fallback="stride")
+    sim_config = SimConfig(degree=2, distance=1, latency=2)
+
+    def trace_of(pcs):
+        # three unit-stride accesses per PC, round-robin over the PCs
+        return [
+            MemoryAccess.from_pc_address(pc, ((pc << 12) + k) << BLOCK_BITS)
+            for k in range(3)
+            for pc in range(pcs)
+        ]
+
+    trace = trace_of(4200)
+    pf_hooked = TablePrefetcher(table)
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        assert pf_hooked.offline_candidates(trace, 2, 1) is None
+        hooked = simulate(trace, pf_hooked, sim_config)
+    assert pf_hooked.stats == {"stride": len(trace)}
+    pf_replay = TablePrefetcher(table)
+    assert hooked == simulate(trace, protocol_only(pf_replay), sim_config)
+    assert pf_replay.stats == pf_hooked.stats
+    assert hooked.issued_prefetches == 0
+
+    under_cap = simulate(trace_of(100), TablePrefetcher(table), sim_config)
+    assert under_cap.issued_prefetches > 0
 
 
 def test_offline_candidates_match_streaming_protocol():
@@ -427,13 +465,11 @@ def test_offline_candidates_match_streaming_protocol():
     degree, distance = 2, 3
     rows = TablePrefetcher(table).offline_candidates(trace, degree, distance)
     replay = TablePrefetcher(table)
-    want = degree + distance
-    for access, row in zip(trace, rows):
-        replay.update(access)
-        expected = replay.prefetch(access, want)[distance:want]
-        # stride fallback rows may be -1-padded (kernel-skipped) where
-        # streaming returns [] — both issue nothing
-        assert [c for c in row if c >= 0] == [c for c in expected if c >= 0]
+    expected = protocol_candidates(replay, trace, degree, distance)
+    for row, want in zip(rows, expected):
+        # stride fallback rows may be -1-padded where the protocol
+        # returns [] — both issue nothing
+        assert [c for c in row if c >= 0] == [c for c in want if c >= 0]
 
 
 def test_make_prefetcher_table_requires_table():

@@ -13,7 +13,7 @@ import pytest
 
 from voyager.infer import InferenceEngine, LSTMState
 from voyager.model import HierarchicalModel, ModelConfig
-from voyager.sim import NeuralPrefetcher, SimConfig, simulate
+from voyager.sim import NeuralPrefetcher, SimConfig, protocol_candidates, simulate
 from voyager.synthetic import page_cycle_trace
 from voyager.train import build_sequence_dataset
 from voyager.vocab import OOV_ID
@@ -101,7 +101,7 @@ def test_incremental_steps_match_forward_bit_exactly(
     T=st.integers(min_value=1, max_value=6),
 )
 def test_window_state_matches_forward_bit_exactly(model_seed, data_seed, B, T):
-    """The primed path's batched scan == training forward, bit for bit.
+    """The batched candidate table's scan == training forward, bit for bit.
 
     :meth:`~voyager.infer.InferenceEngine.segment_states` over the ``B``
     segments laid end to end (state reset every ``T`` accesses) yields
@@ -274,8 +274,8 @@ def small_fit():
 
 
 def test_prefetcher_never_calls_training_forward(small_fit, monkeypatch):
-    """Streaming and primed simulation run with the training forward
-    disabled.
+    """The streaming prefetcher and simulation (its batched candidate
+    table) run with the training forward disabled.
 
     ``model.forward_sequence`` is the only entry point that allocates
     the backprop cache, so poisoning it proves the whole simulator hot
@@ -303,20 +303,16 @@ def test_prefetcher_never_calls_training_forward(small_fit, monkeypatch):
 
 
 def test_streaming_and_primed_candidates_agree(small_fit):
-    """The primed batch transform preserves per-position predictions,
-    across several ``seq_len`` state resets."""
+    """The batched ``offline_candidates`` table preserves per-position
+    predictions, across several ``seq_len`` state resets."""
     trace, model, dataset = small_fit
     lookahead = 6
 
-    primed = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
-    primed.prime(trace, lookahead)
-    streaming = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
-    for i, access in enumerate(trace[:120]):
-        primed.update(access)
-        streaming.update(access)
-        assert primed.prefetch(access, lookahead) == streaming.prefetch(
-            access, lookahead
-        ), f"candidate mismatch at position {i}"
+    def make():
+        return NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
+
+    batched = make().offline_candidates(trace[:120], lookahead, 0)
+    assert batched == protocol_candidates(make(), trace[:120], lookahead, 0)
 
 
 # ----------------------------------------------------------------------

@@ -1,125 +1,33 @@
-"""Kernel fast-path tests: ArrayCache semantics + streaming equivalence.
+"""Candidate-table tests: every ``offline_candidates`` hook equals the protocol.
 
-The kernel path (`simulate(..., use_kernel=True)`) must produce
-bit-identical `SimResult` counters to the streaming reference path on
-every workload and prefetcher — that equivalence is the whole contract
-that lets the simulator default to the fast path.
+:func:`voyager.sim.simulate` first builds the candidate table — the
+blocks to issue at each trace position — from the prefetcher's
+``offline_candidates`` hook (the vectorised or batched "kernel"), or,
+without one, with :func:`voyager.sim.protocol_candidates`, which
+replays ``update`` then ``prefetch`` per access (the "streaming"
+protocol).  A hook is a batching transform only: ``simulate`` of a
+prefetcher must equal ``simulate`` of the same prefetcher with its hook
+hidden, counter for counter, on every workload and issue policy.
 """
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from voyager.baselines import NextLinePrefetcher, StridePrefetcher
+from voyager.distill import FALLBACKS, DistillConfig, TablePrefetcher, build_table
 from voyager.labeling import LabelConfig
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import (
-    ArrayCache,
-    CacheConfig,
     NeuralPrefetcher,
-    SetAssociativeCache,
     SimConfig,
     make_prefetcher,
+    protocol_candidates,
     simulate,
 )
 from voyager.synthetic import WORKLOADS, generate
 from voyager.train import build_sequence_dataset, train
 
-
-# ----------------------------------------------------------------------
-# ArrayCache unit semantics (mirrors the SetAssociativeCache units)
-# ----------------------------------------------------------------------
-def test_array_cache_miss_then_hit():
-    cache = ArrayCache(CacheConfig(num_sets=4, ways=2))
-    assert cache.lookup(10) is None
-    assert cache.fill(10) is None
-    assert cache.contains(10)
-    assert 10 in cache
-    prefetched, demanded = cache.lookup(10)
-    assert not prefetched
-    assert demanded  # demand fill marks the line demanded
-
-
-def test_array_cache_prefetch_fill_flags():
-    cache = ArrayCache(CacheConfig(num_sets=4, ways=2))
-    cache.fill(20, prefetched=True)
-    prefetched, demanded = cache.lookup(20)
-    assert prefetched
-    assert not demanded
-    cache.set_demanded(20)
-    assert cache.lookup(20) == (True, True)
-
-
-def test_array_cache_lru_eviction_order():
-    cache = ArrayCache(CacheConfig(num_sets=1, ways=2))
-    cache.fill(1)
-    cache.fill(2)
-    evicted = cache.fill(3)  # block 1 is LRU
-    assert evicted is not None and evicted[0] == 1
-    assert not cache.contains(1)
-    assert cache.resident_blocks() == [2, 3]
-
-
-def test_array_cache_lookup_promotes_contains_does_not():
-    cache = ArrayCache(CacheConfig(num_sets=1, ways=2))
-    cache.fill(1)
-    cache.fill(2)
-    cache.lookup(1)  # promote 1 to MRU
-    assert cache.fill(3)[0] == 2
-    cache2 = ArrayCache(CacheConfig(num_sets=1, ways=2))
-    cache2.fill(1)
-    cache2.fill(2)
-    cache2.contains(1)  # no promotion
-    assert cache2.fill(3)[0] == 1
-
-
-def test_array_cache_refill_promotes_without_eviction():
-    cache = ArrayCache(CacheConfig(num_sets=1, ways=2))
-    cache.fill(1)
-    cache.fill(2)
-    assert cache.fill(1) is None  # resident refill: promote only
-    assert cache.fill(3)[0] == 2
-
-
-def test_array_cache_eviction_reports_unused_prefetch():
-    cache = ArrayCache(CacheConfig(num_sets=1, ways=1))
-    cache.fill(5, prefetched=True)
-    evicted = cache.fill(6)
-    assert evicted == (5, True, False)
-
-
-def test_array_cache_sets_are_independent():
-    cache = ArrayCache(CacheConfig(num_sets=2, ways=1))
-    cache.fill(0)  # set 0
-    cache.fill(1)  # set 1
-    assert cache.contains(0) and cache.contains(1)
-    assert cache.fill(2)[0] == 0  # 2 maps to set 0, evicts 0 only
-    assert cache.contains(1)
-
-
-def test_array_cache_matches_reference_on_a_mixed_sequence():
-    config = CacheConfig(num_sets=2, ways=2)
-    ref = SetAssociativeCache(config)
-    arr = ArrayCache(config)
-    rng = np.random.default_rng(0)
-    for block in rng.integers(0, 12, size=200):
-        block = int(block)
-        ref_line = ref.lookup(block)
-        arr_flags = arr.lookup(block)
-        assert (ref_line is None) == (arr_flags is None)
-        if ref_line is None:
-            ref_ev = ref.fill(block)
-            arr_ev = arr.fill(block)
-            assert (ref_ev is None) == (arr_ev is None)
-            if ref_ev is not None:
-                assert arr_ev == (
-                    ref_ev[0], ref_ev[1].prefetched, ref_ev[1].demanded
-                )
-        assert ref.resident_blocks() == arr.resident_blocks()
-
-
-# ----------------------------------------------------------------------
-# kernel vs streaming equivalence
-# ----------------------------------------------------------------------
 CONFIGS = (
     SimConfig(),
     SimConfig(degree=2, distance=8, latency=8),  # bench issue policy
@@ -129,12 +37,12 @@ CONFIGS = (
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("kind", ("next_line", "stride"))
-def test_kernel_matches_streaming_for_baselines(workload, kind):
+def test_kernel_matches_streaming_for_baselines(workload, kind, protocol_only):
     trace = generate(workload, 1500, seed=11)
     for config in CONFIGS:
-        slow = simulate(trace, make_prefetcher(kind), config, use_kernel=False)
-        fast = simulate(trace, make_prefetcher(kind), config, use_kernel=True)
-        assert fast == slow
+        replay = simulate(trace, protocol_only(make_prefetcher(kind)), config)
+        hooked = simulate(trace, make_prefetcher(kind), config)
+        assert hooked == replay
 
 
 @pytest.fixture(scope="module")
@@ -155,91 +63,109 @@ def tiny_neural():
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-def test_kernel_matches_streaming_for_neural(tiny_neural, config):
+def test_kernel_matches_streaming_for_neural(tiny_neural, config, protocol_only):
     trace, model, dataset = tiny_neural
 
     def fresh():
         return NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
 
-    slow = simulate(trace, fresh(), config, use_kernel=False)
-    fast = simulate(trace, fresh(), config, use_kernel=True)
-    default = simulate(trace, fresh(), config)
-    assert fast == slow
-    assert default == slow  # the default takes the kernel path
+    hooked = simulate(trace, fresh(), config)
+    assert hooked == simulate(trace, protocol_only(fresh()), config)
+    assert hooked.issued_prefetches > 0
 
 
-def test_default_dispatch_equals_both_paths_on_all_workloads():
-    for workload in WORKLOADS:
-        trace = generate(workload, 1200, seed=3)
-        for kind in ("next_line", "stride"):
-            slow = simulate(trace, make_prefetcher(kind), use_kernel=False)
-            default = simulate(trace, make_prefetcher(kind))
-            assert default == slow, (workload, kind)
-
-
-def test_stride_offline_falls_back_when_table_overflows():
-    trace = generate("random_walk", 600, seed=9)
+def test_stride_offline_falls_back_when_table_overflows(protocol_only):
+    trace = generate("interleaved_mix", 600, seed=9)
     small = StridePrefetcher(max_entries=2)
     with pytest.warns(RuntimeWarning, match="falling back"):
         assert small.offline_candidates(trace, 2, 0) is None
     assert small.fallback  # latched for bench reporting
-    # default dispatch falls back to streaming (loudly: it warns)...
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        fallback = simulate(trace, StridePrefetcher(max_entries=2))
-    slow = simulate(trace, StridePrefetcher(max_entries=2), use_kernel=False)
-    assert fallback == slow
-    # ...but a forced kernel refuses
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        with pytest.raises(ValueError, match="use_kernel=True"):
-            simulate(trace, StridePrefetcher(max_entries=2), use_kernel=True)
+    for config in CONFIGS:
+        # simulate replays the protocol instead (loudly: it warns), so
+        # the two-entry table's evictions show in the counters
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            overflow = simulate(trace, StridePrefetcher(max_entries=2), config)
+        replay = simulate(
+            trace, protocol_only(StridePrefetcher(max_entries=2)), config
+        )
+        assert overflow == replay
+        assert overflow != simulate(trace, StridePrefetcher(), config)
 
 
-def test_forced_kernel_rejects_streaming_only_prefetcher():
-    class Opaque:
-        name = "opaque"
+def test_prefetcher_without_hook_replays_the_protocol():
+    """No hook: ``update`` then ``prefetch(access, degree + distance)``
+    once per access, in trace order; ``degree=0`` asks nothing."""
+
+    class Recorder:
+        name = "recorder"
+
+        def __init__(self):
+            self.calls = []
 
         def update(self, access):
-            return None
+            self.calls.append(("update", access))
 
         def prefetch(self, access, degree=1):
-            return []
+            self.calls.append(("prefetch", access, degree))
+            return [access.block + k for k in range(1, degree + 1)]
 
     trace = generate("stride", 100, seed=0)
-    with pytest.raises(ValueError, match="offline"):
-        simulate(trace, Opaque(), use_kernel=True)
-    # the streaming fallback handles it fine
-    result = simulate(trace, Opaque())
-    assert result.issued_prefetches == 0
+    recorder = Recorder()
+    config = SimConfig(degree=2, distance=3)
+    result = simulate(trace, recorder, config)
+    assert recorder.calls == [
+        call for a in trace for call in (("update", a), ("prefetch", a, 5))
+    ]
+    # it answers like next_line, whose hook gives the same counters
+    assert dataclasses.replace(result, prefetcher="next_line") == simulate(
+        trace, NextLinePrefetcher(), config
+    )
+    silent = Recorder()
+    simulate(trace, silent, SimConfig(degree=0))
+    assert silent.calls == []
 
 
-def test_offline_candidates_match_streaming_protocol():
-    """Row t equals update(trace[t]); prefetch(trace[t], want)[distance:]."""
+def test_offline_candidates_match_streaming_protocol(tiny_neural):
+    """Row t of every hook equals ``protocol_candidates`` row t:
+    ``update(trace[t])``, then ``prefetch(trace[t], want)[distance:]``."""
+    _, model, dataset = tiny_neural
     trace = generate("page_cycle", 300, seed=2)
     degree, distance = 3, 2
-    want = degree + distance
-    for offline, streaming in (
-        (NextLinePrefetcher(), NextLinePrefetcher()),
-        (StridePrefetcher(), StridePrefetcher()),
-    ):
-        rows = offline.offline_candidates(trace, degree, distance)
+    tables = [
+        build_table(
+            model,
+            dataset.pc_vocab,
+            dataset.page_vocab,
+            trace,
+            DistillConfig(depths=(2, 1), top_k=6, table_size=64, fallback=fallback),
+        )
+        for fallback in FALLBACKS
+    ]
+    makers = [NextLinePrefetcher, StridePrefetcher] + [
+        (lambda table=table: TablePrefetcher(table)) for table in tables
+    ]
+    makers.append(
+        lambda: NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
+    )
+    for make in makers:
+        rows = make().offline_candidates(trace, degree, distance)
+        expected = protocol_candidates(make(), trace, degree, distance)
         assert len(rows) == len(trace)
-        for t, access in enumerate(trace):
-            streaming.update(access)
-            expected = streaming.prefetch(access, want)[distance:want]
-            got = [c for c in rows[t] if c >= 0]
-            assert got == [c for c in expected if c >= 0], t
+        for t, (row, want) in enumerate(zip(rows, expected)):
+            # stride rows are -1-padded where the protocol returns []:
+            # neither issues anything
+            assert [c for c in row if c >= 0] == [c for c in want if c >= 0], t
 
 
-def test_profile_records_phases_for_both_paths():
+def test_profile_records_phases_for_both_paths(protocol_only):
     trace = generate("stride", 500, seed=1)
-    fast = simulate(trace, NextLinePrefetcher(), profile=True)
-    assert set(fast.phases) == {"encode_s", "candidates_s", "cache_loop_s"}
-    slow = simulate(trace, NextLinePrefetcher(), profile=True, use_kernel=False)
-    assert "cache_loop_s" in slow.phases
+    for prefetcher in (NextLinePrefetcher(), protocol_only(NextLinePrefetcher())):
+        profiled = simulate(trace, prefetcher, profile=True)
+        assert set(profiled.phases) == {"encode_s", "candidates_s", "cache_loop_s"}
+        assert "phases" in profiled.as_dict()
     unprofiled = simulate(trace, NextLinePrefetcher())
     assert unprofiled.phases is None
     assert "phases" not in unprofiled.as_dict()
-    assert "phases" in fast.as_dict()
 
 
 def test_phases_do_not_affect_counters():

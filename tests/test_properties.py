@@ -1,4 +1,4 @@
-"""Property-based tests (hypothesis) for address maths, vocab and caches.
+"""Property-based tests (hypothesis) for address maths and vocab.
 
 Skipped cleanly when hypothesis is not installed (it is an optional
 test dependency; CI installs it).
@@ -12,7 +12,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from voyager.sim import ArrayCache, CacheConfig, SetAssociativeCache  # noqa: E402
 from voyager.traces import (  # noqa: E402
     BLOCK_BITS,
     NUM_OFFSETS,
@@ -91,66 +90,3 @@ def test_vocab_json_round_trip_preserves_encoding(keys, cap):
     assert clone.size == vocab.size
     for key in set(keys) | {999_999_999_999}:
         assert clone.encode(key) == vocab.encode(key)
-
-
-# ----------------------------------------------------------------------
-# ArrayCache vs the OrderedDict reference model
-# ----------------------------------------------------------------------
-#: An op is (opcode, block): 0 = demand lookup (+fill on miss, the
-#: simulate() demand sequence), 1 = prefetch fill, 2 = contains probe.
-cache_ops = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=40),
-    ),
-    max_size=120,
-)
-cache_geometries = st.sampled_from(
-    [(1, 1), (1, 4), (2, 2), (4, 1), (4, 4), (8, 2)]
-)
-
-
-@settings(max_examples=120)
-@given(ops=cache_ops, geometry=cache_geometries)
-def test_array_cache_agrees_with_ordereddict_reference(ops, geometry):
-    """Random op sequences agree on hits, evictions, flags and residency."""
-    num_sets, ways = geometry
-    config = CacheConfig(num_sets=num_sets, ways=ways)
-    ref = SetAssociativeCache(config)
-    arr = ArrayCache(config)
-
-    for opcode, block in ops:
-        if opcode == 0:  # the demand sequence simulate() performs
-            ref_line = ref.lookup(block)
-            arr_flags = arr.lookup(block)
-            assert (ref_line is None) == (arr_flags is None)
-            if ref_line is not None:
-                assert arr_flags == (ref_line.prefetched, ref_line.demanded)
-                ref_line.demanded = True
-                arr.set_demanded(block)
-            else:
-                ref_ev = ref.fill(block)
-                arr_ev = arr.fill(block)
-                assert (ref_ev is None) == (arr_ev is None)
-                if ref_ev is not None:
-                    assert arr_ev == (
-                        ref_ev[0],
-                        ref_ev[1].prefetched,
-                        ref_ev[1].demanded,
-                    )
-        elif opcode == 1:  # prefetch fill (promotes if resident)
-            ref_ev = ref.fill(block, prefetched=True)
-            arr_ev = arr.fill(block, prefetched=True)
-            assert (ref_ev is None) == (arr_ev is None)
-            if ref_ev is not None:
-                assert arr_ev == (
-                    ref_ev[0],
-                    ref_ev[1].prefetched,
-                    ref_ev[1].demanded,
-                )
-        else:  # contains: must not perturb LRU state in either model
-            assert ref.contains(block) == arr.contains(block)
-            assert (block in arr) == arr.contains(block)
-
-        # full-state agreement after every op: residency AND LRU order
-        assert ref.resident_blocks() == arr.resident_blocks()

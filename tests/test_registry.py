@@ -98,14 +98,15 @@ def test_profile_with_workloads_override_and_errors():
 
 
 def test_bench_cli_workloads_subset(tmp_path, capsys, monkeypatch):
-    import voyager.cli as cli_mod
+    import voyager.bench as bench_mod
 
-    monkeypatch.setitem(cli_mod.PROFILES, "smoke", TINY)
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
     out = tmp_path / "BENCH_voyager.json"
     rc = main(
         [
             "bench",
-            "--smoke",
+            "--profile",
+            "smoke",
             "--out",
             str(out),
             "--workloads",
@@ -118,7 +119,7 @@ def test_bench_cli_workloads_subset(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_cli_unknown_workload_exits_cleanly(capsys):
-    rc = main(["bench", "--smoke", "--workloads", "zigzag"])
+    rc = main(["bench", "--profile", "smoke", "--workloads", "zigzag"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown workload" in err

@@ -21,6 +21,7 @@ from voyager.sim import (
     SetAssociativeCache,
     SimConfig,
     make_prefetcher,
+    protocol_candidates,
     simulate,
 )
 from voyager.synthetic import page_cycle_trace, random_walk_trace, stride_trace
@@ -73,6 +74,25 @@ def test_cache_refill_promotes_instead_of_evicting():
     assert cache.fill(1) is None  # resident: promote, no eviction
     evicted = cache.fill(3)
     assert evicted is not None and evicted[0] == 2
+
+
+def test_cache_prefetch_fill_flags():
+    """A prefetch fill is flagged prefetched but not yet demanded."""
+    cache = SetAssociativeCache(CacheConfig(num_sets=4, ways=2))
+    cache.fill(20, prefetched=True)
+    line = cache.lookup(20)
+    assert line.prefetched and not line.demanded
+    cache.fill(21)
+    line = cache.lookup(21)
+    assert line.demanded and not line.prefetched
+
+
+def test_cache_eviction_reports_unused_prefetch():
+    cache = SetAssociativeCache(CacheConfig(num_sets=1, ways=1))
+    cache.fill(5, prefetched=True)
+    block, line = cache.fill(6)
+    assert block == 5
+    assert line.prefetched and not line.demanded
 
 
 def test_cache_rejects_bad_geometry():
@@ -315,19 +335,27 @@ def test_stateful_prefetcher_predicts_from_first_access(trained_neural):
 
 
 def test_stateful_streaming_and_primed_candidates_agree(trained_neural):
-    """The primed segment_states transform preserves per-position
-    predictions of the streaming prefetcher, across state resets."""
+    """The batched ``offline_candidates`` table (one segment_states
+    scan) preserves per-position predictions of the streaming
+    prefetcher, across state resets."""
     trace, model, dataset = trained_neural
 
     def make():
         return NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
 
-    primed = make()
-    primed.prime(trace, lookahead=4)
-    streaming = make()
-    for i, access in enumerate(trace[:120]):
-        primed.update(access)
-        streaming.update(access)
-        assert primed.prefetch(access, 4) == streaming.prefetch(
-            access, 4
-        ), f"candidate mismatch at position {i}"
+    batched = make().offline_candidates(trace, 4, 0)
+    assert batched == protocol_candidates(make(), trace, 4, 0)
+
+
+def test_simulate_leaves_the_streaming_state_alone(trained_neural):
+    """After ``simulate``, streaming another trace through the same
+    prefetcher answers exactly like a fresh one: building the candidate
+    table does not touch the streaming state."""
+    trace, model, dataset = trained_neural
+    used = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
+    simulate(trace, used, SimConfig(degree=2, distance=2))
+    fresh = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
+    for t, access in enumerate(random_walk_trace(200, seed=3)):
+        used.update(access)
+        fresh.update(access)
+        assert used.prefetch(access, 4) == fresh.prefetch(access, 4), t
