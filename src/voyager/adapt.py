@@ -67,7 +67,6 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from voyager.bench import derive_cell_seed
 from voyager.ingest import ExternalRecord, IngestFormat, format_record, read_trace
 from voyager.ioutil import read_pointer, write_pointer
 from voyager.model import (
@@ -78,7 +77,7 @@ from voyager.model import (
     save_checkpoint,
 )
 from voyager.serve import PrefetchServer, ServeConfig
-from voyager.synthetic import generate, phase_boundaries, resolve
+from voyager.synthetic import derive_cell_seed, generate, phase_boundaries, resolve
 from voyager.traces import MemoryAccess, open_text
 from voyager.train import build_sequence_dataset, build_vocabs, train
 

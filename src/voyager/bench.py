@@ -38,11 +38,15 @@ Neural (and table) cells train with truncated BPTT over
 ``seq_len``-access segments — every timestep supervised, cosine LR
 schedule — and simulate with state carried across accesses and reset
 every ``seq_len`` accesses, the rule the model records in its config.
-Each trained cell records its ``train_mode`` (always ``"sequence"``)
-and a ``train_phases`` wall-time breakdown (encode / labels / forward
-/ backward / optimizer), and ``--max-train-s`` gates the neural
-``train_s`` per workload the same way ``--max-neural-sim-s`` gates
-simulation.
+Each trained cell records a ``train_phases`` wall-time breakdown
+(encode / labels / forward / backward / optimizer), and
+``--max-train-s`` gates the neural ``train_s`` per workload the same
+way ``--max-neural-sim-s`` gates simulation.
+
+All four writers of the report (the sweep, ``serve-bench`` in both
+modes and ``adapt --bench``) go through :func:`write_report`: one
+merge rule, one declarative schema table (:data:`REPORT_SCHEMA`) and
+one write rule.
 
 Everything is seeded, so two runs with the same profile produce
 identical metric values (wall-clock fields aside).
@@ -54,13 +58,13 @@ import argparse
 import dataclasses
 import json
 import os
+import reprlib
 import sys
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from voyager import synthetic
 from voyager.distill import DistillConfig, build_table, depth_chain
@@ -68,6 +72,7 @@ from voyager.ioutil import atomic_write_text, round_floats
 from voyager.labeling import LabelConfig
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import NeuralPrefetcher, SimConfig, make_prefetcher, simulate
+from voyager.synthetic import derive_cell_seed
 from voyager.train import build_sequence_dataset, train
 
 #: Bumped whenever the report layout changes incompatibly.
@@ -103,7 +108,14 @@ from voyager.train import build_sequence_dataset, train
 #: closed-loop block's reference is the simulator's prefetcher: its
 #: ``serial``/``speedup_vs_serial`` keys are gone and
 #: ``responses_equal_serial`` became ``responses_equal_sim``.
-BENCH_SCHEMA_VERSION = 8
+#: v9: one report path.  The closed-loop keys move from the top of
+#: ``serving`` into ``serving.closed_loop``, so each writer owns one
+#: path; that block's duplicate ``batched.throughput_accesses_per_s`` is
+#: gone and ``batched.elapsed_s`` became ``elapsed_s``.  The constant
+#: echoes ``config.history``, ``config.train_mode`` and each trained
+#: cell's ``train_mode`` are gone.  Timing fields (``serving`` and
+#: ``distill`` whole) round to 6 decimals; every other value is exact.
+BENCH_SCHEMA_VERSION = 9
 
 #: Canonical report filename at the repo root.
 BENCH_FILENAME = "BENCH_voyager.json"
@@ -125,8 +137,7 @@ class BenchProfile:
     train_steps: int
     embed_dim: int
     hidden_dim: int
-    #: Accepted for compatibility and echoed in the report's config;
-    #: no computation reads it.
+    #: Accepted for compatibility; no computation reads it.
     history: int = 8
     batch_size: int = 32
     lr: float = 1e-2
@@ -179,11 +190,11 @@ FULL_PROFILE = BenchProfile(
 )
 def _train_neural(
     trace, profile: BenchProfile, seed: int
-) -> Tuple[NeuralPrefetcher, Dict[str, Any]]:
+) -> Tuple[NeuralPrefetcher, Dict[str, float]]:
     """Train the profile's neural prefetcher over ``trace``.
 
-    Returns the prefetcher plus the cell-report fields: ``train_mode``
-    and the ``train_phases`` wall-time breakdown.
+    Returns the prefetcher plus its ``train_phases`` wall-time
+    breakdown.
     """
     # Tiny traces (tests, custom profiles) may be shorter than the
     # profile's segment length; clamp so one segment still fits.  The
@@ -214,22 +225,7 @@ def _train_neural(
         profile=True,
     )
     prefetcher = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
-    return prefetcher, {
-        "train_mode": "sequence",
-        "train_phases": result.phases,
-    }
-
-
-def derive_cell_seed(seed: int, workload: str) -> int:
-    """Deterministic per-workload seed for a bench cell.
-
-    Every cell computes its own seed from the top-level seed — no RNG
-    state crosses process boundaries, so serial and parallel sweeps are
-    trivially identical.  Keyed by workload only (not prefetcher): all
-    prefetchers of a workload must replay the *same* trace for the
-    coverage comparison to mean anything.
-    """
-    return (seed + zlib.crc32(workload.encode("utf-8"))) % (2**31)
+    return prefetcher, result.phases
 
 
 def bench_cell(
@@ -250,14 +246,14 @@ def bench_cell(
     trace = synthetic.generate(workload, profile.trace_length, seed=cell_seed)
     start = time.perf_counter()
     distill_s = None
-    train_info: Optional[Dict[str, Any]] = None
+    train_phases: Optional[Dict[str, float]] = None
     if kind == "neural":
-        prefetcher, train_info = _train_neural(trace, profile, cell_seed)
+        prefetcher, train_phases = _train_neural(trace, profile, cell_seed)
     elif kind == "table":
         # Same derived seed as the neural cell, so the table distills
         # exactly the model the neural cell simulates — the coverage
         # delta between the two cells is the distillation cost alone.
-        neural, train_info = _train_neural(trace, profile, cell_seed)
+        neural, train_phases = _train_neural(trace, profile, cell_seed)
         distill_start = time.perf_counter()
         table = build_table(
             neural.model,
@@ -282,9 +278,8 @@ def bench_cell(
     entry["train_s"] = trained - start
     entry["sim_s"] = done - trained
     entry["cpu_s"] = entry["train_s"] + entry["sim_s"]
-    if train_info is not None:
-        entry["train_mode"] = train_info["train_mode"]
-        entry["train_phases"] = train_info["train_phases"]
+    if train_phases is not None:
+        entry["train_phases"] = train_phases
     if kind == "table":
         entry["distill_s"] = distill_s
         entry["table_entries"] = prefetcher.table.total_entries
@@ -376,8 +371,6 @@ def run_bench(
             "train_steps": profile.train_steps,
             "embed_dim": profile.embed_dim,
             "hidden_dim": profile.hidden_dim,
-            "history": profile.history,
-            "train_mode": "sequence",
             "seq_len": profile.seq_len,
             "tbptt": profile.tbptt,
             "lr_schedule": profile.lr_schedule,
@@ -398,8 +391,6 @@ def run_bench(
 
 
 #: Per-cell keys that describe *when/how fast*, not *what happened*.
-#: ``train_mode`` is deliberately absent: it is deterministic config,
-#: so the parallel-equivalence contract covers it.
 CELL_TIMING_FIELDS = (
     "train_s",
     "sim_s",
@@ -411,100 +402,46 @@ CELL_TIMING_FIELDS = (
 
 #: Top-level keys that vary between runs of identical sweeps.  The
 #: ``serving`` and ``distill`` sections are throughput/latency
-#: measurement through and through, so they are stripped wholesale.
+#: measurement through and through, so they are stripped (and rounded
+#: when written) wholesale.
 REPORT_TIMING_FIELDS = ("elapsed_s", "cpu_s", "jobs", "serving", "distill")
 
 
+_DROP = object()
+
+
+def _map_timing(
+    report: Dict[str, Any], fn: Callable[[Any], Any]
+) -> Dict[str, Any]:
+    """Copy of ``report`` with ``fn`` applied to every timing field.
+
+    ``fn`` returns the field's new value, or ``_DROP`` to leave it out.
+    """
+
+    def fields(entry: Dict[str, Any], timing: Sequence[str]) -> Dict:
+        out = ((k, fn(v) if k in timing else v) for k, v in entry.items())
+        return {k: v for k, v in out if v is not _DROP}
+
+    out = fields(report, REPORT_TIMING_FIELDS)
+    if "workloads" in report:
+        out["workloads"] = {
+            workload: {
+                kind: fields(entry, CELL_TIMING_FIELDS)
+                for kind, entry in entries.items()
+            }
+            for workload, entries in report["workloads"].items()
+        }
+    return out
+
+
 def strip_timing_fields(report: Dict[str, Any]) -> Dict[str, Any]:
-    """Deep-copy ``report`` minus every timing/execution field.
+    """Copy of ``report`` minus every timing/execution field.
 
     What remains must be bit-identical between ``jobs=1`` and
     ``jobs=N`` runs of the same profile+seed — the parallel-equivalence
     contract the tests enforce.
     """
-    out = {
-        k: v for k, v in report.items() if k not in REPORT_TIMING_FIELDS
-    }
-    out["workloads"] = {
-        workload: {
-            kind: {
-                k: v
-                for k, v in entry.items()
-                if k not in CELL_TIMING_FIELDS
-            }
-            for kind, entry in entries.items()
-        }
-        for workload, entries in report.get("workloads", {}).items()
-    }
-    return out
-
-
-def _rounded_for_json(report: Dict[str, Any]) -> Dict[str, Any]:
-    """Copy of ``report`` with timing fields rounded for stable diffs.
-
-    Rounding happens *only* here, at serialisation time — the in-memory
-    report keeps full precision so gates like :func:`check_sim_budget`
-    never compare quantised values.
-    """
-    out = dict(report)
-    for key in ("elapsed_s", "cpu_s"):
-        if isinstance(out.get(key), float):
-            out[key] = round(out[key], 3)
-    workloads = {}
-    for workload, entries in report.get("workloads", {}).items():
-        workloads[workload] = {}
-        for kind, entry in entries.items():
-            entry = dict(entry)
-            for key in ("train_s", "sim_s", "cpu_s"):
-                if isinstance(entry.get(key), float):
-                    entry[key] = round(entry[key], 3)
-            for phases_key in ("phases", "train_phases"):
-                if isinstance(entry.get(phases_key), dict):
-                    entry[phases_key] = round_floats(entry[phases_key])
-            if isinstance(entry.get("distill_s"), float):
-                entry["distill_s"] = round(entry["distill_s"], 3)
-            workloads[workload][kind] = entry
-    out["workloads"] = workloads
-    if isinstance(out.get("distill"), dict):
-        out["distill"] = _rounded_distill(out["distill"])
-    return out
-
-
-def _rounded_distill(distill: Dict[str, Any]) -> Dict[str, Any]:
-    """Round the ``distill`` section's timing fields for serialisation.
-
-    Simulated table traversals run in milliseconds, so their timings
-    keep 6 decimals (3 would quantise them to zero and wreck the
-    recorded speedups).
-    """
-    out = dict(distill)
-    if isinstance(out.get("elapsed_s"), float):
-        out["elapsed_s"] = round(out["elapsed_s"], 3)
-    workloads = {}
-    for workload, entry in distill.get("workloads", {}).items():
-        entry = dict(entry)
-        if isinstance(entry.get("neural"), dict):
-            neural = dict(entry["neural"])
-            for key in ("sim_s", "train_s"):
-                if isinstance(neural.get(key), float):
-                    neural[key] = round(neural[key], 6)
-            entry["neural"] = neural
-        if isinstance(entry.get("cells"), list):
-            cells = []
-            for cell in entry["cells"]:
-                cell = dict(cell)
-                for key in ("sim_s", "build_s"):
-                    if isinstance(cell.get(key), float):
-                        cell[key] = round(cell[key], 6)
-                if isinstance(cell.get("speedup_vs_neural"), float):
-                    cell["speedup_vs_neural"] = round(
-                        cell["speedup_vs_neural"], 2
-                    )
-                cells.append(cell)
-            entry["cells"] = cells
-        workloads[workload] = entry
-    out["workloads"] = workloads
-    return out
+    return _map_timing(report, lambda value: _DROP)
 
 
 def load_report(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
@@ -523,257 +460,292 @@ def load_report(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
     return loaded if isinstance(loaded, dict) else None
 
 
-#: Sections that different writers of ``BENCH_voyager.json`` own: the
-#: grid sweep owns the top level, serve-bench owns ``serving``, the
-#: frontier sweep owns ``distill``.  Each writer carries the others'
-#: sections forward on rewrite.
-PRESERVED_SECTIONS = ("serving", "distill")
+def write_bench(report: Dict[str, Any], path: Union[str, Path]) -> Path:
+    """Serialise a report as stable, human-diffable JSON, atomically.
+
+    The one rounding rule: every float in a timing field (the fields
+    :func:`strip_timing_fields` drops) is rounded to 6 decimals; every
+    other value is written exactly, and ``report`` itself keeps full
+    precision.  Writers go through :func:`write_report`.
+    """
+    rounded = _map_timing(report, round_floats)
+    text = json.dumps(rounded, indent=2, sort_keys=True) + "\n"
+    return atomic_write_text(path, text)
 
 
-def preserve_sections(
-    report: Dict[str, Any],
+#: The report's sections by path, each written by one writer: the
+#: sweep writes the grid (every top-level key but ``schema_version``,
+#: ``distill`` and ``serving``) and, with ``--distill-frontier``,
+#: ``distill``; ``serve-bench`` writes ``serving/closed_loop`` (with
+#: ``--open-loop``, ``serving/open_loop``); ``adapt --bench`` writes
+#: ``serving/adaptation``.
+SECTIONS = (
+    "grid",
+    "distill",
+    "serving/closed_loop",
+    "serving/open_loop",
+    "serving/adaptation",
+)
+
+#: Top-level keys outside the grid.
+_NOT_GRID = ("schema_version", "distill", "serving")
+
+
+def _section(report: Dict[str, Any], name: str) -> Any:
+    """The value at section path ``name`` in ``report``; ``None`` if absent."""
+    if name == "grid":
+        return {k: v for k, v in report.items() if k not in _NOT_GRID} or None
+    value: Any = report
+    for key in name.split("/"):
+        if not isinstance(value, dict) or key not in value:
+            return None
+        value = value[key]
+    return value
+
+
+def merge_report(
+    previous: Optional[Dict[str, Any]], sections: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The report a writer's ``sections`` make with the file's: the merge rule.
+
+    Each given section replaces its path whole, so no key a writer no
+    longer emits can linger.  Every other section is kept from
+    ``previous``, but only when ``previous`` is at the current schema
+    version: an older file's sections are dropped, never relabelled as
+    current.
+    """
+    if (previous or {}).get("schema_version") != BENCH_SCHEMA_VERSION:
+        previous = {}
+    report: Dict[str, Any] = {"schema_version": BENCH_SCHEMA_VERSION}
+    for name in SECTIONS:
+        value = sections.get(name, _section(previous, name))
+        if value is None:
+            continue
+        group, _, block = name.partition("/")
+        if name == "grid":
+            report.update(_section(value, "grid") or {})
+        elif block:
+            report.setdefault(group, {})[block] = value
+        else:
+            report[group] = value
+    return report
+
+
+def write_report(
     path: Union[str, Path],
-    sections: Sequence[str] = PRESERVED_SECTIONS,
-) -> Dict[str, Any]:
-    """Carry an existing file's named sections into ``report``.
+    sections: Dict[str, Any],
+    problems: Sequence[str] = (),
+) -> int:
+    """Write a writer's ``sections`` into the report file, or refuse to.
 
-    The sweep, the serve-bench and the frontier sweep write the same
-    file but own disjoint sections; each preserves the others' on
-    rewrite (serve-bench does its mirror image in
-    :mod:`voyager.loadgen`).  Sections already present in ``report``
-    win — a fresh measurement always beats a stale one.
+    Loads ``path``, merges (:func:`merge_report`) and validates the
+    result (:func:`validate_report`).  If that and the writer's gate
+    ``problems`` are clean, writes it atomically; otherwise prints every
+    problem and ``error: <path> not written`` and leaves the file
+    untouched.  Returns the exit code.
     """
-    previous = load_report(path)
-    if previous is None:
-        return report
-    out = report
-    for section in sections:
-        if section in previous and section not in out:
-            if out is report:
-                out = dict(report)
-            out[section] = previous[section]
-    return out
+    report = merge_report(load_report(path), sections)
+    problems = validate_report(report) + list(problems)
+    if problems:
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
+        print(f"error: {path} not written", file=sys.stderr)
+        return 1
+    write_bench(report, path)
+    print(f"wrote {', '.join(sections)} to {path}")
+    return 0
 
 
-def preserve_serving(
-    report: Dict[str, Any], path: Union[str, Path]
-) -> Dict[str, Any]:
-    """Back-compat wrapper: preserve only the ``serving`` section."""
-    return preserve_sections(report, path, sections=("serving",))
+#: A check on one report value: what it must be, and the test.
+Check = Tuple[str, Callable[[Any], bool]]
 
 
-def write_bench(
-    report: Dict[str, Any], path: Union[str, Path] = BENCH_FILENAME
-) -> Path:
-    """Write a report as stable, human-diffable JSON.  Returns the path.
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float))
 
-    Timing fields are rounded (3 decimals; simulator phases 6) in the
-    serialised copy only; ``report`` itself is left untouched.  The
-    write is atomic (temp file + ``os.replace``), so a crashed or
-    interrupted run can never leave a truncated report for CI or the
-    serve-bench merge path to trip over.
-    """
-    path = Path(path)
-    atomic_write_text(
-        path,
-        json.dumps(_rounded_for_json(report), indent=2, sort_keys=True) + "\n",
+
+def _sized(kind: type, n: int) -> Check:
+    return (
+        f"a {kind.__name__} of >= {n} entries",
+        lambda v: isinstance(v, kind) and len(v) >= n,
     )
-    return path
+
+
+def _rows(prefix: str, keys: str, check: Check) -> List[Tuple[str, Check]]:
+    """One schema row per space-separated key under ``prefix``."""
+    return [(prefix + key, check) for key in keys.split()]
+
+
+_NUMBER: Check = ("a number", _number)
+_POSITIVE: Check = ("a number > 0", lambda v: _number(v) and v > 0)
+_FRACTION: Check = ("a number in [0,1]", lambda v: _number(v) and 0 <= v <= 1)
+# Coverage dips below zero when prefetches pollute the cache.
+_COVERAGE: Check = ("a number in [-1,1]", lambda v: _number(v) and abs(v) <= 1)
+_INT: Check = ("an integer", lambda v: isinstance(v, int))
+_COUNT: Check = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
+_STRING: Check = ("a string", lambda v: isinstance(v, str))
+_TRUE: Check = ("true", lambda v: v is True)
+_DICT: Check = ("a dict", lambda v: isinstance(v, dict))
+_LIST: Check = ("a list", lambda v: isinstance(v, list))
+_SERVING: Check = (
+    "a dict of serving blocks",
+    lambda v: isinstance(v, dict)
+    and bool(v)
+    and all(f"serving/{key}" in SECTIONS for key in v),
+)
+
+#: The report's schema, one row per checked value, filed under the
+#: section it belongs to (plus ``serving``, the blocks' container).  A
+#: row's path is relative to its section (``""`` is the section
+#: itself); ``*`` walks every key of a dict and a ``[]`` suffix every
+#: item of a list.  Rows apply only where their section is present.
+REPORT_SCHEMA: Dict[str, List[Tuple[str, Check]]] = {
+    "grid": [
+        ("workloads", _sized(dict, 2)),
+        ("workloads/*", _DICT),
+        *_rows("workloads/*/", " ".join(PREFETCHERS), _DICT),
+        *_rows("workloads/*/*/", "accuracy timeliness miss_rate", _FRACTION),
+        ("workloads/*/*/coverage", _COVERAGE),
+        *_rows("workloads/*/*/", "train_s sim_s cpu_s", _NUMBER),
+        *_rows(
+            "workloads/*/", "neural/train_phases table/train_phases", _DICT
+        ),
+        *_rows("", "elapsed_s cpu_s", _NUMBER),
+        ("jobs", _INT),
+    ],
+    "distill": [
+        ("", _DICT),
+        ("workloads", _sized(dict, 1)),
+        ("workloads/*", _DICT),
+        ("workloads/*/neural", _DICT),
+        ("workloads/*/neural/sim_s", _NUMBER),
+        ("workloads/*/cells", _sized(list, 1)),
+        ("workloads/*/cells[]", _DICT),
+        *_rows(
+            "workloads/*/cells[]/",
+            "table_size depth coverage coverage_delta sim_s"
+            " speedup_vs_neural entries hit_rate",
+            _NUMBER,
+        ),
+    ],
+    "serving": [("", _SERVING)],
+    "serving/closed_loop": [
+        ("", _DICT),
+        ("streams", _COUNT),
+        *_rows("", "elapsed_s throughput_accesses_per_s", _POSITIVE),
+        ("responses_equal_sim", _TRUE),
+    ],
+    "serving/open_loop": [
+        ("", _DICT),
+        ("requests", _COUNT),
+        ("arrival", _DICT),
+        ("arrival/process", _STRING),
+        ("runs", _sized(list, 1)),
+        ("runs[]", _DICT),
+        *_rows("runs[]/", "latency counters", _DICT),
+        ("runs[]/aggregate_throughput_per_s", _POSITIVE),
+        *_rows("runs[]/latency/", "p50_s p95_s p99_s", _NUMBER),
+        *_rows("runs[]/counters/", "shed evicted spilled restored", _INT),
+        ("responses_equal_single", _TRUE),
+    ],
+    "serving/adaptation": [
+        ("", _DICT),
+        ("config", _DICT),
+        ("workloads", _sized(dict, 1)),
+        ("workloads/*", _DICT),
+        *_rows(
+            "workloads/*/",
+            "frozen_coverage adapted_coverage mean_gain",
+            _NUMBER,
+        ),
+        *_rows(
+            "workloads/*/", "rounds swaps model_version max_lag_accesses", _INT
+        ),
+        ("workloads/*/boundaries", _sized(list, 2)),
+        ("workloads/*/phases", _LIST),
+        ("workloads/*/phases[]", _DICT),
+        *_rows(
+            "workloads/*/phases[]/",
+            "boundary frozen_tail adapted_tail gain lag_accesses",
+            _NUMBER,
+        ),
+    ],
+}
+
+_MISSING = object()
+
+
+def _parts(path: str) -> List[str]:
+    """A schema row path as walk steps: ``runs[]/latency`` ->
+    ``["runs", "[]", "latency"]``."""
+    return [part for part in path.replace("[]", "/[]").split("/") if part]
+
+
+def _walk(value: Any, parts: Sequence[str], where: Tuple[str, ...] = ()):
+    """Yield ``(path, value)`` for every value ``parts`` selects in ``value``.
+
+    A missing last key yields a missing marker; a walk that cannot go
+    deeper yields nothing, since the row of the value it stopped at
+    reports that.
+    """
+    if not parts:
+        yield where, value
+    elif parts[0] == "[]":
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                step = where[:-1] + (f"{where[-1]}[{i}]",)
+                yield from _walk(item, parts[1:], step)
+    elif isinstance(value, dict):
+        for key in value if parts[0] == "*" else parts[:1]:
+            if key in value:
+                yield from _walk(value[key], parts[1:], where + (key,))
+            elif len(parts) == 1:
+                yield where + (key,), _MISSING
+
+
+def _label(path: Sequence[str]) -> str:
+    """How a problem names a value's container.
+
+    Grid cells read ``<workload>/<prefetcher>``, the prefix perfbench's
+    failure count parses; the report's top level reads ``report``.
+    """
+    if len(path) > 1 and path[0] == "workloads":
+        path = path[1:]
+    return "/".join(path) or "report"
 
 
 def validate_report(report: Dict[str, Any]) -> List[str]:
-    """Sanity-check a report's shape; returns a list of problems (empty = ok).
+    """Check a report against :data:`REPORT_SCHEMA`; returns its problems.
 
-    Used by tests and by consumers that read ``BENCH_voyager.json``
-    across PRs, so schema drift fails loudly instead of silently.
+    An empty list means valid.  A problem names the value by container
+    and key: ``stride/neural: missing sim_s``,
+    ``serving/closed_loop: responses_equal_sim=False is not true``.
+    Every writer runs it on the merged report before writing, and
+    consumers of ``BENCH_voyager.json`` use it, so schema drift fails
+    loudly instead of silently.
     """
     problems: List[str] = []
-    if report.get("schema_version") != BENCH_SCHEMA_VERSION:
+    version = report.get("schema_version")
+    if version != BENCH_SCHEMA_VERSION:
         problems.append(
-            f"schema_version {report.get('schema_version')!r} != "
-            f"{BENCH_SCHEMA_VERSION}"
+            f"report: schema_version={version!r} is not {BENCH_SCHEMA_VERSION}"
         )
-    workloads = report.get("workloads")
-    if not isinstance(workloads, dict) or len(workloads) < 2:
-        problems.append("expected >= 2 workloads")
-        return problems
-    for workload, entries in workloads.items():
-        for kind in PREFETCHERS:
-            entry = entries.get(kind)
-            if entry is None:
-                problems.append(f"{workload}: missing prefetcher {kind!r}")
-                continue
-            for metric in ("accuracy", "coverage", "timeliness", "miss_rate"):
-                value = entry.get(metric)
-                if not isinstance(value, (int, float)):
-                    problems.append(f"{workload}/{kind}: missing {metric}")
-                elif metric != "coverage" and not 0.0 <= value <= 1.0:
-                    problems.append(
-                        f"{workload}/{kind}: {metric}={value} out of [0,1]"
-                    )
-                elif metric == "coverage" and not -1.0 <= value <= 1.0:
-                    # coverage can dip below zero under cache pollution
-                    problems.append(
-                        f"{workload}/{kind}: coverage={value} out of [-1,1]"
-                    )
-            for field_name in ("train_s", "sim_s", "cpu_s"):
-                if not isinstance(entry.get(field_name), (int, float)):
-                    problems.append(
-                        f"{workload}/{kind}: missing timing {field_name}"
-                    )
-            if kind in ("neural", "table"):
-                if entry.get("train_mode") != "sequence":
-                    problems.append(
-                        f"{workload}/{kind}: missing/invalid train_mode"
-                    )
-                if not isinstance(entry.get("train_phases"), dict):
-                    problems.append(
-                        f"{workload}/{kind}: missing train_phases"
-                    )
-    for field_name in ("elapsed_s", "cpu_s"):
-        if not isinstance(report.get(field_name), (int, float)):
-            problems.append(f"missing top-level {field_name}")
-    if not isinstance(report.get("jobs"), int):
-        problems.append("missing top-level jobs")
-    if "serving" in report:
-        problems += validate_serving(report["serving"])
-    if "distill" in report:
-        problems += validate_distill(report["distill"])
-    return problems
-
-
-def validate_serving(serving: Any) -> List[str]:
-    """Shape-check a report's ``serving`` section (empty list = ok).
-
-    The section is produced by :func:`voyager.loadgen.run_loadgen`
-    (closed-loop keys) and :func:`voyager.loadgen.run_open_loop_bench`
-    (the ``open_loop`` block); only the cross-PR contract is checked
-    here so the bench side stays independent of the load generator.
-    The two halves are written by different CI jobs, so each is
-    validated only when present — but at least one must be.
-    """
-    if not isinstance(serving, dict):
-        return ["serving: expected a dict"]
-    problems: List[str] = []
-    has_open_loop = "open_loop" in serving
-    has_adaptation = "adaptation" in serving
-    has_closed_loop = "throughput_accesses_per_s" in serving
-    if not has_open_loop and not has_closed_loop and not has_adaptation:
-        return [
-            "serving: none of closed-loop keys, open_loop or "
-            "adaptation present"
-        ]
-    if has_closed_loop:
-        if (
-            not isinstance(serving.get("streams"), int)
-            or serving.get("streams", 0) < 1
-        ):
-            problems.append("serving: missing streams")
-        value = serving.get("throughput_accesses_per_s")
-        if not isinstance(value, (int, float)) or value <= 0:
-            problems.append("serving: missing throughput_accesses_per_s")
-        if serving.get("responses_equal_sim") is not True:
-            problems.append("serving: responses_equal_sim is not true")
-    if has_open_loop:
-        problems += _validate_open_loop(serving["open_loop"])
-    if has_adaptation:
-        problems += _validate_adaptation(serving["adaptation"])
-    return problems
-
-
-def _validate_adaptation(section: Any) -> List[str]:
-    """Shape-check the serving section's ``adaptation`` block (v7).
-
-    Produced by :func:`voyager.adapt.run_adaptation_bench`; only the
-    cross-PR contract is pinned here: per-workload frozen/adapted
-    coverage, per-boundary phase records with a gain and a lag, and the
-    loop counters the CI gates read.
-    """
-    if not isinstance(section, dict):
-        return ["adaptation: expected a dict"]
-    problems: List[str] = []
-    if not isinstance(section.get("config"), dict):
-        problems.append("adaptation: missing config")
-    workloads = section.get("workloads")
-    if not isinstance(workloads, dict) or not workloads:
-        problems.append("adaptation: missing workload runs")
-        return problems
-    for name, run in workloads.items():
-        label = f"adaptation/{name}"
-        if not isinstance(run, dict):
-            problems.append(f"{label}: run entry is not a dict")
+    if all(_section(report, name) is None for name in SECTIONS):
+        problems.append("report: no section present")
+    for name, rows in REPORT_SCHEMA.items():
+        section = _section(report, name)
+        if section is None:
             continue
-        for key in ("frozen_coverage", "adapted_coverage", "mean_gain"):
-            if not isinstance(run.get(key), (int, float)):
-                problems.append(f"{label}: missing {key}")
-        for key in ("rounds", "swaps", "model_version", "max_lag_accesses"):
-            if not isinstance(run.get(key), int):
-                problems.append(f"{label}: missing {key}")
-        bounds = run.get("boundaries")
-        if not isinstance(bounds, list) or len(bounds) < 2:
-            problems.append(f"{label}: missing boundaries")
-        phases = run.get("phases")
-        if not isinstance(phases, list):
-            problems.append(f"{label}: missing phases")
-            continue
-        for phase in phases:
-            if not isinstance(phase, dict):
-                problems.append(f"{label}: phase entry is not a dict")
-                continue
-            for key in (
-                "boundary",
-                "frozen_tail",
-                "adapted_tail",
-                "gain",
-                "lag_accesses",
-            ):
-                if not isinstance(phase.get(key), (int, float)):
-                    problems.append(f"{label}: phase missing {key}")
-    return problems
-
-
-def _validate_open_loop(section: Any) -> List[str]:
-    """Shape-check the serving section's ``open_loop`` block."""
-    if not isinstance(section, dict):
-        return ["open_loop: expected a dict"]
-    problems: List[str] = []
-    if (
-        not isinstance(section.get("requests"), int)
-        or section.get("requests", 0) < 1
-    ):
-        problems.append("open_loop: missing requests")
-    arrival = section.get("arrival")
-    if not isinstance(arrival, dict) or "process" not in arrival:
-        problems.append("open_loop: missing arrival process parameters")
-    runs = section.get("runs")
-    if not isinstance(runs, list) or not runs:
-        problems.append("open_loop: missing runs")
-        runs = []
-    for run in runs:
-        if not isinstance(run, dict):
-            problems.append("open_loop: run entry is not a dict")
-            continue
-        shards = run.get("shards")
-        label = f"open_loop run shards={shards}"
-        throughput = run.get("aggregate_throughput_per_s")
-        if not isinstance(throughput, (int, float)) or throughput <= 0:
-            problems.append(f"{label}: missing aggregate_throughput_per_s")
-        latency = run.get("latency")
-        if not isinstance(latency, dict):
-            problems.append(f"{label}: missing latency summary")
-        else:
-            for key in ("p50_s", "p95_s", "p99_s"):
-                if not isinstance(latency.get(key), (int, float)):
-                    problems.append(f"{label}: latency missing {key}")
-        counters = run.get("counters")
-        if not isinstance(counters, dict):
-            problems.append(f"{label}: missing counters")
-        else:
-            for key in ("shed", "evicted", "spilled", "restored"):
-                if not isinstance(counters.get(key), int):
-                    problems.append(f"{label}: counters missing {key}")
-    if section.get("responses_equal_single") is not True:
-        problems.append("open_loop: responses_equal_single is not true")
+        root = () if name == "grid" else tuple(name.split("/"))
+        for path, (what, ok) in rows:
+            for where, value in _walk(section, _parts(path), root):
+                label, key = _label(where[:-1]), where[-1]
+                if value is _MISSING:
+                    problems.append(f"{label}: missing {key}")
+                elif not ok(value):
+                    problems.append(
+                        f"{label}: {key}={reprlib.repr(value)} is not {what}"
+                    )
     return problems
 
 
@@ -872,43 +844,6 @@ def run_distill_frontier(
         "workloads": workloads,
         "elapsed_s": time.perf_counter() - started,
     }
-
-
-def validate_distill(distill: Any) -> List[str]:
-    """Shape-check a report's ``distill`` section (empty list = ok)."""
-    if not isinstance(distill, dict):
-        return ["distill: expected a dict"]
-    problems: List[str] = []
-    workloads = distill.get("workloads")
-    if not isinstance(workloads, dict) or not workloads:
-        problems.append("distill: missing workloads")
-        return problems
-    for workload, entry in workloads.items():
-        neural = entry.get("neural")
-        if not isinstance(neural, dict) or not isinstance(
-            neural.get("sim_s"), (int, float)
-        ):
-            problems.append(f"distill/{workload}: missing neural reference")
-        cells = entry.get("cells")
-        if not isinstance(cells, list) or not cells:
-            problems.append(f"distill/{workload}: missing frontier cells")
-            continue
-        for i, cell in enumerate(cells):
-            for key in (
-                "table_size",
-                "depth",
-                "coverage",
-                "coverage_delta",
-                "sim_s",
-                "speedup_vs_neural",
-                "entries",
-                "hit_rate",
-            ):
-                if not isinstance(cell.get(key), (int, float)):
-                    problems.append(
-                        f"distill/{workload}[{i}]: missing {key}"
-                    )
-    return problems
 
 
 def check_distill_budget(
@@ -1098,10 +1033,10 @@ def run_bench_args(args: argparse.Namespace) -> int:
     """Execute a parsed bench invocation (both entry points' handler).
 
     Every argument is checked before the first cell runs; a bad one
-    raises :class:`ValueError`.  The report is written only when it
-    passes its checks and every requested gate: on any problem the
-    problems are printed, the existing ``--out`` file is left untouched
-    and the exit code is 1.
+    raises :class:`ValueError`.  The grid (and ``distill`` with
+    ``--distill-frontier``) goes to :func:`write_report` with the
+    requested gates' problems, so a failed check or gate leaves the
+    existing ``--out`` file untouched and exits 1.
     """
     profile = profile_with_workloads(
         _profile_by_name(args.profile), args.workloads
@@ -1114,11 +1049,12 @@ def run_bench_args(args: argparse.Namespace) -> int:
     report = run_bench(
         profile, seed=args.seed, jobs=jobs, profile_sim=args.profile_sim
     )
+    sections = {"grid": report}
     if args.distill_frontier:
-        report["distill"] = run_distill_frontier(
+        sections["distill"] = run_distill_frontier(
             profile, seed=args.seed, table_sizes=table_sizes, depths=depths
         )
-    problems = validate_report(report)
+    problems: List[str] = []
     if args.max_neural_sim_s is not None:
         problems += check_sim_budget(report, args.max_neural_sim_s)
     if args.max_train_s is not None:
@@ -1145,7 +1081,7 @@ def run_bench_args(args: argparse.Namespace) -> int:
                 f"sim_s={entry['sim_s']:.3f}"
             )
     if args.distill_frontier:
-        for workload, entry in report["distill"]["workloads"].items():
+        for workload, entry in sections["distill"]["workloads"].items():
             for cell in entry["cells"]:
                 print(
                     f"{workload:12s} table[size={cell['table_size']:5d} "
@@ -1154,17 +1090,11 @@ def run_bench_args(args: argparse.Namespace) -> int:
                     f"speedup={cell['speedup_vs_neural']:.1f}x "
                     f"hit_rate={cell['hit_rate']:.3f}"
                 )
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        print(f"error: {args.out} not written", file=sys.stderr)
-        return 1
-    path = write_bench(preserve_sections(report, args.out), args.out)
     print(
-        f"wrote {path} (profile={report['profile']}, jobs={report['jobs']}, "
-        f"cpu={report['cpu_s']:.3f}s, wall={report['elapsed_s']:.3f}s)"
+        f"profile={report['profile']} jobs={report['jobs']} "
+        f"cpu={report['cpu_s']:.3f}s wall={report['elapsed_s']:.3f}s"
     )
-    return 0
+    return write_report(args.out, sections, problems)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -36,12 +36,13 @@ Subcommands:
   log directory, fine-tune from a base checkpoint, emit versioned
   checkpoints (``python -m voyager adapt --checkpoint ckpt/model
   --log-dir logs --out-dir ckpts``); or with ``--bench`` run the
-  adaptation-lag evaluation over regime-shifting workloads, merge the
-  ``serving.adaptation`` block into ``BENCH_voyager.json`` and gate
+  adaptation-lag evaluation over regime-shifting workloads, write the
+  ``serving.adaptation`` block of ``BENCH_voyager.json`` and gate
   ``--min-adapted-coverage-gain`` / ``--max-adapt-lag``
 - ``serve-bench`` — benchmark the serving layer under synthetic
-  multi-stream load and merge a ``serving`` section into the bench
-  report: ``python -m voyager serve-bench --profile smoke --streams 8``.
+  multi-stream load and write the ``serving.closed_loop`` block of the
+  bench report (``serving.open_loop`` with ``--open-loop``):
+  ``python -m voyager serve-bench --profile smoke --streams 8``.
   With ``--open-loop`` it instead drives the sharded server pool from
   a seeded Poisson/ON-OFF arrival schedule (``--shards``,
   ``--shard-sweep``, ``--rate``, ``--qos-mix``, ``--spill-dir``) and
@@ -76,7 +77,7 @@ from voyager.baselines import (
     StridePrefetcher,
     evaluate_baseline,
 )
-from voyager.bench import BENCH_FILENAME, add_bench_args, run_bench_args
+from voyager.bench import BENCH_FILENAME, add_bench_args, run_bench_args, write_report
 from voyager.distill import (
     FALLBACKS,
     DistillConfig,
@@ -87,12 +88,7 @@ from voyager.distill import (
 from voyager.eval import evaluate, simulate_model
 from voyager.ingest import ON_ERROR_POLICIES, IngestFormat, read_trace
 from voyager.labeling import LabelConfig
-from voyager.loadgen import (
-    add_serve_bench_args,
-    attach_serving,
-    run_serve_bench,
-    serve_trace,
-)
+from voyager.loadgen import add_serve_bench_args, run_serve_bench, serve_trace
 from voyager.model import (
     DEFAULT_SEQ_LEN,
     HierarchicalModel,
@@ -824,7 +820,6 @@ def _run_adapt_bench(args: argparse.Namespace) -> int:
         min_gain=args.min_adapted_coverage_gain,
         max_lag=args.max_adapt_lag,
     )
-    path, _ = attach_serving({"adaptation": block}, args.out)
     for name, run in block["workloads"].items():
         print(
             f"{name:14s} frozen={run['frozen_coverage']:.4f} "
@@ -833,12 +828,11 @@ def _run_adapt_bench(args: argparse.Namespace) -> int:
             f"max_lag={run['max_lag_accesses']} "
             f"rounds={run['rounds']} swaps={run['swaps']}"
         )
-    print(f"wrote {path}")
-    if problems:
-        for problem in problems:
-            print(f"error: adaptation gate: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return write_report(
+        args.out,
+        {"serving/adaptation": block},
+        [f"adaptation gate: {problem}" for problem in problems],
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -12,21 +12,13 @@ acceptable ``(page, offset)`` labels:
 - **co-occurrence labels**: the accesses in the next ``window`` trace
   positions after the immediate next one.
 
-Targets are encoded as uniform distributions over the label set so the
-model's softmax cross-entropy applies unchanged.
-
-Two equivalent construction paths exist:
-
-- the scalar reference (:func:`make_labels` per position, then
-  :func:`labels_to_distributions`), kept as the readable specification;
-- the vectorized path (:func:`label_arrays` for *all* positions at
-  once, then :func:`distributions_from_arrays`), which replaces the
-  per-position Python loop with NumPy shifts and ``np.add.at``
-  scatters.  It is pinned **bit-identical** to the scalar path by
-  equivalence tests: weights are computed with the same float ops and
-  scattered in the same per-row label order, so duplicate targets
-  (e.g. two distinct out-of-vocabulary pages mapping to the OOV id)
-  accumulate in the same order.
+Training builds every position's label set at once with
+:func:`label_arrays` (NumPy shifts and masks instead of a per-position
+Python loop) and weighs the labels with :func:`label_weights`: the true
+next access gets ``primary_weight`` of the target mass and the other
+labels share the rest.  :func:`make_labels` builds one position's set
+the plain way; it is the readable specification ``label_arrays`` is
+tested against, label for label.
 """
 
 from __future__ import annotations
@@ -89,62 +81,6 @@ def make_labels(
     return labels
 
 
-def labels_to_distributions(
-    label_sets: Sequence[Sequence[Tuple[int, int]]],
-    page_ids_of,
-    page_vocab_size: int,
-    num_offsets: int = NUM_OFFSETS,
-    primary_weight: float = 0.5,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Encode label sets as per-head target distributions.
-
-    The first label of each set (the true next access, by
-    :func:`make_labels` contract) receives ``primary_weight`` of the
-    mass; the remaining spatial/co-occurrence labels share the rest, so
-    the argmax prediction is pulled toward the true next access while
-    near-misses still earn credit.  ``page_ids_of`` maps raw page
-    numbers to vocab ids (e.g. ``vocab.encode``); out-of-vocabulary
-    pages fall into the OOV id so rows still sum to one.
-
-    The accumulation is a single ``np.add.at`` scatter per head instead
-    of a per-label ``+=`` loop.  ``np.add.at`` applies duplicate indices
-    sequentially in element order, and the flat index arrays preserve
-    per-row label order, so rows where several labels collapse onto one
-    target column (duplicate OOV pages, shared offsets) accumulate in
-    exactly the order the scalar loop used — the output is bit-identical.
-    """
-    if not 0.0 < primary_weight <= 1.0:
-        raise ValueError(
-            f"primary_weight must be in (0, 1], got {primary_weight}"
-        )
-    B = len(label_sets)
-    rows: List[int] = []
-    page_cols: List[int] = []
-    off_cols: List[int] = []
-    flat_w: List[float] = []
-    for b, labels in enumerate(label_sets):
-        if not labels:
-            raise ValueError(f"empty label set at position {b}")
-        if len(labels) == 1:
-            weights = [1.0]
-        else:
-            rest = (1.0 - primary_weight) / (len(labels) - 1)
-            weights = [primary_weight] + [rest] * (len(labels) - 1)
-        for (page, offset), w in zip(labels, weights):
-            rows.append(b)
-            page_cols.append(page_ids_of(page))
-            off_cols.append(offset)
-            flat_w.append(w)
-    page_t = np.zeros((B, page_vocab_size))
-    off_t = np.zeros((B, num_offsets))
-    if rows:
-        r = np.asarray(rows, dtype=np.int64)
-        w_flat = np.asarray(flat_w)
-        np.add.at(page_t, (r, np.asarray(page_cols, dtype=np.int64)), w_flat)
-        np.add.at(off_t, (r, np.asarray(off_cols, dtype=np.int64)), w_flat)
-    return page_t, off_t
-
-
 @dataclass(frozen=True)
 class LabelArrays:
     """Label sets for many positions as parallel ``(N, L)`` arrays.
@@ -162,10 +98,6 @@ class LabelArrays:
     src: np.ndarray  # (N, L) trace index supplying each label's page
     offsets: np.ndarray  # (N, L) block offset of each label
     valid: np.ndarray  # (N, L) bool
-
-    @property
-    def num_positions(self) -> int:
-        return self.src.shape[0]
 
 
 def label_arrays(
@@ -246,8 +178,7 @@ def label_weights(
 
     Column 0 (the primary label) gets ``primary_weight`` — or all the
     mass when it is the only valid label — and the remaining valid
-    labels split the rest evenly, with the same float operations as the
-    scalar path in :func:`labels_to_distributions`.
+    labels split the rest evenly, so every row sums to one.
     """
     if not 0.0 < primary_weight <= 1.0:
         raise ValueError(
@@ -260,31 +191,3 @@ def label_weights(
     weights = np.where(valid, rest[:, None], 0.0)
     weights[:, 0] = np.where(multi, primary_weight, 1.0)
     return weights
-
-
-def distributions_from_arrays(
-    arrays: LabelArrays,
-    page_ids: np.ndarray,
-    page_vocab_size: int,
-    num_offsets: int = NUM_OFFSETS,
-    primary_weight: float = 0.5,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Target distributions from :func:`label_arrays` output.
-
-    ``page_ids`` holds the vocab id of every *trace position* (one
-    ``encode_all`` pass over the trace), gathered through ``src`` —
-    this is where distinct OOV pages collapse onto the OOV id, exactly
-    as ``page_ids_of`` collapses them in the scalar path.  The
-    ``np.add.at`` scatter visits labels in row-major order, matching
-    the scalar loop's per-row label order, so accumulation onto shared
-    columns is bit-identical.
-    """
-    weights = label_weights(arrays.valid, primary_weight)
-    N = arrays.valid.shape[0]
-    page_t = np.zeros((N, page_vocab_size))
-    off_t = np.zeros((N, num_offsets))
-    ri, ci = np.nonzero(arrays.valid)
-    w_flat = weights[ri, ci]
-    np.add.at(page_t, (ri, page_ids[arrays.src[ri, ci]]), w_flat)
-    np.add.at(off_t, (ri, arrays.offsets[ri, ci]), w_flat)
-    return page_t, off_t

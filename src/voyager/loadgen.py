@@ -24,11 +24,11 @@ access and record ``responses_equal_sim`` / ``responses_equal_single``
 so a silent divergence would fail the CI gate, not just slip a
 throughput number.
 
+Each mode writes its own report block, ``serving/closed_loop`` or
+``serving/open_loop``, through :func:`voyager.bench.write_report`.
 Throughput fields are wall-clock measurements and therefore live with
 the other timing fields: :func:`voyager.bench.strip_timing_fields`
-removes the whole section, and a fresh sweep preserves it on rewrite
-(:func:`voyager.bench.preserve_sections`) just as ``serve-bench``
-preserves the sweep's cells.
+removes the whole section.
 """
 
 from __future__ import annotations
@@ -45,18 +45,13 @@ import numpy as np
 from voyager import synthetic
 from voyager.bench import (
     BENCH_FILENAME,
-    BENCH_SCHEMA_VERSION,
-    BenchProfile,
     SMOKE_PROFILE,
+    BenchProfile,
     _profile_by_name,
     _train_neural,
-    derive_cell_seed,
-    load_report,
     profile_with_workloads,
-    validate_serving,
-    write_bench,
+    write_report,
 )
-from voyager.ioutil import round_floats
 from voyager.model import HierarchicalModel
 from voyager.serve import (
     DEFAULT_QOS,
@@ -66,6 +61,7 @@ from voyager.serve import (
 )
 from voyager.shard import ShardConfig, drive_open_loop, run_sharded
 from voyager.sim import NeuralPrefetcher, protocol_candidates
+from voyager.synthetic import derive_cell_seed
 from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
 
@@ -172,7 +168,7 @@ def open_loop_schedule(
 ) -> OpenLoopSchedule:
     """Draw the full open-loop timeline for a run, seeded per stream.
 
-    Stream seeds go through :func:`~voyager.bench.derive_cell_seed`
+    Stream seeds go through :func:`~voyager.synthetic.derive_cell_seed`
     (the bench pool discipline), so the timeline is identical no
     matter how the streams are later partitioned across shards.
     """
@@ -233,7 +229,7 @@ def mixed_training_trace(
 
     The serving model must handle whichever workload a stream replays,
     so it trains on all of them; per-workload seeds reuse
-    :func:`voyager.bench.derive_cell_seed` for consistency with the
+    :func:`voyager.synthetic.derive_cell_seed` for consistency with the
     sweep.
     """
     per_workload = max(1, profile.trace_length // len(profile.workloads))
@@ -355,10 +351,10 @@ def run_loadgen(
     seed: int = 0,
     dtype=np.float64,
 ) -> Dict[str, Any]:
-    """Train once, serve the streams, return the ``serving`` section.
+    """Train once, serve the streams, return the ``closed_loop`` block.
 
-    All values are full precision; :func:`attach_serving` rounds at
-    serialisation time, mirroring the sweep's timing-field policy.
+    All values are full precision; the report write rounds timing
+    fields at serialisation time.
     """
     config = config or LoadGenConfig()
     started = time.perf_counter()
@@ -383,10 +379,7 @@ def run_loadgen(
         "degree": config.degree,
         "max_batch": config.max_batch,
         "train_s": train_s,
-        "batched": {
-            "elapsed_s": batched_s,
-            "throughput_accesses_per_s": total / batched_s,
-        },
+        "elapsed_s": batched_s,
         "throughput_accesses_per_s": total / batched_s,
         "responses_equal_sim": batched_cands == sim_cands,
         "stats": stats,
@@ -490,8 +483,8 @@ def run_open_loop_bench(
     ``spill_dir`` exercises evicted-session checkpoint/restore under
     load; the defaults are shed-free and eviction-free so the bitwise
     equality check is meaningful.  Returns the ``open_loop`` block for
-    the report's serving section, full precision (rounding happens in
-    :func:`attach_serving`).
+    the report's serving section, full precision (the report write
+    rounds timing fields).
     """
     config = config or LoadGenConfig()
     arrival = arrival or ArrivalConfig()
@@ -582,34 +575,6 @@ def run_open_loop_bench(
             dtype,
         )
     return section
-
-
-def attach_serving(
-    serving: Dict[str, Any], path=BENCH_FILENAME
-) -> Tuple[Any, Dict[str, Any]]:
-    """Merge a serving section into the bench report file (atomic).
-
-    Preserves an existing sweep's cells *and* merges key-wise into any
-    existing serving section, so the closed-loop run and the open-loop
-    run (which contribute disjoint keys) can each refresh their half
-    without clobbering the other.  Floats round through the shared
-    :func:`~voyager.ioutil.round_floats` policy at this serialisation
-    boundary only.  Creates a minimal skeleton when no report exists
-    yet (the serve CI jobs run standalone).  Returns ``(written path,
-    written report)``.
-    """
-    report = load_report(path)
-    if report is None:
-        report = {
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "benchmark": "voyager_prefetch_sim",
-        }
-    report["schema_version"] = BENCH_SCHEMA_VERSION
-    existing = report.get("serving")
-    merged = dict(existing) if isinstance(existing, dict) else {}
-    merged.update(round_floats(serving))
-    report["serving"] = merged
-    return write_bench(report, path), report
 
 
 def serve_trace(
@@ -821,7 +786,7 @@ def _run_open_loop_cli(
         spill_dir=args.spill_dir,
         overload=args.overload,
     )
-    problems = validate_serving({"open_loop": section})
+    problems: List[str] = []
     gated = next(
         run for run in section["runs"] if run["shards"] == args.shards
     )
@@ -854,7 +819,6 @@ def _run_open_loop_cli(
             f"scaling_vs_single={gated['scaling_vs_single']:.2f}x below "
             f"--min-shard-scaling {args.min_shard_scaling}"
         )
-    path, _ = attach_serving({"open_loop": section}, args.out)
     print(
         f"open-loop {arrival.process} rate={arrival.rate:.0f}/s "
         f"streams={section['streams']} requests={section['requests']} "
@@ -876,12 +840,7 @@ def _run_open_loop_cli(
     print(f"equal_single={section['responses_equal_single']}")
     if "overload" in section:
         print(f"overload shed_by_class={section['overload']['shed_by_class']}")
-    print(f"wrote serving section to {path}")
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return write_report(args.out, {"serving/open_loop": section}, problems)
 
 
 def run_serve_bench(args: argparse.Namespace) -> int:
@@ -903,7 +862,7 @@ def run_serve_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         dtype=np.float32 if args.dtype == "float32" else np.float64,
     )
-    problems = validate_serving(serving)
+    problems: List[str] = []
     if args.min_throughput is not None and (
         serving["throughput_accesses_per_s"] < args.min_throughput
     ):
@@ -911,7 +870,6 @@ def run_serve_bench(args: argparse.Namespace) -> int:
             f"throughput={serving['throughput_accesses_per_s']:.1f}/s below "
             f"--min-throughput {args.min_throughput}"
         )
-    path, _ = attach_serving(serving, args.out)
     latency = serving["stats"]["latency"]
     print(
         f"streams={serving['streams']} total={serving['total_accesses']} "
@@ -923,12 +881,7 @@ def run_serve_bench(args: argparse.Namespace) -> int:
         f"p95={latency['p95_s'] * 1e6:.1f}us "
         f"shed={serving['stats']['shed']} ticks={serving['stats']['ticks']}"
     )
-    print(f"wrote serving section to {path}")
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return write_report(args.out, {"serving/closed_loop": serving}, problems)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -951,7 +904,6 @@ __all__ = [
     "LoadGenConfig",
     "OpenLoopSchedule",
     "add_serve_bench_args",
-    "attach_serving",
     "mixed_training_trace",
     "open_loop_schedule",
     "parse_qos_mix",

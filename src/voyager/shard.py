@@ -21,7 +21,7 @@ partitions stream sessions across ``N`` worker processes:
   systematically underestimate (coordinated omission).
 - :func:`run_sharded` — fans shard workers over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (the same pool +
-  :func:`~voyager.bench.derive_cell_seed` discipline as ``bench
+  :func:`~voyager.synthetic.derive_cell_seed` discipline as ``bench
   --jobs``: every worker derives its own seed, no RNG state crosses a
   process boundary), then merges per-shard throughput, latency
   samples and counters into one report block.
@@ -56,7 +56,6 @@ from typing import (
 import numpy as np
 
 from voyager.adapt import AccessLogger, load_and_swap
-from voyager.bench import derive_cell_seed
 from voyager.model import HierarchicalModel
 from voyager.serve import (
     DEFAULT_QOS,
@@ -65,6 +64,7 @@ from voyager.serve import (
     PrefetchServer,
     ServeConfig,
 )
+from voyager.synthetic import derive_cell_seed
 from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
 
@@ -380,7 +380,7 @@ def run_sharded(
     :func:`_shard_worker` in its own process; ``inline`` forces
     in-process execution (defaults to true for 1-shard pools, where a
     pool buys nothing but fork latency).  Per-shard latency reservoirs
-    are seeded via :func:`~voyager.bench.derive_cell_seed`, so a rerun
+    are seeded via :func:`~voyager.synthetic.derive_cell_seed`, so a rerun
     of the same pool shape reports identical percentiles.
 
     ``swap_at``/``swap_prefix`` coordinate a pool-wide hot-swap: the

@@ -14,6 +14,7 @@ name tuple for back-compat.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -78,6 +79,18 @@ def resolve(workload: str) -> WorkloadSpec:
 def generate(workload: str, n: int, seed: int = 0) -> List[MemoryAccess]:
     """Generate a named workload (see :data:`WORKLOADS` / :data:`REGISTRY`)."""
     return resolve(workload).fn(n, seed)
+
+
+def derive_cell_seed(seed: int, workload: str) -> int:
+    """Deterministic per-workload seed for a bench cell.
+
+    Every cell computes its own seed from the top-level seed — no RNG
+    state crosses process boundaries, so serial and parallel sweeps are
+    trivially identical.  Keyed by workload only (not prefetcher): all
+    prefetchers of a workload must replay the *same* trace for the
+    coverage comparison to mean anything.
+    """
+    return (seed + zlib.crc32(workload.encode("utf-8"))) % (2**31)
 
 
 def phase_boundaries(workload: str, n: int, seed: int = 0) -> List[int]:

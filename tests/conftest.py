@@ -31,6 +31,7 @@ again.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -61,6 +62,9 @@ def pytest_configure(config):
 #: Checked-in sample trace files (external formats) used by the ingest
 #: harness and the CI ingest smoke step.
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
+
+#: The committed bench report at the repo root.
+COMMITTED_REPORT = Path(__file__).parent.parent / "BENCH_voyager.json"
 
 
 @pytest.fixture
@@ -129,6 +133,13 @@ def no_sweep(monkeypatch):
         raise AssertionError("a cell ran before the arguments were checked")
 
     monkeypatch.setattr(voyager.bench, "run_bench", run_bench)
+
+
+@pytest.fixture
+def committed_report():
+    """A fresh copy of the committed ``BENCH_voyager.json``: a valid
+    report holding every section, as its writers produced it."""
+    return json.loads(COMMITTED_REPORT.read_text(encoding="utf-8"))
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ The contracts this file pins:
 
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from voyager.adapt import (
     load_and_swap,
     run_adaptation_bench,
 )
-from voyager.bench import validate_serving
+from voyager.bench import merge_report, validate_report
 from voyager.ingest import read_trace
 from voyager.ioutil import read_pointer, write_pointer
 from voyager.model import (
@@ -444,17 +445,24 @@ def test_adaptation_bench_block_shape(adapt_block):
     assert len(run["phases"]) == len(run["boundaries"]) - 2
     for phase in run["phases"]:
         assert 0 <= phase["lag_accesses"] <= phase["phase_len"]
-    assert validate_serving({"adaptation": adapt_block}) == []
+    assert validate_report(adaptation_report(adapt_block)) == []
+
+
+def adaptation_report(block):
+    """A report holding only a ``serving/adaptation`` block."""
+    return merge_report(None, {"serving/adaptation": block})
 
 
 def test_adaptation_block_satisfies_serving_schema(adapt_block):
-    # The serving section is satisfied by the adaptation block alone.
-    assert validate_serving({}) != []
-    assert validate_serving({"adaptation": adapt_block}) == []
+    # A report is satisfied by the adaptation block alone.
+    assert validate_report(merge_report(None, {})) == [
+        "report: no section present"
+    ]
+    assert validate_report(adaptation_report(adapt_block)) == []
     broken = {"config": adapt_block["config"], "workloads": {}}
-    assert any(
-        "workload" in p for p in validate_serving({"adaptation": broken})
-    )
+    assert validate_report(adaptation_report(broken)) == [
+        "serving/adaptation: workloads={} is not a dict of >= 1 entries"
+    ]
 
 
 def test_adaptation_budget_gates(adapt_block):
@@ -468,6 +476,36 @@ def test_adaptation_budget_gates(adapt_block):
     assert len(problems) == 2
     assert any("coverage gain" in p for p in problems)
     assert any("lag" in p for p in problems)
+
+
+def test_adapt_bench_failing_gate_leaves_the_report_untouched(
+    tmp_path, capsys, monkeypatch, committed_report
+):
+    """``adapt --bench`` checks its gates before writing: a failing gate
+    prints the problem and leaves the existing file's bytes alone."""
+    import voyager.cli as cli_mod
+
+    block = committed_report["serving"]["adaptation"]
+    monkeypatch.setattr(
+        cli_mod, "run_adaptation_bench", lambda config, workdir: block
+    )
+    out = tmp_path / "BENCH_voyager.json"
+    out.write_text('{"previous": "report"}\n')
+    argv = ["adapt", "--bench", "--workdir", str(tmp_path / "w")]
+    rc = cli_mod.main(
+        argv + ["--out", str(out), "--min-adapted-coverage-gain", "5"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: adaptation gate: ")
+    assert err[-1] == f"error: {out} not written"
+    assert out.read_text() == '{"previous": "report"}\n'
+
+    # gates met: the older file's contents give way to the block alone
+    assert cli_mod.main(argv + ["--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert validate_report(written) == []
+    assert written["serving"] == {"adaptation": block}
 
 
 def test_adapt_bench_config_validation():

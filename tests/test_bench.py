@@ -1,15 +1,23 @@
 """Bench runner tests on a tiny profile (full smoke runs in CI/CLI)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from voyager.bench import (
     BENCH_SCHEMA_VERSION,
     PREFETCHERS,
+    REPORT_SCHEMA,
+    SECTIONS,
     BenchProfile,
+    _parts,
+    _walk,
     check_sim_budget,
     derive_cell_seed,
+    merge_report,
     resolve_jobs,
     run_bench,
     strip_timing_fields,
@@ -186,8 +194,8 @@ def test_write_bench_rounds_only_at_serialisation(report, tmp_path):
     for entries in loaded["workloads"].values():
         for entry in entries.values():
             for field in ("train_s", "sim_s", "cpu_s"):
-                assert entry[field] == round(entry[field], 3)
-    assert loaded["elapsed_s"] == round(loaded["elapsed_s"], 3)
+                assert entry[field] == round(entry[field], 6)
+    assert loaded["elapsed_s"] == round(loaded["elapsed_s"], 6)
     # non-timing fields are byte-identical to the in-memory report
     assert strip_timing_fields(loaded) == strip_timing_fields(report)
 
@@ -227,6 +235,10 @@ def test_resolve_jobs():
 
 
 def test_derive_cell_seed_is_deterministic_and_per_workload():
+    from voyager import synthetic
+
+    assert derive_cell_seed is synthetic.derive_cell_seed
+    assert derive_cell_seed(0, "stride") == 174013199
     assert derive_cell_seed(0, "stride") == derive_cell_seed(0, "stride")
     assert derive_cell_seed(0, "stride") != derive_cell_seed(0, "page_cycle")
     assert derive_cell_seed(1, "stride") != derive_cell_seed(0, "stride")
@@ -311,15 +323,17 @@ def test_main_rejects_unknown_profile():
 
 
 # ----------------------------------------------------------------------
-# v5: train_mode / train_phases per trained cell, --max-train-s gate
+# train_phases per trained cell, --max-train-s gate
 # ----------------------------------------------------------------------
 from voyager.bench import check_train_budget  # noqa: E402
 
 def test_trained_cells_record_train_mode_and_phases(report):
+    """Trained cells carry train_phases; v9 dropped the constant
+    train_mode echo from every cell."""
     for entries in report["workloads"].values():
         for kind in ("neural", "table"):
             entry = entries[kind]
-            assert entry["train_mode"] == "sequence"
+            assert "train_mode" not in entry
             phases = entry["train_phases"]
             assert set(phases) == {
                 "encode",
@@ -336,7 +350,7 @@ def test_trained_cells_record_train_mode_and_phases(report):
 
 def test_config_records_sequence_hyperparameters(report):
     config = report["config"]
-    assert config["train_mode"] == "sequence"
+    assert "train_mode" not in config and "history" not in config
     assert config["seq_len"] == TINY.seq_len
     assert config["tbptt"] == TINY.tbptt
     assert config["lr_schedule"] == TINY.lr_schedule
@@ -346,19 +360,20 @@ def test_config_records_sequence_hyperparameters(report):
 
 def test_strip_timing_keeps_train_mode_drops_train_phases(report):
     stripped = strip_timing_fields(report)
-    for entries in stripped["workloads"].values():
+    for workload, entries in stripped["workloads"].items():
         for kind in ("neural", "table"):
-            assert entries[kind]["train_mode"] == "sequence"
+            assert "train_phases" in report["workloads"][workload][kind]
             assert "train_phases" not in entries[kind]
+            assert "accuracy" in entries[kind]  # metrics survive
 
 
 def test_validator_flags_missing_train_fields(report):
-    broken = json.loads(json.dumps(report))
-    del broken["workloads"]["stride"]["neural"]["train_mode"]
-    assert any("train_mode" in p for p in validate_report(broken))
-    broken = json.loads(json.dumps(report))
-    del broken["workloads"]["stride"]["table"]["train_phases"]
-    assert any("train_phases" in p for p in validate_report(broken))
+    for kind in ("neural", "table"):
+        broken = json.loads(json.dumps(report))
+        del broken["workloads"]["stride"][kind]["train_phases"]
+        assert validate_report(broken) == [
+            f"stride/{kind}: missing train_phases"
+        ]
 
 
 def test_check_train_budget_gate(report):
@@ -378,3 +393,175 @@ def test_train_phases_rounded_at_serialisation(report, tmp_path):
         for kind in ("neural", "table"):
             for v in entries[kind]["train_phases"].values():
                 assert v == round(v, 6)
+
+
+# ----------------------------------------------------------------------
+# one report path: merge rule, schema table, write rule
+# ----------------------------------------------------------------------
+def test_merge_replaces_a_section_whole_and_keeps_the_others(
+    committed_report,
+):
+    fresh = {"streams": 1, "only_new": True}
+    merged = merge_report(committed_report, {"serving/closed_loop": fresh})
+    assert merged["serving"]["closed_loop"] == fresh  # no stale key left
+    for name in ("open_loop", "adaptation"):
+        assert merged["serving"][name] == committed_report["serving"][name]
+    assert merged["distill"] == committed_report["distill"]
+    assert strip_timing_fields(merged) == strip_timing_fields(
+        committed_report
+    )
+
+
+def test_merge_drops_every_section_of_an_older_report(committed_report):
+    block = committed_report["serving"]["closed_loop"]
+    committed_report["schema_version"] = BENCH_SCHEMA_VERSION - 1
+    merged = merge_report(committed_report, {"serving/closed_loop": block})
+    assert merged == {
+        "schema_version": BENCH_SCHEMA_VERSION,
+        "serving": {"closed_loop": block},
+    }
+
+
+def test_committed_report_passes_the_validator(committed_report):
+    assert committed_report["schema_version"] == BENCH_SCHEMA_VERSION
+    assert validate_report(committed_report) == []
+
+
+def _parent_of(report, where):
+    """The container of the value at a walked path like
+    ``("distill", "workloads", "stride", "cells[0]", "sim_s")``."""
+    node = report
+    for step in where[:-1]:
+        key, _, index = step.partition("[")
+        node = node[key]
+        if index:
+            node = node[int(index[:-1])]
+    return node
+
+
+def test_schema_table_flags_every_missing_key_by_its_path(committed_report):
+    """Walk REPORT_SCHEMA over the committed report, which holds every
+    section: each row selects a value, and removing a required key is
+    flagged with its container's path and the key."""
+    from voyager.bench import _label
+
+    report = committed_report
+    assert set(SECTIONS) == {"grid", "distill"} | {
+        f"serving/{block}" for block in report["serving"]
+    }
+    for name, rows in REPORT_SCHEMA.items():
+        prefix = [] if name == "grid" else _parts(name)
+        for path, _ in rows:
+            parts = prefix + _parts(path)
+            matches = list(_walk(report, parts))
+            assert matches, f"{name}: row {path!r} selects nothing"
+            where, value = matches[0]
+            if not path or parts[-1] in ("*", "[]"):
+                continue  # a section, dict entry or list item: no key
+            parent = _parent_of(report, where)
+            del parent[where[-1]]
+            assert f"{_label(where[:-1])}: missing {where[-1]}" in (
+                validate_report(report)
+            ), where
+            parent[where[-1]] = value
+    assert validate_report(report) == []
+
+
+@pytest.mark.parametrize(
+    "block,flag",
+    [
+        ("closed_loop", "responses_equal_sim"),
+        ("open_loop", "responses_equal_single"),
+    ],
+)
+def test_validator_flags_a_false_equality_flag(committed_report, block, flag):
+    committed_report["serving"][block][flag] = False
+    assert validate_report(committed_report) == [
+        f"serving/{block}: {flag}=False is not true"
+    ]
+
+
+def test_bench_refuses_to_carry_an_invalid_section(
+    tmp_path, capsys, monkeypatch
+):
+    """bench validates the file it would write, not only its own grid:
+    a carried serving block that fails stops the write."""
+    import voyager.bench as bench_mod
+
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
+    out = tmp_path / "BENCH_voyager.json"
+    bad_block = {
+        "streams": 3,
+        "elapsed_s": 0.1,
+        "throughput_accesses_per_s": 1200.0,
+        "responses_equal_sim": False,
+    }
+    out.write_text(
+        json.dumps(
+            {
+                "schema_version": BENCH_SCHEMA_VERSION,
+                "serving": {"closed_loop": bad_block},
+            }
+        )
+    )
+    before = out.read_bytes()
+    assert bench_mod.main(["--profile", "smoke", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert (
+        "error: serving/closed_loop: responses_equal_sim=False is not true"
+        in err
+    )
+    assert err[-1] == f"error: {out} not written"
+    assert out.read_bytes() == before
+
+
+def test_bench_into_an_older_report_drops_its_sections(
+    tmp_path, monkeypatch
+):
+    """A v7-era file's serving block is not carried into the new file
+    (nor relabelled as current): the result passes the validator."""
+    import voyager.bench as bench_mod
+
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
+    out = tmp_path / "BENCH_voyager.json"
+    out.write_text(
+        json.dumps(
+            {
+                "schema_version": 7,
+                "profile": "full",
+                "serving": {
+                    "streams": 8,
+                    "throughput_accesses_per_s": 1000.0,
+                    "responses_equal_serial": True,
+                },
+            }
+        )
+    )
+    assert bench_mod.main(["--profile", "smoke", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert validate_report(written) == []
+    assert "serving" not in written
+    assert written["profile"] == "tiny"
+
+
+def test_python_m_bench_prints_one_error_line(tmp_path):
+    """``python -m voyager.bench`` executes the module once — importing
+    the package no longer imports ``voyager.bench`` first, which made
+    runpy warn — so a bad argument prints exactly one ``error:`` line."""
+    import os
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "voyager.bench", "--jobs", "0"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: jobs must be >= 1, got 0"]
+    assert list(tmp_path.iterdir()) == []

@@ -20,14 +20,15 @@ import pytest
 
 from voyager.baselines import StridePrefetcher, next_line_candidates
 from voyager.bench import (
+    BENCH_SCHEMA_VERSION,
     SMOKE_PROFILE,
     BenchProfile,
     bench_cell,
     check_distill_budget,
+    merge_report,
     parse_int_list,
-    preserve_sections,
     run_distill_frontier,
-    validate_distill,
+    validate_report,
 )
 from voyager.distill import (
     FALLBACKS,
@@ -510,7 +511,7 @@ def test_distill_frontier_section_shape_and_consistency():
     section = run_distill_frontier(
         TINY, seed=0, table_sizes=(16, 256), depths=(1, 2)
     )
-    assert validate_distill(section) == []
+    assert validate_report(distill_report(section)) == []
     entry = section["workloads"]["stride"]
     assert len(entry["cells"]) == 4
     for cell in entry["cells"]:
@@ -521,14 +522,22 @@ def test_distill_frontier_section_shape_and_consistency():
         assert cell["speedup_vs_neural"] > 0
 
 
-def test_validate_distill_flags_missing_pieces():
-    assert validate_distill("nope") == ["distill: expected a dict"]
-    assert validate_distill({}) == ["distill: missing workloads"]
-    problems = validate_distill(
-        {"workloads": {"stride": {"neural": {}, "cells": [{}]}}}
-    )
-    assert any("neural reference" in p for p in problems)
-    assert any("missing coverage" in p for p in problems)
+def distill_report(section):
+    """A report holding only a ``distill`` section."""
+    return merge_report(None, {"distill": section})
+
+
+def test_validator_flags_missing_distill_pieces():
+    assert validate_report(distill_report("nope")) == [
+        "report: distill='nope' is not a dict"
+    ]
+    assert validate_report(distill_report({})) == [
+        "distill: missing workloads"
+    ]
+    section = {"workloads": {"stride": {"neural": {}, "cells": [{}]}}}
+    problems = validate_report(distill_report(section))
+    assert "distill/workloads/stride/neural: missing sim_s" in problems
+    assert "distill/workloads/stride/cells[0]: missing coverage" in problems
 
 
 def fake_grid_report(neural_sim_s, table_sim_s, neural_cov, table_cov):
@@ -564,17 +573,18 @@ def test_check_distill_budget_flags_missing_cells():
     assert problems == ["stride: missing neural/table sim_s for distill gate"]
 
 
-def test_preserve_sections_carries_serving_and_distill(tmp_path):
-    path = tmp_path / "bench.json"
-    path.write_text(
-        json.dumps({"serving": {"streams": 4}, "distill": {"workloads": {}}}),
-        encoding="utf-8",
-    )
-    merged = preserve_sections({"schema_version": 4}, path)
-    assert merged["serving"] == {"streams": 4}
+def test_bench_write_keeps_serving_and_distill():
+    previous = {
+        "schema_version": BENCH_SCHEMA_VERSION,
+        "serving": {"open_loop": {"requests": 4}},
+        "distill": {"workloads": {}},
+    }
+    merged = merge_report(previous, {"grid": {"profile": "smoke"}})
+    assert merged["serving"] == {"open_loop": {"requests": 4}}
     assert merged["distill"] == {"workloads": {}}
-    # fresh sections win over stale ones
-    fresh = preserve_sections({"distill": {"new": True}}, path)
+    assert merged["profile"] == "smoke"
+    # a fresh section replaces the stale one whole
+    fresh = merge_report(previous, {"distill": {"new": True}})
     assert fresh["distill"] == {"new": True}
 
 

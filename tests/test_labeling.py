@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from voyager.labeling import LabelConfig, labels_to_distributions, make_labels
+from voyager.labeling import (
+    LabelConfig,
+    label_arrays,
+    label_weights,
+    make_labels,
+)
 from voyager.traces import NUM_OFFSETS, MemoryAccess, join_address
 
 
@@ -56,45 +61,23 @@ def test_no_successor_raises():
 
 
 class TestDistributions:
-    def test_rows_sum_to_one(self):
-        sets = [[(1, 2), (1, 3), (4, 5)], [(7, 0)]]
-        page_t, off_t = labels_to_distributions(
-            sets, page_ids_of=lambda p: p % 10, page_vocab_size=10
-        )
-        np.testing.assert_allclose(page_t.sum(axis=1), 1.0)
-        np.testing.assert_allclose(off_t.sum(axis=1), 1.0)
+    """label_weights: each row's target mass over its valid labels."""
 
     def test_primary_label_gets_primary_weight(self):
-        sets = [[(1, 2), (3, 4), (5, 6)]]
-        page_t, off_t = labels_to_distributions(
-            sets,
-            page_ids_of=lambda p: p,
-            page_vocab_size=8,
-            primary_weight=0.5,
-        )
-        assert page_t[0, 1] == pytest.approx(0.5)
-        assert off_t[0, 2] == pytest.approx(0.5)
-        assert page_t[0, 3] == pytest.approx(0.25)
+        valid = np.array([[True, True, True, False]])
+        weights = label_weights(valid, primary_weight=0.5)
+        np.testing.assert_array_equal(weights, [[0.5, 0.25, 0.25, 0.0]])
 
     def test_singleton_set_gets_full_mass(self):
-        page_t, off_t = labels_to_distributions(
-            [[(2, 9)]], page_ids_of=lambda p: p, page_vocab_size=4
-        )
-        assert page_t[0, 2] == 1.0
-        assert off_t[0, 9] == 1.0
+        valid = np.array([[True, False, False], [True, True, False]])
+        weights = label_weights(valid, primary_weight=0.3)
+        np.testing.assert_array_equal(weights[0], [1.0, 0.0, 0.0])
+        assert weights[1, 0] == pytest.approx(0.3)
 
-    def test_empty_set_and_bad_weight_rejected(self):
-        with pytest.raises(ValueError):
-            labels_to_distributions(
-                [[]], page_ids_of=lambda p: p, page_vocab_size=4
-            )
-        with pytest.raises(ValueError):
-            labels_to_distributions(
-                [[(1, 1)]],
-                page_ids_of=lambda p: p,
-                page_vocab_size=4,
-                primary_weight=0.0,
-            )
+    def test_bad_primary_weight_rejected(self):
+        for weight in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="primary_weight"):
+                label_weights(np.ones((1, 2), dtype=bool), weight)
 
 
 # ----------------------------------------------------------------------
@@ -104,12 +87,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from voyager.labeling import (  # noqa: E402
-    distributions_from_arrays,
-    label_arrays,
-    label_weights,
-)
-from voyager.vocab import Vocab  # noqa: E402
 
 
 @settings(max_examples=75)
@@ -127,42 +104,20 @@ from voyager.vocab import Vocab  # noqa: E402
     ),
     radius=st.integers(min_value=0, max_value=2),
     window=st.integers(min_value=0, max_value=3),
-    vocab_cap=st.integers(min_value=1, max_value=4),
 )
-def test_vectorized_labels_bit_identical_to_scalar(
-    pairs, radius, window, vocab_cap
-):
-    """label_arrays + distributions_from_arrays == the scalar path, bitwise.
+def test_vectorized_labels_bit_identical_to_scalar(pairs, radius, window):
+    """label_arrays recovers make_labels' label sets exactly.
 
-    The tiny page space plus a capped vocab forces distinct raw pages
-    to collapse onto the OOV id, so the property also pins the
-    duplicate-OOV accumulation order (np.add.at row-major == the scalar
-    per-row label loop).
+    Reading each row's valid entries left to right gives the scalar
+    label list, in order — including the dedup of co-occurrence labels
+    against earlier ones and the clipping of spatial labels at page
+    edges (the tiny page space and edge-biased offsets force both).
     """
     trace = _trace_from_pairs(pairs)
     config = LabelConfig(spatial_radius=radius, window=window)
-    vocab = Vocab(vocab_cap).fit(a.page for a in trace)
     positions = np.arange(len(trace) - 1)
-
-    # scalar reference
     sets = [make_labels(trace, int(i), config) for i in positions]
-    page_ref, off_ref = labels_to_distributions(
-        sets, page_ids_of=vocab.encode, page_vocab_size=vocab.size
-    )
-
-    # vectorized path
     arrays = label_arrays(trace, positions, config)
-    page_ids = np.array(
-        vocab.encode_all(a.page for a in trace), dtype=np.int64
-    )
-    page_vec, off_vec = distributions_from_arrays(
-        arrays, page_ids, vocab.size
-    )
-
-    np.testing.assert_array_equal(page_vec, page_ref)
-    np.testing.assert_array_equal(off_vec, off_ref)
-
-    # the masked arrays also recover make_labels' raw output exactly
     pages = np.array([a.page for a in trace])
     for row, pos in enumerate(positions):
         got = [

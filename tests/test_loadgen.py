@@ -1,4 +1,4 @@
-"""Load-generator tests: stream multiplexing, report merge, CLI gates."""
+"""Load-generator tests: stream multiplexing, report writes, CLI gates."""
 
 import json
 
@@ -9,17 +9,15 @@ from voyager.bench import (
     BENCH_SCHEMA_VERSION,
     BenchProfile,
     load_report,
-    preserve_serving,
+    merge_report,
     run_bench,
     strip_timing_fields,
     validate_report,
-    validate_serving,
-    write_bench,
+    write_report,
 )
 from voyager.loadgen import (
     ArrivalConfig,
     LoadGenConfig,
-    attach_serving,
     mixed_training_trace,
     open_loop_schedule,
     parse_qos_mix,
@@ -47,6 +45,18 @@ TINY_LOAD = LoadGenConfig(streams=3, accesses_per_stream=40)
 @pytest.fixture(scope="module")
 def serving():
     return run_loadgen(TINY, TINY_LOAD, seed=0)
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return run_bench(TINY, seed=0)
+
+
+def serving_report(**blocks):
+    """A report holding only the given ``serving`` blocks."""
+    return merge_report(
+        None, {f"serving/{name}": block for name, block in blocks.items()}
+    )
 
 
 def test_mixed_training_trace_covers_all_workloads():
@@ -87,67 +97,81 @@ def test_loadgen_config_validation():
 
 
 def test_serving_section_shape_and_equivalence(serving):
-    assert validate_serving(serving) == []
+    assert validate_report(serving_report(closed_loop=serving)) == []
     assert serving["responses_equal_sim"] is True
     assert serving["streams"] == 3
     assert serving["total_accesses"] == 120
     assert serving["throughput_accesses_per_s"] > 0
     assert "serial" not in serving and "speedup_vs_serial" not in serving
+    # v9: one elapsed_s, no nested duplicate of the throughput
+    assert "batched" not in serving
+    assert serving["throughput_accesses_per_s"] == pytest.approx(
+        serving["total_accesses"] / serving["elapsed_s"]
+    )
     stats = serving["stats"]
     assert stats["requests"] == 120
     assert stats["responses"] == 120
     assert stats["shed"] == 0
 
 
-def test_validate_serving_flags_problems(serving):
-    assert validate_serving("nope") == ["serving: expected a dict"]
+def test_validator_flags_closed_loop_problems(serving):
     broken = json.loads(json.dumps(serving))
     broken["responses_equal_sim"] = False
-    assert any("responses_equal_sim" in p for p in validate_serving(broken))
+    assert validate_report(serving_report(closed_loop=broken)) == [
+        "serving/closed_loop: responses_equal_sim=False is not true"
+    ]
     missing = json.loads(json.dumps(serving))
     missing["throughput_accesses_per_s"] = 0
-    assert any(
-        "throughput_accesses_per_s" in p for p in validate_serving(missing)
-    )
-    assert validate_serving({}) == [
-        "serving: none of closed-loop keys, open_loop or adaptation present"
+    assert validate_report(serving_report(closed_loop=missing)) == [
+        "serving/closed_loop: throughput_accesses_per_s=0 is not a number > 0"
     ]
+    # v8 kept the closed-loop keys at the top of serving
+    report = serving_report(closed_loop=serving)
+    report["serving"] = serving
+    problems = validate_report(report)
+    assert "report: no section present" in problems
+    assert any("is not a dict of serving blocks" in p for p in problems)
+    report["serving"] = {}
+    assert "report: serving={} is not a dict of serving blocks" in (
+        validate_report(report)
+    )
 
 
-def test_attach_serving_creates_skeleton(serving, tmp_path):
+def test_serving_write_creates_a_serving_only_report(serving, tmp_path):
     out = tmp_path / "BENCH_voyager.json"
-    path, report = attach_serving(serving, out)
-    assert path == out
+    assert write_report(out, {"serving/closed_loop": serving}) == 0
     loaded = json.loads(out.read_text())
-    assert loaded["schema_version"] == BENCH_SCHEMA_VERSION
-    assert validate_serving(loaded["serving"]) == []
+    assert loaded == {
+        "schema_version": BENCH_SCHEMA_VERSION,
+        "serving": {"closed_loop": loaded["serving"]["closed_loop"]},
+    }
+    assert validate_report(loaded) == []
     # floats were rounded at serialisation
-    throughput = loaded["serving"]["throughput_accesses_per_s"]
+    throughput = loaded["serving"]["closed_loop"]["throughput_accesses_per_s"]
     assert throughput == round(throughput, 6)
 
 
-def test_attach_serving_preserves_existing_sweep(serving, tmp_path):
+def test_serving_write_keeps_the_sweep_and_back(serving, grid, tmp_path):
     out = tmp_path / "BENCH_voyager.json"
-    report = run_bench(TINY, seed=0)
-    write_bench(report, out)
-    attach_serving(serving, out)
+    assert write_report(out, {"grid": grid}) == 0
+    assert write_report(out, {"serving/closed_loop": serving}) == 0
     merged = load_report(out)
     assert validate_report(merged) == []
     assert set(merged["workloads"]) == {"stride", "page_cycle"}
-    assert merged["serving"]["streams"] == 3
-    # ...and a fresh sweep write preserves the serving section back
-    rewritten = preserve_serving(run_bench(TINY, seed=0), out)
-    write_bench(rewritten, out)
-    assert load_report(out)["serving"]["streams"] == 3
+    assert merged["serving"]["closed_loop"]["streams"] == 3
+    # ...and a fresh sweep write keeps the serving block
+    assert write_report(out, {"grid": grid}) == 0
+    assert load_report(out)["serving"] == merged["serving"]
 
 
-def test_serving_is_a_timing_section(serving, tmp_path):
+def test_serving_is_a_timing_section(serving, grid, tmp_path):
     out = tmp_path / "BENCH_voyager.json"
-    report = run_bench(TINY, seed=0)
-    write_bench(report, out)
-    _, merged = attach_serving(serving, out)
+    write_report(out, {"grid": grid})
+    write_report(out, {"serving/closed_loop": serving})
+    merged = load_report(out)
     assert "serving" not in strip_timing_fields(merged)
-    assert strip_timing_fields(merged) == strip_timing_fields(report)
+    # every non-timing value is written exactly
+    assert strip_timing_fields(merged) == strip_timing_fields(grid)
 
 
 def test_serve_trace_round_robin():
@@ -173,7 +197,7 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
     import voyager.bench as bench_mod
     import voyager.loadgen as loadgen_mod
 
-    monkeypatch.setattr(bench_mod, "SMOKE_PROFILE", TINY)
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
     out = tmp_path / "BENCH_voyager.json"
     rc = loadgen_mod.main(
         [
@@ -193,7 +217,9 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "equal_sim=True" in captured.out
     loaded = json.loads(out.read_text())
-    assert validate_serving(loaded["serving"]) == []
+    assert validate_report(loaded) == []
+    assert loaded["serving"]["closed_loop"]["profile"] == "tiny"
+    before = out.read_bytes()
 
     rc = loadgen_mod.main(
         [
@@ -212,6 +238,7 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert "below --min-throughput" in err
+    assert out.read_bytes() == before
 
 
 def test_float32_run_also_matches_serial():
@@ -302,7 +329,7 @@ def open_loop_section():
 
 def test_open_loop_section_shape_and_equality(open_loop_section):
     section = open_loop_section
-    assert validate_serving({"open_loop": section}) == []
+    assert validate_report(serving_report(open_loop=section)) == []
     assert section["responses_equal_single"] is True
     assert section["requests"] == 100
     assert [run["shards"] for run in section["runs"]] == [1, 2]
@@ -329,26 +356,29 @@ def test_open_loop_overload_sheds_by_qos_priority(open_loop_section):
 def test_open_loop_validation_flags_problems(open_loop_section):
     section = json.loads(json.dumps(open_loop_section))
     section["responses_equal_single"] = False
-    problems = validate_serving({"open_loop": section})
-    assert any("responses_equal_single" in p for p in problems)
+    assert validate_report(serving_report(open_loop=section)) == [
+        "serving/open_loop: responses_equal_single=False is not true"
+    ]
     broken = json.loads(json.dumps(open_loop_section))
     del broken["runs"][0]["counters"]["spilled"]
-    problems = validate_serving({"open_loop": broken})
-    assert any("spilled" in p for p in problems)
+    assert validate_report(serving_report(open_loop=broken)) == [
+        "serving/open_loop/runs[0]/counters: missing spilled"
+    ]
 
 
-def test_attach_serving_merges_open_loop_and_closed_loop(
+def test_open_loop_and_closed_loop_blocks_coexist(
     serving, open_loop_section, tmp_path
 ):
     out = tmp_path / "BENCH_voyager.json"
-    attach_serving(serving, out)
-    attach_serving({"open_loop": open_loop_section}, out)
-    merged = load_report(out)["serving"]
-    # both halves coexist: the open-loop attach kept the closed-loop keys
-    assert merged["streams"] == 3
-    assert merged["throughput_accesses_per_s"] > 0
+    assert write_report(out, {"serving/closed_loop": serving}) == 0
+    assert write_report(out, {"serving/open_loop": open_loop_section}) == 0
+    report = load_report(out)
+    merged = report["serving"]
+    # both blocks coexist: the open-loop write kept the closed-loop block
+    assert merged["closed_loop"]["streams"] == 3
+    assert merged["closed_loop"]["throughput_accesses_per_s"] > 0
     assert merged["open_loop"]["requests"] == 100
-    assert validate_serving(merged) == []
+    assert validate_report(report) == []
     # floats in the open-loop block were rounded at serialisation
     wall = merged["open_loop"]["runs"][0]["wall_s"]
     assert wall == round(wall, 6)
@@ -360,7 +390,7 @@ def test_open_loop_cli_runs_gates_and_fails_cleanly(
     import voyager.bench as bench_mod
     import voyager.loadgen as loadgen_mod
 
-    monkeypatch.setattr(bench_mod, "SMOKE_PROFILE", TINY)
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
     out = tmp_path / "BENCH_voyager.json"
     base = [
         "--profile", "smoke", "--open-loop",
@@ -373,8 +403,10 @@ def test_open_loop_cli_runs_gates_and_fails_cleanly(
     assert "shards=2" in captured.out
     assert "p99=" in captured.out
     loaded = json.loads(out.read_text())
-    assert validate_serving(loaded["serving"]) == []
+    assert validate_report(loaded) == []
     assert loaded["serving"]["open_loop"]["runs"][-1]["shards"] == 2
+    assert loaded["serving"]["open_loop"]["profile"] == "tiny"
+    before = out.read_bytes()
 
     rc = loadgen_mod.main(
         base + ["--max-p99-ms", "1e-9", "--min-throughput", "1e18"]
@@ -383,8 +415,76 @@ def test_open_loop_cli_runs_gates_and_fails_cleanly(
     err = capsys.readouterr().err
     assert "above --max-p99-ms" in err
     assert "below --min-throughput" in err
+    assert out.read_bytes() == before
 
     # config errors exit 1 with a clean message, not a traceback
     rc = loadgen_mod.main(base + ["--qos-mix", "platinum=1"])
     assert rc == 1
     assert "qos class" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# the write rule at both serve-bench writers
+# ----------------------------------------------------------------------
+SERVE_MODES = {
+    "closed_loop": [],
+    "open_loop": ["--open-loop", "--shards", "1", "--rate", "20000"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SERVE_MODES))
+def test_failing_serving_gate_leaves_the_report_untouched(
+    mode, tmp_path, capsys, monkeypatch
+):
+    """A gate failure is reported before anything is written: the
+    existing file keeps its bytes."""
+    import voyager.bench as bench_mod
+    import voyager.loadgen as loadgen_mod
+
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
+    out = tmp_path / "BENCH_voyager.json"
+    out.write_text('{"previous": "report"}\n')
+    rc = loadgen_mod.main(
+        [
+            "--profile", "smoke", "--streams", "2", "--accesses", "5",
+            "--min-throughput", "1e12", "--out", str(out),
+            *SERVE_MODES[mode],
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert any("below --min-throughput" in line for line in err)
+    assert err[-1] == f"error: {out} not written"
+    assert out.read_text() == '{"previous": "report"}\n'
+
+
+@pytest.mark.parametrize("mode", sorted(SERVE_MODES))
+def test_serve_bench_into_an_older_report_writes_only_its_block(
+    mode, tmp_path, monkeypatch
+):
+    """An older file's grid is dropped, not relabelled as current."""
+    import voyager.bench as bench_mod
+    import voyager.loadgen as loadgen_mod
+
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
+    out = tmp_path / "BENCH_voyager.json"
+    out.write_text(
+        json.dumps(
+            {
+                "schema_version": 7,
+                "profile": "full",
+                "workloads": {"stride": {}, "page_cycle": {}},
+            }
+        )
+    )
+    rc = loadgen_mod.main(
+        [
+            "--profile", "smoke", "--streams", "2", "--accesses", "5",
+            "--out", str(out), *SERVE_MODES[mode],
+        ]
+    )
+    assert rc == 0
+    written = json.loads(out.read_text())
+    assert validate_report(written) == []
+    assert set(written) == {"schema_version", "serving"}
+    assert set(written["serving"]) == {mode}

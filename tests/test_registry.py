@@ -179,7 +179,7 @@ def test_workloads_subcommand_lists_registry(capsys):
 # loadgen resolves the registry
 # ----------------------------------------------------------------------
 def test_stream_traces_cover_whole_registry():
-    from voyager.bench import derive_cell_seed
+    from voyager.synthetic import derive_cell_seed
 
     config = LoadGenConfig(
         streams=len(synthetic.WORKLOADS), accesses_per_stream=40
