@@ -13,35 +13,17 @@ a ``distill`` section, and the ``--min-table-speedup`` /
 ``--max-table-coverage-drop`` flags gate the grid's table-vs-neural
 cells in CI.
 
-The (workload x prefetcher) grid is embarrassingly parallel — each
-cell derives its own seed from the top-level seed (so no RNG state is
-shared across processes) and every prefetcher of a workload regenerates
-the identical trace from that derived seed.  ``run_bench(..., jobs=N)``
-fans the cells over a :class:`~concurrent.futures.ProcessPoolExecutor`
-(the ``--jobs`` CLI flag accepts ``auto`` for the CPU count); the
-resulting report is bit-identical to the serial one in every non-timing
-field, which the equivalence tests pin.
-
-Each prefetcher entry carries three timing fields: ``train_s`` (model
-training, zero for the table baselines), ``sim_s`` (the trace-driven
-simulation itself) and ``cpu_s`` (their sum — per-cell CPU cost, which
-unlike wall-clock is comparable between serial and parallel runs).
-The top-level ``elapsed_s`` stays wall-clock and ``cpu_s`` sums the
-cells, so the parallel speedup is ``cpu_s / elapsed_s``.  Timings are
-kept at full precision in the in-memory report and rounded only when
-:func:`write_bench` serialises to JSON, so the CI timing gate
-(``--max-neural-sim-s``) compares unrounded values.  With
-``--profile-sim`` each cell additionally records the simulator's
-per-phase timings (encode / candidates / cache loop).
-
-Neural (and table) cells train with truncated BPTT over
-``seq_len``-access segments — every timestep supervised, cosine LR
-schedule — and simulate with state carried across accesses and reset
-every ``seq_len`` accesses, the rule the model records in its config.
-Each trained cell records a ``train_phases`` wall-time breakdown
-(encode / labels / forward / backward / optimizer), and
-``--max-train-s`` gates the neural ``train_s`` per workload the same
-way ``--max-neural-sim-s`` gates simulation.
+The unit of work is a workload (:func:`bench_workload`): its trace is
+generated once from a seed derived from the top-level seed, and its
+neural model is trained once — truncated BPTT over ``seq_len``-access
+segments, simulated with state carried across accesses and reset every
+``seq_len`` accesses — and then distilled into the table.
+``run_bench(..., jobs=N)`` fans the workloads over a
+:class:`~concurrent.futures.ProcessPoolExecutor` (``--jobs auto`` uses
+the CPU count); no RNG state crosses processes, so the report is
+bit-identical to the serial one in every non-timing field, which the
+equivalence tests pin.  ``--max-neural-sim-s`` and ``--max-train-s``
+gate the neural cells' timings.
 
 All four writers of the report (the sweep, ``serve-bench`` in both
 modes and ``adapt --bench``) go through :func:`write_report`: one
@@ -56,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import reprlib
@@ -115,7 +98,12 @@ from voyager.train import build_sequence_dataset, train
 #: echoes ``config.history``, ``config.train_mode`` and each trained
 #: cell's ``train_mode`` are gone.  Timing fields (``serving`` and
 #: ``distill`` whole) round to 6 decimals; every other value is exact.
-BENCH_SCHEMA_VERSION = 9
+#: v10: the sweep trains once per workload.  The table cell distils the
+#: neural cell's model, so its ``train_s`` is the distillation time
+#: alone (the old ``distill_s``, now dropped) and it no longer repeats
+#: the neural cell's ``train_phases``; the top-level ``cpu_s`` counts
+#: each training run once.
+BENCH_SCHEMA_VERSION = 10
 
 #: Canonical report filename at the repo root.
 BENCH_FILENAME = "BENCH_voyager.json"
@@ -228,68 +216,66 @@ def _train_neural(
     return prefetcher, result.phases
 
 
-def bench_cell(
+def bench_workload(
     workload: str,
-    kind: str,
     profile: BenchProfile,
     seed: int = 0,
     profile_sim: bool = False,
-) -> Dict[str, Any]:
-    """Run one (workload x prefetcher) cell; picklable for process pools.
+) -> Dict[str, Dict[str, Any]]:
+    """Run every prefetcher on one workload; picklable for process pools.
 
-    Regenerates the workload trace from the cell's derived seed (cheap
-    relative to training/simulation, and what makes cells independent),
-    trains the neural model when ``kind == 'neural'``, simulates, and
-    returns the metrics entry with full-precision timing fields.
+    Generates the trace once from the workload's derived seed,
+    simulates the two baselines, trains the neural model once and
+    simulates it, then distils that same model into the table and
+    simulates the table — so the coverage delta between the ``neural``
+    and ``table`` cells is the distillation cost alone.  Returns
+    ``{prefetcher: entry}`` in :data:`PREFETCHERS` order, timing fields
+    at full precision.
     """
     cell_seed = derive_cell_seed(seed, workload)
     trace = synthetic.generate(workload, profile.trace_length, seed=cell_seed)
+
+    def cell(prefetcher: Any, started: float) -> Dict[str, Any]:
+        made = time.perf_counter()
+        sim = simulate(trace, prefetcher, profile.sim, profile=profile_sim)
+        done = time.perf_counter()
+        entry = sim.as_dict()
+        del entry["prefetcher"]  # redundant with the dict key
+        # ``train_s`` is the time to produce the prefetcher: training
+        # for ``neural``, distillation alone for ``table`` (training is
+        # counted once, in ``neural``), ~0 for the baselines.
+        entry["train_s"] = made - started
+        entry["sim_s"] = done - made
+        entry["cpu_s"] = entry["train_s"] + entry["sim_s"]
+        return entry
+
+    cells: Dict[str, Dict[str, Any]] = {}
     start = time.perf_counter()
-    distill_s = None
-    train_phases: Optional[Dict[str, float]] = None
-    if kind == "neural":
-        prefetcher, train_phases = _train_neural(trace, profile, cell_seed)
-    elif kind == "table":
-        # Same derived seed as the neural cell, so the table distills
-        # exactly the model the neural cell simulates — the coverage
-        # delta between the two cells is the distillation cost alone.
-        neural, train_phases = _train_neural(trace, profile, cell_seed)
-        distill_start = time.perf_counter()
-        table = build_table(
-            neural.model,
-            neural.pc_vocab,
-            neural.page_vocab,
-            trace,
-            profile.distill_config(),
-        )
-        distill_s = time.perf_counter() - distill_start
-        prefetcher = make_prefetcher("table", table=table)
-    else:
-        prefetcher = make_prefetcher(kind)
-    trained = time.perf_counter()
-    sim = simulate(trace, prefetcher, profile.sim, profile=profile_sim)
-    done = time.perf_counter()
-    entry = sim.as_dict()
-    del entry["prefetcher"]  # redundant with the dict key
-    # ``train_s`` is "time to produce the prefetcher": model training
-    # for the neural cell, training + table compilation for the table
-    # cell (``distill_s`` breaks out the compilation share), zero for
-    # the table baselines — so ``cpu_s == train_s + sim_s`` everywhere.
-    entry["train_s"] = trained - start
-    entry["sim_s"] = done - trained
-    entry["cpu_s"] = entry["train_s"] + entry["sim_s"]
-    if train_phases is not None:
-        entry["train_phases"] = train_phases
-    if kind == "table":
-        entry["distill_s"] = distill_s
-        entry["table_entries"] = prefetcher.table.total_entries
-        entry["table_hit_rate"] = prefetcher.hit_rate
-    if kind == "stride":
-        # Latched by StridePrefetcher.offline_candidates when the trace
-        # overflows the table and the sim fell back to the per-access
-        # replay — recorded so the perf cliff is visible in the report.
-        entry["stride_fallback"] = bool(getattr(prefetcher, "fallback", False))
-    return entry
+    cells["next_line"] = cell(make_prefetcher("next_line"), start)
+    start = time.perf_counter()
+    stride = make_prefetcher("stride")
+    cells["stride"] = cell(stride, start)
+    # Latched by StridePrefetcher.offline_candidates when the trace
+    # overflows the table and the sim fell back to the per-access
+    # replay — recorded so the perf cliff is visible in the report.
+    cells["stride"]["stride_fallback"] = bool(getattr(stride, "fallback", False))
+    start = time.perf_counter()
+    neural, train_phases = _train_neural(trace, profile, cell_seed)
+    cells["neural"] = cell(neural, start)
+    cells["neural"]["train_phases"] = train_phases
+    start = time.perf_counter()
+    table = build_table(
+        neural.model,
+        neural.pc_vocab,
+        neural.page_vocab,
+        trace,
+        profile.distill_config(),
+    )
+    prefetcher = make_prefetcher("table", table=table)
+    cells["table"] = cell(prefetcher, start)
+    cells["table"]["table_entries"] = table.total_entries
+    cells["table"]["table_hit_rate"] = prefetcher.hit_rate
+    return cells
 
 
 def profile_with_workloads(
@@ -330,36 +316,28 @@ def run_bench(
 ) -> Dict[str, Any]:
     """Run the full sweep and return the report dict (not yet written).
 
-    ``jobs > 1`` fans the (workload x prefetcher) cells over a process
-    pool; every cell is seeded independently (:func:`derive_cell_seed`),
-    so the report matches the serial one in every non-timing field.
-    Timing fields stay full-precision here — :func:`write_bench` rounds.
+    One task per workload (:func:`bench_workload`); ``jobs > 1`` fans
+    them over a process pool.  Every workload is seeded independently
+    (:func:`derive_cell_seed`), so the report matches the serial one in
+    every non-timing field.  Timing fields stay full-precision here —
+    :func:`write_bench` rounds.
     """
     jobs = resolve_jobs(jobs)
     started = time.perf_counter()
-    cells: List[Tuple[str, str]] = [
-        (workload, kind)
-        for workload in profile.workloads
-        for kind in PREFETCHERS
-    ]
+    task = functools.partial(
+        bench_workload, profile=profile, seed=seed, profile_sim=profile_sim
+    )
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            futures = [
-                pool.submit(bench_cell, workload, kind, profile, seed, profile_sim)
-                for workload, kind in cells
-            ]
-            entries = [f.result() for f in futures]
+        workers = min(jobs, len(profile.workloads))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, profile.workloads))
     else:
-        entries = [
-            bench_cell(workload, kind, profile, seed, profile_sim)
-            for workload, kind in cells
-        ]
-    workloads: Dict[str, Dict[str, Any]] = {}
-    for (workload, kind), entry in zip(cells, entries):
-        workloads.setdefault(workload, {})[kind] = entry
+        results = [task(workload) for workload in profile.workloads]
+    workloads = dict(zip(profile.workloads, results))
     cpu_s = 0.0
-    for entry in entries:  # exact sum in deterministic cell order
-        cpu_s += entry["cpu_s"]
+    for cells in results:  # exact sum in deterministic cell order
+        for kind in PREFETCHERS:
+            cpu_s += cells[kind]["cpu_s"]
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "benchmark": "voyager_prefetch_sim",
@@ -391,14 +369,7 @@ def run_bench(
 
 
 #: Per-cell keys that describe *when/how fast*, not *what happened*.
-CELL_TIMING_FIELDS = (
-    "train_s",
-    "sim_s",
-    "cpu_s",
-    "phases",
-    "distill_s",
-    "train_phases",
-)
+CELL_TIMING_FIELDS = ("train_s", "sim_s", "cpu_s", "phases", "train_phases")
 
 #: Top-level keys that vary between runs of identical sweeps.  The
 #: ``serving`` and ``distill`` sections are throughput/latency
@@ -607,9 +578,7 @@ REPORT_SCHEMA: Dict[str, List[Tuple[str, Check]]] = {
         *_rows("workloads/*/*/", "accuracy timeliness miss_rate", _FRACTION),
         ("workloads/*/*/coverage", _COVERAGE),
         *_rows("workloads/*/*/", "train_s sim_s cpu_s", _NUMBER),
-        *_rows(
-            "workloads/*/", "neural/train_phases table/train_phases", _DICT
-        ),
+        ("workloads/*/neural/train_phases", _DICT),
         *_rows("", "elapsed_s cpu_s", _NUMBER),
         ("jobs", _INT),
     ],
@@ -979,7 +948,7 @@ def add_bench_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         default="1",
-        help="parallel bench cells: an integer or 'auto' (cpu count)",
+        help="parallel workloads: an integer or 'auto' (cpu count)",
     )
     parser.add_argument(
         "--profile-sim",

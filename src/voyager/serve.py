@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import zipfile
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -378,22 +379,43 @@ class SpillStore:
     def load(
         self, stream_id: Hashable, engine: InferenceEngine
     ) -> StreamSession:
-        """Rebuild the checkpointed session; raises if never spilled."""
-        with np.load(self._path(stream_id), allow_pickle=False) as data:
-            session = StreamSession(
-                stream_id,
-                engine,
-                ctx_depth=int(data["ctx_depth"]),
-                qos=str(data["qos"]),
-            )
-            session.state = LSTMState(
-                h=data["h"].copy(), c=data["c"].copy()
-            )
-            for triple in data["ctx"]:
-                session.ctx.append(
-                    (int(triple[0]), int(triple[1]), int(triple[2]))
+        """Rebuild the checkpointed session; raises if never spilled.
+
+        A file that cannot be read back raises one :class:`ValueError`
+        naming it and leaves the file in place.
+        """
+        path = self._path(stream_id)
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                session = StreamSession(
+                    stream_id,
+                    engine,
+                    ctx_depth=int(data["ctx_depth"]),
+                    qos=str(data["qos"]),
                 )
-            session.accesses = int(data["accesses"])
+                session.state = LSTMState(
+                    h=data["h"].copy(), c=data["c"].copy()
+                )
+                for triple in data["ctx"]:
+                    session.ctx.append(
+                        (int(triple[0]), int(triple[1]), int(triple[2]))
+                    )
+                session.accesses = int(data["accesses"])
+        except (
+            EOFError,
+            IndexError,
+            KeyError,
+            TypeError,
+            ValueError,
+            zipfile.BadZipFile,
+        ) as exc:
+            # np.load raises a misleading pickle-related ValueError on
+            # non-npz bytes and zipfile.BadZipFile on a truncated
+            # archive, and a missing field raises KeyError, which
+            # ``submit`` documents as an unknown stream.
+            raise ValueError(
+                f"spill file {path} is corrupt or incomplete: {exc!r}"
+            ) from exc
         return session
 
     def discard(self, stream_id: Hashable) -> bool:

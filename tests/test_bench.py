@@ -9,6 +9,7 @@ import pytest
 
 from voyager.bench import (
     BENCH_SCHEMA_VERSION,
+    FULL_PROFILE,
     PREFETCHERS,
     REPORT_SCHEMA,
     SECTIONS,
@@ -144,29 +145,31 @@ def test_stride_fallback_flag_set_when_table_overflows():
         workloads=("random_walk",),
     )
 
-    def overflowing(kind):
+    def overflowing(kind, **kwargs):
         from voyager.baselines import StridePrefetcher
         from voyager.sim import make_prefetcher
 
         if kind == "stride":
             return StridePrefetcher(max_entries=2)
-        return make_prefetcher(kind)
+        return make_prefetcher(kind, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench_mod, "make_prefetcher", overflowing)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            cell = bench_mod.bench_cell("random_walk", "stride", tiny_table)
-    assert cell["stride_fallback"] is True
+            cells = bench_mod.bench_workload("random_walk", tiny_table)
+    assert cells["stride"]["stride_fallback"] is True
 
 
 def test_table_cells_carry_distill_fields(report):
-    """v4: table cells break out distill cost and table shape."""
+    """Table cells record the table's shape; v10 made their ``train_s``
+    the distillation time and dropped the ``distill_s`` that repeated
+    it."""
     for workload, entries in report["workloads"].items():
         cell = entries["table"]
-        assert 0.0 < cell["distill_s"] <= cell["train_s"], workload
+        assert cell["train_s"] > 0.0, workload
         assert cell["table_entries"] > 0, workload
         assert 0.0 <= cell["table_hit_rate"] <= 1.0, workload
-        for kind in ("next_line", "stride", "neural"):
+        for kind in PREFETCHERS:
             assert "distill_s" not in entries[kind]
 
 
@@ -323,29 +326,80 @@ def test_main_rejects_unknown_profile():
 
 
 # ----------------------------------------------------------------------
-# train_phases per trained cell, --max-train-s gate
+# one trace and one model per workload
+# ----------------------------------------------------------------------
+def test_each_workload_generates_and_trains_once(monkeypatch):
+    """A workload is the unit of work: one ``generate`` and one ``train``
+    call each, and the table distils the very model the neural cell
+    trained and simulated."""
+    import voyager.bench as bench_mod
+    from voyager import synthetic
+    from voyager.sim import NeuralPrefetcher
+
+    generated, trained, simulated, distilled = [], [], [], []
+    generate, train = synthetic.generate, bench_mod.train
+    simulate, build_table = bench_mod.simulate, bench_mod.build_table
+
+    def counted_generate(workload, *args, **kwargs):
+        generated.append(workload)
+        return generate(workload, *args, **kwargs)
+
+    def counted_train(model, *args, **kwargs):
+        trained.append(model)
+        return train(model, *args, **kwargs)
+
+    def recording_simulate(trace, prefetcher, *args, **kwargs):
+        if isinstance(prefetcher, NeuralPrefetcher):
+            simulated.append(prefetcher.model)
+        return simulate(trace, prefetcher, *args, **kwargs)
+
+    def recording_build_table(model, *args, **kwargs):
+        distilled.append(model)
+        return build_table(model, *args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "generate", counted_generate)
+    monkeypatch.setattr(bench_mod, "train", counted_train)
+    monkeypatch.setattr(bench_mod, "simulate", recording_simulate)
+    monkeypatch.setattr(bench_mod, "build_table", recording_build_table)
+    run_bench(TINY, seed=0)
+    assert generated == list(TINY.workloads)
+    assert len(trained) == len(simulated) == len(distilled) == len(generated)
+    for model, neural, table in zip(trained, simulated, distilled):
+        assert model is neural is table
+
+
+@pytest.mark.slow
+def test_full_profile_grid_equals_the_committed_one(committed_report):
+    """A fresh full-profile sweep reproduces every non-timing value of
+    the committed grid: restructuring the sweep moves no counter."""
+    fresh = run_bench(FULL_PROFILE, seed=0)
+    assert strip_timing_fields(fresh) == strip_timing_fields(committed_report)
+
+
+# ----------------------------------------------------------------------
+# train_phases per neural cell, --max-train-s gate
 # ----------------------------------------------------------------------
 from voyager.bench import check_train_budget  # noqa: E402
 
 def test_trained_cells_record_train_mode_and_phases(report):
-    """Trained cells carry train_phases; v9 dropped the constant
-    train_mode echo from every cell."""
+    """The neural cell, the one that trains, carries train_phases; v9
+    dropped the constant train_mode echo from every cell, and v10 the
+    table cell's copy of the neural cell's phases."""
     for entries in report["workloads"].values():
-        for kind in ("neural", "table"):
-            entry = entries[kind]
-            assert "train_mode" not in entry
-            phases = entry["train_phases"]
-            assert set(phases) == {
-                "encode",
-                "labels",
-                "forward",
-                "backward",
-                "optimizer",
-            }
-            assert all(v >= 0.0 for v in phases.values())
-        for kind in ("next_line", "stride"):
+        phases = entries["neural"]["train_phases"]
+        assert set(phases) == {
+            "encode",
+            "labels",
+            "forward",
+            "backward",
+            "optimizer",
+        }
+        assert all(v >= 0.0 for v in phases.values())
+        for kind in PREFETCHERS:
             assert "train_mode" not in entries[kind]
+        for kind in ("next_line", "stride", "table"):
             assert "train_phases" not in entries[kind]
+        assert "distill_s" not in entries["table"]
 
 
 def test_config_records_sequence_hyperparameters(report):
@@ -361,19 +415,20 @@ def test_config_records_sequence_hyperparameters(report):
 def test_strip_timing_keeps_train_mode_drops_train_phases(report):
     stripped = strip_timing_fields(report)
     for workload, entries in stripped["workloads"].items():
+        assert "train_phases" in report["workloads"][workload]["neural"]
+        table = report["workloads"][workload]["table"]
+        assert "train_phases" not in table and "distill_s" not in table
         for kind in ("neural", "table"):
-            assert "train_phases" in report["workloads"][workload][kind]
             assert "train_phases" not in entries[kind]
             assert "accuracy" in entries[kind]  # metrics survive
 
 
 def test_validator_flags_missing_train_fields(report):
-    for kind in ("neural", "table"):
-        broken = json.loads(json.dumps(report))
-        del broken["workloads"]["stride"][kind]["train_phases"]
-        assert validate_report(broken) == [
-            f"stride/{kind}: missing train_phases"
-        ]
+    table = report["workloads"]["stride"]["table"]
+    assert "train_phases" not in table and "distill_s" not in table
+    broken = json.loads(json.dumps(report))
+    del broken["workloads"]["stride"]["neural"]["train_phases"]
+    assert validate_report(broken) == ["stride/neural: missing train_phases"]
 
 
 def test_check_train_budget_gate(report):
@@ -390,9 +445,10 @@ def test_train_phases_rounded_at_serialisation(report, tmp_path):
     write_bench(report, out)
     loaded = json.loads(out.read_text())
     for entries in loaded["workloads"].values():
-        for kind in ("neural", "table"):
-            for v in entries[kind]["train_phases"].values():
-                assert v == round(v, 6)
+        for v in entries["neural"]["train_phases"].values():
+            assert v == round(v, 6)
+        assert "train_phases" not in entries["table"]
+        assert "distill_s" not in entries["table"]
 
 
 # ----------------------------------------------------------------------

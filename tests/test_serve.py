@@ -805,6 +805,59 @@ def test_close_stream_discards_spilled_checkpoint(tmp_path):
         server.close_stream("nope")
 
 
+def _not_npz(path):
+    path.write_bytes(b"not an npz archive\n")
+
+
+def _empty(path):
+    path.write_bytes(b"")
+
+
+def _truncated(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _without_h(path):
+    with np.load(path) as data:
+        fields = {k: data[k] for k in data.files if k != "h"}
+    np.savez(path, **fields)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_not_npz, _empty, _truncated, _without_h],
+    ids=lambda f: f.__name__,
+)
+def test_corrupt_spill_file_is_one_clean_error(tmp_path, corrupt):
+    """A spill file that cannot be read back fails ``submit`` with one
+    ValueError naming it: nothing is counted, the file stays, other
+    streams keep serving and ``close_stream`` still removes it."""
+    model, pc_vocab, page_vocab = serving_setup()
+    server = PrefetchServer(
+        model, pc_vocab, page_vocab,
+        ServeConfig(max_sessions=1, spill_dir=str(tmp_path / "spill")),
+    )
+    server.open_stream("a")
+    server.open_stream("b")  # spills "a"
+    (path,) = (tmp_path / "spill").iterdir()
+    corrupt(path)
+    requests, restored = server.stats.requests, server.stats.restored
+    with pytest.raises(ValueError, match="is corrupt or incomplete") as err:
+        server.submit("a", PCS[0], 0)
+    assert str(path) in str(err.value)
+    assert (server.stats.requests, server.stats.restored) == (
+        requests,
+        restored,
+    )
+    assert path.exists()
+    access = random_access(np.random.default_rng(43))
+    response = server.access("b", access.pc, access.address)
+    assert response.source == SOURCE_NEURAL
+    server.close_stream("a")
+    assert not path.exists()
+
+
 def test_spill_store_roundtrips_any_hashable_stream_id(tmp_path):
     model, pc_vocab, page_vocab = serving_setup()
     engine = InferenceEngine(model, row_exact=True)
