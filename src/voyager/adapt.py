@@ -45,7 +45,9 @@ prediction; this module is the software loop that closes serve -> train
 - :func:`run_adaptation_bench` — the adaptation-lag evaluation: drive
   regime-shifting workloads (``multi_phase``, ``drifting_zipf``)
   through a frozen server and through the full serve+log+fine-tune+swap
-  loop, measure coverage before/after each phase boundary (ground-truth
+  loop — both through :func:`~voyager.serve.drive_open_loop`, the loop
+  running as its hook every ``segment_records`` requests — measure
+  coverage before/after each phase boundary (ground-truth
   boundaries from the workload zoo's ``WorkloadSpec.boundaries``
   metadata) and the *adaptation lag* — accesses after the shift until
   rolling coverage recovers — and emit the ``serving.adaptation`` block
@@ -63,7 +65,17 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -76,7 +88,12 @@ from voyager.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from voyager.serve import PrefetchServer, ServeConfig
+from voyager.serve import (
+    DEFAULT_QOS,
+    PrefetchServer,
+    ServeConfig,
+    drive_open_loop,
+)
 from voyager.synthetic import derive_cell_seed, generate, phase_boundaries, resolve
 from voyager.traces import MemoryAccess, open_text
 from voyager.train import build_sequence_dataset, build_vocabs, train
@@ -476,30 +493,38 @@ class AdaptBenchConfig:
             resolve(name)
 
 
-def _drive_coverage(
+def _served_hits(
     server: PrefetchServer,
     trace: List[MemoryAccess],
-    after_access: Optional[Callable[[int], None]] = None,
+    hook_at: Iterable[int] = (),
+    hook: Optional[Callable[[PrefetchServer, int], None]] = None,
 ) -> List[int]:
     """Serve a trace on one stream; return per-access next-block hits.
 
+    The whole trace is due at t = 0 (:func:`~voyager.serve.drive_open_loop`
+    on a saturating one-stream schedule), so ``server`` must not shed:
+    its ``max_pending`` covers the trace.  ``hook(server, j)`` runs
+    before request ``j`` for each ``j`` in ``hook_at`` — the adaptation
+    driver rotates logs, polls the fine-tune loop and hot-swaps there.
     ``hits[t]`` is 1 iff the block of access ``t + 1`` appeared in the
     candidates served for access ``t`` (the last access has no
-    successor and is not scored).  ``after_access(t)`` runs after each
-    response — the adaptation driver uses it to flush logs, poll the
-    fine-tune loop and hot-swap.
+    successor and is not scored).
     """
-    stream = server.open_stream("adapt-eval")
-    hits: List[int] = []
-    for t, access in enumerate(trace):
-        response = server.access(stream, access.pc, access.address)
-        if t + 1 < len(trace):
-            hits.append(
-                1 if trace[t + 1].block in set(response.candidates) else 0
-            )
-        if after_access is not None:
-            after_access(t)
-    return hits
+    n = len(trace)
+    _, (served,), _, _ = drive_open_loop(
+        server,
+        ["adapt-eval"],
+        [DEFAULT_QOS],
+        [trace],
+        np.zeros(n, dtype=np.float64),
+        np.zeros(n, dtype=np.int64),
+        hook_at=hook_at,
+        hook=hook,
+    )
+    return [
+        1 if trace[t + 1].block in candidates else 0
+        for t, candidates in enumerate(served[:-1])
+    ]
 
 
 def _mean(values: List[int]) -> float:
@@ -605,14 +630,15 @@ def _run_workload(
     )
     base_prefix = workdir / workload / "base"
     save_checkpoint(base_prefix, model, pc_vocab, page_vocab)
-    serve_config = ServeConfig(degree=config.degree)
+    # The trace is queued at once: a backlog that holds it sheds nothing.
+    serve_config = ServeConfig(degree=config.degree, max_pending=config.n)
 
     # Frozen baseline: the checkpoint never changes.
     frozen_model, frozen_pc, frozen_page = load_checkpoint(base_prefix)
     frozen_server = PrefetchServer(
         frozen_model, frozen_pc, frozen_page, serve_config
     )
-    frozen_hits = _drive_coverage(frozen_server, trace)
+    frozen_hits = _served_hits(frozen_server, trace)
 
     # Adapted run: same checkpoint, plus the full loop.
     log_dir = workdir / workload / "log"
@@ -637,20 +663,19 @@ def _run_workload(
     adapted_server = PrefetchServer(
         adapted_model, adapted_pc, adapted_page, serve_config, logger=logger
     )
-    swap_events: List[Dict[str, int]] = []
 
-    def maybe_adapt(t: int) -> None:
+    def adapt(server: PrefetchServer, _j: int) -> None:
         # Cadence: every closed segment triggers one fine-tune round
         # and (if a checkpoint was produced) one hot-swap.
-        if (t + 1) % config.segment_records != 0:
-            return
         logger.rotate()
         prefix = loop.poll()
         if prefix is not None:
-            version = load_and_swap(adapted_server, prefix)
-            swap_events.append({"access": t + 1, "model_version": version})
+            load_and_swap(server, prefix)
 
-    adapted_hits = _drive_coverage(adapted_server, trace, maybe_adapt)
+    every = config.segment_records
+    adapted_hits = _served_hits(
+        adapted_server, trace, range(every, config.n + 1, every), adapt
+    )
     logger.close()
 
     phases = _phase_metrics(

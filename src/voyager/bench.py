@@ -25,10 +25,10 @@ bit-identical to the serial one in every non-timing field, which the
 equivalence tests pin.  ``--max-neural-sim-s`` and ``--max-train-s``
 gate the neural cells' timings.
 
-All four writers of the report (the sweep, ``serve-bench`` in both
-modes and ``adapt --bench``) go through :func:`write_report`: one
-merge rule, one declarative schema table (:data:`REPORT_SCHEMA`) and
-one write rule.
+All three writers of the report (the sweep, ``serve-bench`` and
+``adapt --bench``) go through :func:`write_report`: one merge rule,
+one declarative schema table (:data:`REPORT_SCHEMA`) and one write
+rule.
 
 Everything is seeded, so two runs with the same profile produce
 identical metric values (wall-clock fields aside).
@@ -103,7 +103,12 @@ from voyager.train import build_sequence_dataset, train
 #: alone (the old ``distill_s``, now dropped) and it no longer repeats
 #: the neural cell's ``train_phases``; the top-level ``cpu_s`` counts
 #: each training run once.
-BENCH_SCHEMA_VERSION = 10
+#: v11: one serving mode.  ``serving.closed_loop`` is gone: the
+#: closed loop became ``serve-bench --arrival saturate``, which writes
+#: ``serving.open_loop`` like every other arrival process.  That block
+#: gains ``responses_equal_sim`` (the 1-shard run against the
+#: simulator) and drops ``max_pending``; its counters drop ``table``.
+BENCH_SCHEMA_VERSION = 11
 
 #: Canonical report filename at the repo root.
 BENCH_FILENAME = "BENCH_voyager.json"
@@ -447,16 +452,9 @@ def write_bench(report: Dict[str, Any], path: Union[str, Path]) -> Path:
 #: The report's sections by path, each written by one writer: the
 #: sweep writes the grid (every top-level key but ``schema_version``,
 #: ``distill`` and ``serving``) and, with ``--distill-frontier``,
-#: ``distill``; ``serve-bench`` writes ``serving/closed_loop`` (with
-#: ``--open-loop``, ``serving/open_loop``); ``adapt --bench`` writes
-#: ``serving/adaptation``.
-SECTIONS = (
-    "grid",
-    "distill",
-    "serving/closed_loop",
-    "serving/open_loop",
-    "serving/adaptation",
-)
+#: ``distill``; ``serve-bench`` writes ``serving/open_loop``;
+#: ``adapt --bench`` writes ``serving/adaptation``.
+SECTIONS = ("grid", "distill", "serving/open_loop", "serving/adaptation")
 
 #: Top-level keys outside the grid.
 _NOT_GRID = ("schema_version", "distill", "serving")
@@ -598,12 +596,6 @@ REPORT_SCHEMA: Dict[str, List[Tuple[str, Check]]] = {
         ),
     ],
     "serving": [("", _SERVING)],
-    "serving/closed_loop": [
-        ("", _DICT),
-        ("streams", _COUNT),
-        *_rows("", "elapsed_s throughput_accesses_per_s", _POSITIVE),
-        ("responses_equal_sim", _TRUE),
-    ],
     "serving/open_loop": [
         ("", _DICT),
         ("requests", _COUNT),
@@ -615,7 +607,7 @@ REPORT_SCHEMA: Dict[str, List[Tuple[str, Check]]] = {
         ("runs[]/aggregate_throughput_per_s", _POSITIVE),
         *_rows("runs[]/latency/", "p50_s p95_s p99_s", _NUMBER),
         *_rows("runs[]/counters/", "shed evicted spilled restored", _INT),
-        ("responses_equal_single", _TRUE),
+        *_rows("", "responses_equal_sim responses_equal_single", _TRUE),
     ],
     "serving/adaptation": [
         ("", _DICT),
@@ -688,7 +680,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
 
     An empty list means valid.  A problem names the value by container
     and key: ``stride/neural: missing sim_s``,
-    ``serving/closed_loop: responses_equal_sim=False is not true``.
+    ``serving/open_loop: responses_equal_sim=False is not true``.
     Every writer runs it on the merged report before writing, and
     consumers of ``BENCH_voyager.json`` use it, so schema drift fails
     loudly instead of silently.

@@ -26,12 +26,14 @@ Subcommands:
   schema-versioned ``BENCH_voyager.json`` (the same flags and handler
   as ``python -m voyager.bench``):
   ``python -m voyager bench --profile smoke``
-- ``serve`` — serve a trace as interleaved streams through the online
-  serving layer (micro-batched), printing throughput and latency:
+- ``serve`` — split a trace round-robin into streams, queue it all at
+  t = 0 and serve it through the online serving layer (micro-batched),
+  printing throughput and latency since t = 0:
   ``python -m voyager serve --trace trace.txt --checkpoint ckpt/model``.
   With ``--adapt LOGDIR`` the server also logs served traffic, and
-  every ``--adapt-every`` rounds fine-tunes on the closed log segments
-  and hot-swaps the new checkpoint into the live server
+  every ``--adapt-every`` x ``--streams`` requests fine-tunes on the
+  closed log segments and hot-swaps the new checkpoint into the live
+  server
 - ``adapt`` — the serve->train->serve loop offline: watch a segment
   log directory, fine-tune from a base checkpoint, emit versioned
   checkpoints (``python -m voyager adapt --checkpoint ckpt/model
@@ -40,14 +42,14 @@ Subcommands:
   ``serving.adaptation`` block of ``BENCH_voyager.json`` and gate
   ``--min-adapted-coverage-gain`` / ``--max-adapt-lag``
 - ``serve-bench`` — benchmark the serving layer under synthetic
-  multi-stream load and write the ``serving.closed_loop`` block of the
-  bench report (``serving.open_loop`` with ``--open-loop``):
-  ``python -m voyager serve-bench --profile smoke --streams 8``.
-  With ``--open-loop`` it instead drives the sharded server pool from
-  a seeded Poisson/ON-OFF arrival schedule (``--shards``,
-  ``--shard-sweep``, ``--rate``, ``--qos-mix``, ``--spill-dir``) and
-  gates open-loop p95/p99 SLOs and aggregate throughput
-  (``--max-p95-ms``/``--max-p99-ms``/``--min-throughput``)
+  multi-stream load and write the ``serving.open_loop`` block of the
+  bench report: the sharded server pool serves a seeded Poisson,
+  ON-OFF or saturating (``--arrival saturate``, every request due at
+  t = 0) arrival schedule (``--shards``, ``--shard-sweep``, ``--rate``,
+  ``--qos-mix``, ``--spill-dir``), checks every response against the
+  simulator, and gates p95/p99 SLOs and aggregate throughput
+  (``--max-p95-ms``/``--max-p99-ms``/``--min-throughput``):
+  ``python -m voyager serve-bench --profile smoke --arrival saturate``
 
 All randomness is seeded, so repeated runs with the same arguments
 print identical numbers (bench/serve wall-clock fields aside).
@@ -96,6 +98,13 @@ from voyager.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from voyager.serve import (
+    DEFAULT_QOS,
+    PrefetchServer,
+    ServeConfig,
+    drive_open_loop,
+)
+from voyager.shard import ShardError, latency_summary
 from voyager.sim import CacheConfig, SimConfig, make_prefetcher, simulate
 from voyager.traces import TraceParseError, parse_trace, write_trace
 from voyager.train import build_sequence_dataset, train
@@ -344,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--adapt-every",
         type=int,
         default=64,
-        help="serving rounds between log rotation + fine-tune polls "
-        "(also the segment size in records per stream round; "
-        "default: 64)",
+        help="requests per stream between log rotation + fine-tune "
+        "polls: one poll, on one closed segment, every adapt-every x "
+        "streams requests (default: 64)",
     )
     serve.add_argument(
         "--adapt-steps",
@@ -679,22 +688,24 @@ def run_distill(args: argparse.Namespace) -> int:
 
 
 def run_serve(args: argparse.Namespace) -> int:
+    if args.streams < 1:
+        raise ValueError(f"--streams must be >= 1, got {args.streams}")
+    if args.adapt and args.adapt_every < 1:
+        raise ValueError(f"--adapt-every must be >= 1, got {args.adapt_every}")
     trace = parse_trace(args.trace)
+    if not trace:
+        raise ValueError(f"{args.trace}: empty trace, nothing to serve")
     model, pc_vocab, page_vocab = load_checkpoint(args.checkpoint)
+    traces, schedule = serve_trace(trace, args.streams)
     logger = None
-    on_round = None
+    hook = None
+    hook_at = range(0)
     if args.adapt:
-        if args.adapt_every < 1:
-            raise ValueError(
-                f"--adapt-every must be >= 1, got {args.adapt_every}"
-            )
-        # One serving round submits one access per stream, so a segment
-        # of adapt_every * streams records closes every adapt_every
-        # rounds — each poll sees exactly the just-rotated segment.
-        logger = AccessLogger(
-            args.adapt,
-            segment_records=args.adapt_every * max(args.streams, 1),
-        )
+        # Request j is trace[j], so a segment of adapt_every requests
+        # per stream closes exactly at each hook: every poll sees the
+        # just-rotated segment.
+        every = args.adapt_every * len(traces)
+        logger = AccessLogger(args.adapt, segment_records=every)
         loop = AdaptationLoop(
             args.checkpoint,
             args.adapt,
@@ -703,39 +714,51 @@ def run_serve(args: argparse.Namespace) -> int:
             replay_mix=args.replay_mix,
             seed=args.seed,
         )
+        hook_at = range(every, len(trace) + 1, every)
 
-        def on_round(server, r):
-            if (r + 1) % args.adapt_every == 0:
-                logger.rotate()
-                prefix = loop.poll()
-                if prefix is not None:
-                    version = load_and_swap(server, prefix)
-                    print(f"round {r + 1}: swapped in {prefix} (v{version})")
+        def hook(server: PrefetchServer, j: int) -> None:
+            logger.rotate()
+            prefix = loop.poll()
+            if prefix is not None:
+                version = load_and_swap(server, prefix)
+                print(f"request {j}: swapped in {prefix} (v{version})")
 
-    elapsed, candidates, stats = serve_trace(
+    # The whole trace is queued at t = 0: a backlog that holds it
+    # sheds nothing.
+    server = PrefetchServer(
         model,
         pc_vocab,
         page_vocab,
-        trace,
-        streams=args.streams,
-        degree=args.degree,
-        max_batch=args.max_batch,
+        ServeConfig(
+            degree=args.degree,
+            max_sessions=len(traces),
+            max_pending=len(trace),
+            max_batch=args.max_batch,
+        ),
         dtype=np.float32 if args.dtype == "float32" else np.float64,
         logger=logger,
-        on_round=on_round,
     )
-    served = sum(len(c) for c in candidates)
-    latency = stats["latency"]
+    elapsed, _, latency_s, stats = drive_open_loop(
+        server,
+        [f"s{i}" for i in range(len(traces))],
+        [DEFAULT_QOS] * len(traces),
+        traces,
+        schedule.arrival_s,
+        schedule.stream_of,
+        hook_at=hook_at,
+        hook=hook,
+    )
+    latency = latency_summary(latency_s)
     print(
-        f"streams={len(candidates)} accesses={served} "
-        f"throughput={served / elapsed:.1f}/s "
+        f"streams={len(traces)} accesses={len(trace)} "
+        f"throughput={len(trace) / elapsed:.1f}/s "
         f"neural={stats['neural']} shed={stats['shed']} "
         f"ticks={stats['ticks']}"
     )
     print(
-        f"latency p50={latency['p50_s'] * 1e6:.1f}us "
-        f"p95={latency['p95_s'] * 1e6:.1f}us "
-        f"max={latency['max_s'] * 1e6:.1f}us"
+        f"latency since t=0: p50={latency['p50_s'] * 1e3:.2f}ms "
+        f"p95={latency['p95_s'] * 1e3:.2f}ms "
+        f"max={latency['max_s'] * 1e3:.2f}ms"
     )
     if logger is not None:
         logger.close()
@@ -860,6 +883,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TraceParseError, OSError, ValueError) as exc:
+    except (TraceParseError, OSError, ValueError, ShardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

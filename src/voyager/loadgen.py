@@ -1,34 +1,29 @@
 """Load generators for the online serving layer (``serve-bench``).
 
-Two benchmark modes over the synthetic workload zoo:
-
-- **closed loop** (the original): round-robin interleaved streams
-  through one :class:`~voyager.serve.PrefetchServer` tick loop,
-  reporting its throughput and checking every stream's candidates
-  against the simulator's :class:`~voyager.sim.NeuralPrefetcher`
-  replaying the same stream.
-- **open loop** (``--open-loop``): request arrival times are drawn *up
-  front* from a seeded generator — Poisson or bursty ON-OFF per stream
-  (:class:`ArrivalConfig` / :func:`open_loop_schedule`) — and served by
-  the sharded pool of :mod:`voyager.shard` at 1/2/4/... shards, with
-  latency measured from the scheduled arrival so queueing under load
-  is inside every percentile.  Streams carry QoS classes
-  (``--qos-mix``), sessions can spill/restore through ``--spill-dir``,
-  and an optional ``overload`` sub-run pins the QoS shedding order
-  under deliberate backlog.
+One benchmark mode over the synthetic workload zoo: request arrival
+times are drawn *up front* from a seeded generator — Poisson or bursty
+ON-OFF per stream (:class:`ArrivalConfig` / :func:`open_loop_schedule`),
+or ``saturate``, every request due at t = 0 with streams in
+round-robin order — and served by the sharded pool of
+:mod:`voyager.shard` at 1/2/4/... shards through
+:func:`voyager.serve.drive_open_loop`, with latency measured from the
+scheduled arrival so queueing under load is inside every percentile.
+Streams carry QoS classes (``--qos-mix``), sessions can spill/restore
+through ``--spill-dir``, and an optional ``overload`` sub-run pins the
+QoS shedding order under deliberate backlog.
 
 The server and the simulator's prefetcher share all model arithmetic,
 so their candidate lists are bit-identical per stream (the server's
-``row_exact`` engine guarantees it); both modes cross-check on every
-access and record ``responses_equal_sim`` / ``responses_equal_single``
-so a silent divergence would fail the CI gate, not just slip a
-throughput number.
+``row_exact`` engine guarantees it).  Every run cross-checks on every
+access and records ``responses_equal_sim`` (the 1-shard run against
+the simulator) and ``responses_equal_single`` (every pool size against
+the 1-shard run), so a silent divergence fails the CI gate instead
+of slipping a throughput number.
 
-Each mode writes its own report block, ``serving/closed_loop`` or
-``serving/open_loop``, through :func:`voyager.bench.write_report`.
-Throughput fields are wall-clock measurements and therefore live with
-the other timing fields: :func:`voyager.bench.strip_timing_fields`
-removes the whole section.
+The run writes one report block, ``serving/open_loop``, through
+:func:`voyager.bench.write_report`.  Throughput fields are wall-clock
+measurements and therefore live with the other timing fields:
+:func:`voyager.bench.strip_timing_fields` removes the whole section.
 """
 
 from __future__ import annotations
@@ -58,14 +53,15 @@ from voyager.serve import (
     QOS_CLASSES,
     PrefetchServer,
     ServeConfig,
+    drive_open_loop,
 )
-from voyager.shard import ShardConfig, drive_open_loop, run_sharded
+from voyager.shard import ShardConfig, ShardError, run_sharded
 from voyager.sim import NeuralPrefetcher, protocol_candidates
 from voyager.synthetic import derive_cell_seed
 from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
 
-ARRIVAL_PROCESSES = ("poisson", "onoff")
+ARRIVAL_PROCESSES = ("poisson", "onoff", "saturate")
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ class LoadGenConfig:
 
 @dataclass(frozen=True)
 class ArrivalConfig:
-    """Open-loop arrival process: Poisson or bursty ON-OFF.
+    """Open-loop arrival process: Poisson, bursty ON-OFF, or saturate.
 
     ``rate`` is the *aggregate* request rate across all streams; each
     stream arrives independently at ``rate / streams``.  The ON-OFF
@@ -97,7 +93,9 @@ class ArrivalConfig:
     ``on_s``, during which the stream fires at the elevated rate that
     keeps its long-run average equal to its Poisson share) and silent
     OFF gaps (mean ``off_s``) — the bursty arrival shape that stresses
-    queueing in ways a memoryless Poisson stream cannot.
+    queueing in ways a memoryless Poisson stream cannot.  ``saturate``
+    ignores the timing knobs: every request is due at t = 0, which
+    measures peak throughput.
     """
 
     process: str = "poisson"
@@ -163,6 +161,18 @@ def _stream_arrivals(
     return times
 
 
+def saturating_schedule(requests: int, streams: int) -> OpenLoopSchedule:
+    """Every request due at t = 0, streams in round-robin order.
+
+    Request ``j`` is stream ``j % streams``'s next access, which is
+    also how :func:`serve_trace` splits one trace into streams.
+    """
+    return OpenLoopSchedule(
+        arrival_s=np.zeros(requests, dtype=np.float64),
+        stream_of=np.arange(requests, dtype=np.int64) % streams,
+    )
+
+
 def open_loop_schedule(
     config: LoadGenConfig, arrival: ArrivalConfig, seed: int
 ) -> OpenLoopSchedule:
@@ -172,6 +182,10 @@ def open_loop_schedule(
     (the bench pool discipline), so the timeline is identical no
     matter how the streams are later partitioned across shards.
     """
+    if arrival.process == "saturate":
+        return saturating_schedule(
+            config.streams * config.accesses_per_stream, config.streams
+        )
     per_stream_rate = arrival.rate / config.streams
     times: List[np.ndarray] = []
     owners: List[np.ndarray] = []
@@ -266,64 +280,6 @@ def stream_traces(
     return traces
 
 
-def _drive_batched(
-    model: HierarchicalModel,
-    pc_vocab: Vocab,
-    page_vocab: Vocab,
-    traces: Sequence[Sequence[MemoryAccess]],
-    config: LoadGenConfig,
-    dtype,
-    logger: Optional[Any] = None,
-    on_round: Optional[Any] = None,
-) -> Tuple[float, List[List[List[int]]], Dict[str, Any]]:
-    """One server, all streams interleaved; one tick per round.
-
-    Round ``r`` submits every stream's ``r``-th access and ticks once,
-    so each tick coalesces ``streams`` requests into one batched pass —
-    the micro-batching case the subsystem exists for.  ``logger`` is
-    handed to the server (served-traffic logging); ``on_round(server,
-    r)`` runs after each round's responses — the ``serve --adapt``
-    hook that rotates logs, fine-tunes and hot-swaps mid-run (responses
-    a swap drains are collected here via ``poll``).  Returns
-    ``(elapsed_s, per-stream candidate lists, stats snapshot)``.
-    """
-    server = PrefetchServer(
-        model,
-        pc_vocab,
-        page_vocab,
-        ServeConfig(
-            degree=config.degree,
-            max_sessions=max(config.streams, 1),
-            max_pending=max(config.streams * 4, 16),
-            max_batch=config.max_batch,
-        ),
-        dtype=dtype,
-        logger=logger,
-    )
-    sids = [server.open_stream() for _ in traces]
-    candidates: List[List[List[int]]] = [[] for _ in traces]
-    rounds = max(len(t) for t in traces)
-    start = time.perf_counter()
-    index = {sid: i for i, sid in enumerate(sids)}
-    for r in range(rounds):
-        for i, sid in enumerate(sids):
-            if r < len(traces[i]):
-                server.submit(sid, traces[i][r].pc, traces[i][r].address)
-        for response in server.tick():
-            candidates[index[response.stream_id]].append(response.candidates)
-        if on_round is not None:
-            on_round(server, r)
-            for response in server.poll():
-                candidates[index[response.stream_id]].append(
-                    response.candidates
-                )
-    while server.pending:  # streams > max_batch leaves a backlog
-        for response in server.tick():
-            candidates[index[response.stream_id]].append(response.candidates)
-    elapsed = time.perf_counter() - start
-    return elapsed, candidates, server.stats.snapshot()
-
-
 def _sim_candidates(
     model: HierarchicalModel,
     pc_vocab: Vocab,
@@ -343,47 +299,6 @@ def _sim_candidates(
         )
         for trace in traces
     ]
-
-
-def run_loadgen(
-    profile: BenchProfile = SMOKE_PROFILE,
-    config: Optional[LoadGenConfig] = None,
-    seed: int = 0,
-    dtype=np.float64,
-) -> Dict[str, Any]:
-    """Train once, serve the streams, return the ``closed_loop`` block.
-
-    All values are full precision; the report write rounds timing
-    fields at serialisation time.
-    """
-    config = config or LoadGenConfig()
-    started = time.perf_counter()
-    neural, _ = _train_neural(mixed_training_trace(profile, seed), profile, seed)
-    train_s = time.perf_counter() - started
-    traces = stream_traces(profile, config, seed)
-    total = sum(len(t) for t in traces)
-
-    batched_s, batched_cands, stats = _drive_batched(
-        neural.model, neural.pc_vocab, neural.page_vocab, traces, config, dtype
-    )
-    sim_cands = _sim_candidates(
-        neural.model, neural.pc_vocab, neural.page_vocab, traces, config, dtype
-    )
-    return {
-        "profile": profile.name,
-        "seed": seed,
-        "dtype": np.dtype(dtype).name,
-        "streams": config.streams,
-        "accesses_per_stream": config.accesses_per_stream,
-        "total_accesses": total,
-        "degree": config.degree,
-        "max_batch": config.max_batch,
-        "train_s": train_s,
-        "elapsed_s": batched_s,
-        "throughput_accesses_per_s": total / batched_s,
-        "responses_equal_sim": batched_cands == sim_cands,
-        "stats": stats,
-    }
 
 
 def _overload_run(
@@ -420,18 +335,12 @@ def _overload_run(
         dtype=dtype,
     )
     n = sum(len(t) for t in traces)
-    stream_of = np.concatenate(
-        [np.full(len(t), i, dtype=np.int64) for i, t in enumerate(traces)]
-    )
-    # Round-robin submit order (sort by per-stream position, stable),
-    # so the three classes contend from the first overflow onward.
-    position = np.concatenate(
-        [np.arange(len(t), dtype=np.int64) for t in traces]
-    )
-    stream_of = stream_of[np.argsort(position, kind="stable")]
+    # Round-robin submit order, so the three classes contend from the
+    # first overflow onward.
+    schedule = saturating_schedule(n, streams)
     sids = [f"s{i}" for i in range(streams)]
     elapsed, _, _, stats = drive_open_loop(
-        server, sids, qos, traces, np.zeros(n, dtype=np.float64), stream_of
+        server, sids, qos, traces, schedule.arrival_s, schedule.stream_of
     )
     # Offered per class, so shed *rates* are comparable even when the
     # class populations differ (streams mod 3 != 0).
@@ -470,46 +379,34 @@ def run_open_loop_bench(
     dtype=np.float64,
     qos_mix: Optional[str] = None,
     max_sessions: Optional[int] = None,
-    max_pending: Optional[int] = None,
     spill_dir: Optional[str] = None,
     replicas: int = 64,
     overload: bool = False,
 ) -> Dict[str, Any]:
-    """Open-loop sharded bench: one schedule, one model, N pool sizes.
+    """Sharded serving bench: one schedule, one model, N pool sizes.
 
-    Trains once, draws one arrival schedule, then serves it at every
-    requested shard count (1 is always included as the equality and
-    scaling reference).  ``max_sessions`` below ``streams`` plus a
-    ``spill_dir`` exercises evicted-session checkpoint/restore under
-    load; the defaults are shed-free and eviction-free so the bitwise
-    equality check is meaningful.  Returns the ``open_loop`` block for
-    the report's serving section, full precision (the report write
-    rounds timing fields).
+    Checks every pool shape, trains once, draws one arrival schedule,
+    then serves it at every requested shard count (1 is always included
+    as the equality and scaling reference).  ``max_sessions`` below
+    ``streams`` plus a ``spill_dir`` exercises evicted-session
+    checkpoint/restore under load.  The backlog is unbounded, so a run
+    sheds nothing.  Returns the ``open_loop`` block for the report's
+    serving section, full precision (the report write rounds timing
+    fields).
     """
     config = config or LoadGenConfig()
     arrival = arrival or ArrivalConfig()
     qos = parse_qos_mix(qos_mix, config.streams)
-    started = time.perf_counter()
-    neural, _ = _train_neural(
-        mixed_training_trace(profile, seed), profile, seed
-    )
-    train_s = time.perf_counter() - started
-    traces = stream_traces(profile, config, seed)
-    schedule = open_loop_schedule(config, arrival, seed)
     counts = sorted({int(c) for c in shard_counts} | {1})
-    resident = max_sessions if max_sessions is not None else max(
-        config.streams, 1
-    )
-    pending_cap = max_pending if max_pending is not None else (1 << 20)
-    runs: List[Dict[str, Any]] = []
-    candidates_by_shards: Dict[int, List[List[List[int]]]] = {}
-    for shards in counts:
-        shard_config = ShardConfig(
+    resident = max_sessions if max_sessions is not None else config.streams
+    # Built before training: a bad pool shape or serving knob fails
+    # here, not after the model has trained.
+    shard_configs = [
+        ShardConfig(
             shards=shards,
             replicas=replicas,
             degree=config.degree,
             max_sessions=resident,
-            max_pending=pending_cap,
             max_batch=config.max_batch,
             spill_dir=(
                 os.path.join(spill_dir, f"shards-{shards}")
@@ -517,6 +414,18 @@ def run_open_loop_bench(
                 else None
             ),
         )
+        for shards in counts
+    ]
+    started = time.perf_counter()
+    neural, _ = _train_neural(
+        mixed_training_trace(profile, seed), profile, seed
+    )
+    train_s = time.perf_counter() - started
+    traces = stream_traces(profile, config, seed)
+    schedule = open_loop_schedule(config, arrival, seed)
+    runs: List[Dict[str, Any]] = []
+    candidates_by_shards: Dict[int, List[List[List[int]]]] = {}
+    for shard_config in shard_configs:
         result = run_sharded(
             neural.model,
             neural.pc_vocab,
@@ -529,11 +438,11 @@ def run_open_loop_bench(
             dtype=dtype,
             seed=seed,
         )
-        candidates_by_shards[shards] = result.pop("candidates")
+        candidates_by_shards[shard_config.shards] = result.pop("candidates")
         runs.append(result)
     single = candidates_by_shards[1]
-    responses_equal_single = all(
-        candidates_by_shards[shards] == single for shards in counts
+    sim = _sim_candidates(
+        neural.model, neural.pc_vocab, neural.page_vocab, traces, config, dtype
     )
     base = runs[0]["aggregate_throughput_per_s"]
     for run in runs:
@@ -550,7 +459,6 @@ def run_open_loop_bench(
         "degree": config.degree,
         "max_batch": config.max_batch,
         "max_sessions": resident,
-        "max_pending": pending_cap,
         "spill": spill_dir is not None,
         "replicas": replicas,
         "arrival": {
@@ -563,7 +471,10 @@ def run_open_loop_bench(
         "host_cpus": os.cpu_count(),
         "train_s": train_s,
         "runs": runs,
-        "responses_equal_single": responses_equal_single,
+        "responses_equal_sim": single == sim,
+        "responses_equal_single": all(
+            candidates == single for candidates in candidates_by_shards.values()
+        ),
     }
     if overload:
         section["overload"] = _overload_run(
@@ -578,42 +489,19 @@ def run_open_loop_bench(
 
 
 def serve_trace(
-    model: HierarchicalModel,
-    pc_vocab: Vocab,
-    page_vocab: Vocab,
-    trace: Sequence[MemoryAccess],
-    streams: int = 4,
-    degree: int = 2,
-    max_batch: int = 64,
-    dtype=np.float64,
-    logger: Optional[Any] = None,
-    on_round: Optional[Any] = None,
-) -> Tuple[float, List[List[List[int]]], Dict[str, Any]]:
-    """Round-robin split one trace into ``streams`` and serve it.
+    trace: Sequence[MemoryAccess], streams: int = 4
+) -> Tuple[List[List[MemoryAccess]], OpenLoopSchedule]:
+    """Round-robin split one trace into streams, everything due at t = 0.
 
-    The ``python -m voyager serve`` smoke entry: stream ``i`` gets
-    accesses ``i, i + streams, ...``.  ``logger``/``on_round`` pass
-    through to the driver for the ``--adapt`` loop.  Returns
-    ``(elapsed_s, per-stream candidate lists, stats snapshot)``.
+    The ``python -m voyager serve`` schedule: stream ``i`` gets
+    accesses ``i, i + streams, ...``, so request ``j`` is ``trace[j]``.
+    More streams than accesses leaves one stream per access.  Returns
+    ``(per-stream traces, schedule)`` for
+    :func:`~voyager.serve.drive_open_loop`.
     """
+    streams = min(streams, len(trace))
     split = [list(trace[i::streams]) for i in range(streams)]
-    split = [t for t in split if t]  # more streams than accesses
-    config = LoadGenConfig(
-        streams=max(len(split), 1),
-        accesses_per_stream=max(len(split[0]), 1) if split else 1,
-        degree=degree,
-        max_batch=max_batch,
-    )
-    return _drive_batched(
-        model,
-        pc_vocab,
-        page_vocab,
-        split,
-        config,
-        dtype,
-        logger=logger,
-        on_round=on_round,
-    )
+    return split, saturating_schedule(len(trace), streams)
 
 
 def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
@@ -648,17 +536,10 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
         "--min-throughput",
         type=float,
         default=None,
-        help="fail (exit 1) if throughput (closed loop: batched "
-        "accesses/s; open loop: aggregate req/s of the gated run) is "
-        "below this",
+        help="fail (exit 1) if the gated run's aggregate req/s is below "
+        "this",
     )
-    group = parser.add_argument_group("open-loop sharded serving")
-    group.add_argument(
-        "--open-loop",
-        action="store_true",
-        help="run the open-loop sharded bench instead of the "
-        "closed-loop tick loop",
-    )
+    group = parser.add_argument_group("arrivals and sharded serving")
     group.add_argument(
         "--shards",
         type=int,
@@ -675,7 +556,8 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
         "--arrival",
         choices=ARRIVAL_PROCESSES,
         default="poisson",
-        help="arrival process (default: poisson)",
+        help="arrival process; 'saturate' makes every request due at "
+        "t = 0, streams in round-robin order (default: poisson)",
     )
     group.add_argument(
         "--rate",
@@ -711,13 +593,6 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
         "this exercises spill/restore (default: no eviction)",
     )
     group.add_argument(
-        "--max-pending",
-        type=int,
-        default=None,
-        help="neural backlog cap per shard (default: effectively "
-        "unbounded, so runs are shed-free)",
-    )
-    group.add_argument(
         "--spill-dir",
         default=None,
         help="root directory for evicted-session checkpoints "
@@ -733,13 +608,13 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
         "--max-p95-ms",
         type=float,
         default=None,
-        help="fail (exit 1) if open-loop p95 latency exceeds this",
+        help="fail (exit 1) if the gated run's p95 latency exceeds this",
     )
     group.add_argument(
         "--max-p99-ms",
         type=float,
         default=None,
-        help="fail (exit 1) if open-loop p99 latency exceeds this",
+        help="fail (exit 1) if the gated run's p99 latency exceeds this",
     )
     group.add_argument(
         "--min-shard-scaling",
@@ -750,10 +625,11 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_open_loop_cli(
-    args: argparse.Namespace, profile: BenchProfile
-) -> int:
-    """The ``--open-loop`` half of :func:`run_serve_bench`."""
+def run_serve_bench(args: argparse.Namespace) -> int:
+    """Execute a parsed serve-bench invocation (CLI handler)."""
+    profile = profile_with_workloads(
+        _profile_by_name(args.profile), getattr(args, "workloads", None)
+    )
     if args.shards < 1:
         raise ValueError(f"--shards must be >= 1, got {args.shards}")
     counts = {args.shards}
@@ -782,7 +658,6 @@ def _run_open_loop_cli(
         dtype=np.float32 if args.dtype == "float32" else np.float64,
         qos_mix=args.qos_mix,
         max_sessions=args.max_sessions,
-        max_pending=args.max_pending,
         spill_dir=args.spill_dir,
         overload=args.overload,
     )
@@ -819,8 +694,9 @@ def _run_open_loop_cli(
             f"scaling_vs_single={gated['scaling_vs_single']:.2f}x below "
             f"--min-shard-scaling {args.min_shard_scaling}"
         )
+    rate = "" if arrival.process == "saturate" else f" rate={arrival.rate:.0f}/s"
     print(
-        f"open-loop {arrival.process} rate={arrival.rate:.0f}/s "
+        f"arrival={arrival.process}{rate} "
         f"streams={section['streams']} requests={section['requests']} "
         f"qos={args.qos_mix or DEFAULT_QOS}"
     )
@@ -837,51 +713,13 @@ def _run_open_loop_cli(
             f"shed={counters['shed']} spilled={counters['spilled']} "
             f"restored={counters['restored']}"
         )
-    print(f"equal_single={section['responses_equal_single']}")
+    print(
+        f"equal_sim={section['responses_equal_sim']} "
+        f"equal_single={section['responses_equal_single']}"
+    )
     if "overload" in section:
         print(f"overload shed_by_class={section['overload']['shed_by_class']}")
     return write_report(args.out, {"serving/open_loop": section}, problems)
-
-
-def run_serve_bench(args: argparse.Namespace) -> int:
-    """Execute a parsed serve-bench invocation (CLI handler)."""
-    profile = profile_with_workloads(
-        _profile_by_name(args.profile), getattr(args, "workloads", None)
-    )
-    if getattr(args, "open_loop", False):
-        return _run_open_loop_cli(args, profile)
-    config = LoadGenConfig(
-        streams=args.streams,
-        accesses_per_stream=args.accesses,
-        degree=args.degree,
-        max_batch=args.max_batch,
-    )
-    serving = run_loadgen(
-        profile,
-        config,
-        seed=args.seed,
-        dtype=np.float32 if args.dtype == "float32" else np.float64,
-    )
-    problems: List[str] = []
-    if args.min_throughput is not None and (
-        serving["throughput_accesses_per_s"] < args.min_throughput
-    ):
-        problems.append(
-            f"throughput={serving['throughput_accesses_per_s']:.1f}/s below "
-            f"--min-throughput {args.min_throughput}"
-        )
-    latency = serving["stats"]["latency"]
-    print(
-        f"streams={serving['streams']} total={serving['total_accesses']} "
-        f"throughput={serving['throughput_accesses_per_s']:.1f}/s "
-        f"equal_sim={serving['responses_equal_sim']}"
-    )
-    print(
-        f"latency p50={latency['p50_s'] * 1e6:.1f}us "
-        f"p95={latency['p95_s'] * 1e6:.1f}us "
-        f"shed={serving['stats']['shed']} ticks={serving['stats']['ticks']}"
-    )
-    return write_report(args.out, {"serving/closed_loop": serving}, problems)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -893,7 +731,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add_serve_bench_args(parser)
     try:
         return run_serve_bench(parser.parse_args(argv))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ShardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -907,9 +745,9 @@ __all__ = [
     "mixed_training_trace",
     "open_loop_schedule",
     "parse_qos_mix",
-    "run_loadgen",
     "run_open_loop_bench",
     "run_serve_bench",
+    "saturating_schedule",
     "serve_trace",
     "stream_traces",
 ]

@@ -4,8 +4,7 @@ Everything below :mod:`voyager.sim` replays one whole trace at a time;
 a deployed prefetcher instead sees *many concurrent access streams*
 (cores, threads, tenants) and must produce predictions per access
 under a latency budget — the practicality framing of Hashemi et al.
-(2018) and the tabularization line of Zhang et al. (2024).  This
-module is that missing layer:
+(2018).  This module is that missing layer:
 
 - :class:`StreamSession` — per-stream serving state: the carried
   :class:`~voyager.infer.LSTMState`, reset to zero every
@@ -51,23 +50,25 @@ module is that missing layer:
   preserved, so the recurrence stays exact).
 - **evicted-session checkpoint/restore**: with ``ServeConfig.spill_dir``
   set, LRU-evicted sessions serialize their :class:`LSTMState`, access
-  count and table context to an atomic ``.npz`` spill file
+  count and QoS class to an atomic ``.npz`` spill file
   (:class:`SpillStore`) and are restored transparently on the next
   ``submit`` — total stream count can vastly exceed resident capacity,
   and a restored session is bit-identical to one that was never
   evicted.  In spill mode eviction skips sessions with in-flight
   requests (deferring to end-of-tick), so checkpointing never orphans
   a pending request.
-- optional *table-backed* serving: construct the server with a
-  :class:`~voyager.distill.DistilledTable` and every request probes the
-  distilled context tables first — a hit answers from the table
-  (``source == "table"``) and skips the batched rollout entirely for
-  that stream, so table-hit traffic costs dict probes instead of model
-  arithmetic; misses fall through to the exact neural path.
+- :func:`drive_open_loop` — the one driver every caller serves through
+  (``serve``, ``serve-bench``, the shard pool and the adaptation
+  bench): requests are submitted at pre-scheduled arrival times and
+  one ``hook(server, j)`` runs at chosen request indices with nothing
+  in flight, which is where log rotation, fine-tune polls and
+  hot-swaps happen.
 
-The server is deterministic given a deterministic submit/tick schedule:
-same streams + same accesses means bit-identical candidates, which is
-what lets :mod:`voyager.loadgen` assert reproducible throughput runs.
+Every response is a neural rollout from the stream's carried state, or
+the shed/orphan degrade.  The server is deterministic given a
+deterministic submit/tick schedule: same streams + same accesses means
+bit-identical candidates, which is what lets :mod:`voyager.loadgen`
+assert reproducible throughput runs.
 """
 
 from __future__ import annotations
@@ -78,12 +79,22 @@ import zipfile
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from voyager.baselines import next_line_candidates
-from voyager.distill import DistilledTable
 from voyager.infer import InferenceEngine, LSTMState
 from voyager.ioutil import atomic_savez
 from voyager.model import HierarchicalModel, vocab_fingerprint
@@ -93,7 +104,6 @@ from voyager.vocab import Vocab
 
 #: ``PrefetchResponse.source`` values.
 SOURCE_NEURAL = "neural"  # batched rollout from the stream's state
-SOURCE_TABLE = "table"  # distilled-table context hit: no rollout needed
 SOURCE_SHED = "shed"  # backpressure: degraded or dropped at submit
 SOURCE_ORPHANED = "orphaned"  # session evicted/closed before the tick
 
@@ -167,27 +177,16 @@ class StreamSession:
     can be evicted or closed without touching any other stream's state.
     """
 
-    __slots__ = (
-        "stream_id",
-        "state",
-        "ctx",
-        "accesses",
-        "qos",
-        "pending",
-    )
+    __slots__ = ("stream_id", "state", "accesses", "qos", "pending")
 
     def __init__(
         self,
         stream_id: Hashable,
         engine: InferenceEngine,
-        ctx_depth: int = 0,
         qos: str = DEFAULT_QOS,
     ):
         self.stream_id = stream_id
         self.state = engine.init_state(1)
-        # Encoded (pc, page, offset) triples for distilled-table
-        # lookups; empty (maxlen=0) on servers without a table.
-        self.ctx: deque = deque(maxlen=ctx_depth)
         self.accesses = 0
         self.qos = qos  # default class for this stream's requests
         self.pending = 0  # in-flight requests (guards spill eviction)
@@ -270,7 +269,6 @@ class ServerStats:
         self.requests = 0
         self.responses = 0
         self.neural = 0
-        self.table = 0
         self.shed = 0
         self.orphaned = 0
         self.ticks = 0
@@ -299,8 +297,6 @@ class ServerStats:
         self.responses += 1
         if response.source == SOURCE_NEURAL:
             self.neural += 1
-        elif response.source == SOURCE_TABLE:
-            self.table += 1
         elif response.source == SOURCE_ORPHANED:
             self.orphaned += 1
         self._reservoir.add(response.latency_s)
@@ -314,7 +310,6 @@ class ServerStats:
             "requests": self.requests,
             "responses": self.responses,
             "neural": self.neural,
-            "table": self.table,
             "shed": self.shed,
             "shed_by_class": dict(self.shed_by_class),
             "orphaned": self.orphaned,
@@ -339,8 +334,8 @@ class SpillStore:
     name), written via :func:`~voyager.ioutil.atomic_savez` so a crash
     mid-evict never leaves a torn checkpoint.  The payload is the
     session's entire serving state — ``LSTMState`` rows, access count
-    (its position in the current reset segment), distilled-table
-    context and QoS class — at full bit precision, which is what lets
+    (its position in the current reset segment) and QoS class — at full
+    bit precision, which is what lets
     ``tests/test_serve.py`` pin a restored session bit-identical to a
     never-evicted one.
     """
@@ -363,15 +358,10 @@ class SpillStore:
         return self._path(stream_id).exists()
 
     def save(self, session: StreamSession) -> Path:
-        ctx = np.array(list(session.ctx), dtype=np.int64).reshape(
-            len(session.ctx), 3
-        )
         return atomic_savez(
             self._path(session.stream_id),
             h=session.state.h,
             c=session.state.c,
-            ctx=ctx,
-            ctx_depth=np.int64(session.ctx.maxlen or 0),
             accesses=np.int64(session.accesses),
             qos=np.array(session.qos),
         )
@@ -388,18 +378,11 @@ class SpillStore:
         try:
             with np.load(path, allow_pickle=False) as data:
                 session = StreamSession(
-                    stream_id,
-                    engine,
-                    ctx_depth=int(data["ctx_depth"]),
-                    qos=str(data["qos"]),
+                    stream_id, engine, qos=str(data["qos"])
                 )
                 session.state = LSTMState(
                     h=data["h"].copy(), c=data["c"].copy()
                 )
-                for triple in data["ctx"]:
-                    session.ctx.append(
-                        (int(triple[0]), int(triple[1]), int(triple[2]))
-                    )
                 session.accesses = int(data["accesses"])
         except (
             EOFError,
@@ -460,7 +443,6 @@ class PrefetchServer:
         config: Optional[ServeConfig] = None,
         dtype=np.float64,
         clock: Callable[[], float] = time.perf_counter,
-        table: Optional[DistilledTable] = None,
         logger: Optional[Any] = None,
     ):
         self.config = config or ServeConfig()
@@ -474,12 +456,6 @@ class PrefetchServer:
         # flushing is the caller's responsibility, so the tick hot path
         # never blocks on I/O.
         self.logger = logger
-        # Optional distilled table: consulted before the rollout; a
-        # context hit answers without any batched forward for that
-        # stream (the recurrent state still advances, so a later miss
-        # falls back to a neural prediction that is bit-identical to a
-        # table-free server's).
-        self.table = table
         self.pc_vocab = pc_vocab
         self.page_vocab = page_vocab
         self.clock = clock
@@ -537,10 +513,7 @@ class PrefetchServer:
         if self._spill is not None:
             self._spill.discard(stream_id)  # stale checkpoint, if any
         self._make_room()
-        ctx_depth = self.table.config.max_depth if self.table else 0
-        self._sessions[stream_id] = StreamSession(
-            stream_id, self.engine, ctx_depth, qos
-        )
+        self._sessions[stream_id] = StreamSession(stream_id, self.engine, qos)
         self.stats.opened += 1
         return stream_id
 
@@ -726,10 +699,9 @@ class PrefetchServer:
     ) -> int:
         """Install new weights between ticks without dropping sessions.
 
-        Every session's serving state — recurrent ``LSTMState``,
-        distilled-table context, access counts — carries over
-        untouched; only the parameter arrays
-        behind the shared engine change.  In-flight requests are
+        Every session's serving state — recurrent ``LSTMState`` and
+        access counts — carries over untouched; only the parameter
+        arrays behind the shared engine change.  In-flight requests are
         drained first on the *old* weights (their responses land in the
         :meth:`poll` buffer), so no request is ever served by a model
         it wasn't submitted against.  Under ``row_exact`` the swapped
@@ -747,9 +719,9 @@ class PrefetchServer:
           carried states; ``seq_len`` places every live stream in its
           reset segment);
         - both vocabs must hash identically
-          (:func:`~voyager.model.vocab_fingerprint`) — live states and
-          table contexts were built from the old vocab's ids, so a
-          different mapping would silently misdecode every prediction.
+          (:func:`~voyager.model.vocab_fingerprint`) — live states were
+          built from the old vocab's ids, so a different mapping would
+          silently misdecode every prediction.
 
         Returns the new ``model_version`` (also in ``ServerStats``).
         """
@@ -829,7 +801,6 @@ class PrefetchServer:
                 live.append((req, session))
 
         candidates_by_seq: Dict[int, List[int]] = {}
-        sources_by_seq: Dict[int, str] = {}
         if live:
             # Phase A: one batched embed for every live request.
             pc_ids = np.array(
@@ -873,10 +844,9 @@ class PrefetchServer:
                 for j, (i, session) in enumerate(zip(wave, sessions)):
                     session.state = stepped[i] = state.row(j)
 
-            # Phase C: log, extend table contexts, answer table hits,
-            # and collect the rollout-eligible requests.
+            # Phase C: log, and collect the rollout-eligible requests.
             rollout_rows: List[int] = []
-            for i, (req, session) in enumerate(live):
+            for i, (req, _) in enumerate(live):
                 if self.logger is not None:
                     self.logger.log(
                         req.access.pc,
@@ -884,22 +854,8 @@ class PrefetchServer:
                         tick=self.stats.ticks,
                         stream_id=req.stream_id,
                     )
-                if self.table is not None:
-                    session.ctx.append(
-                        (int(pc_ids[i]), int(page_ids[i]), int(offset_ids[i]))
-                    )
-                if req.degraded:
-                    continue
-                if self.table is not None:
-                    cands, _ = self.table.lookup(session.ctx)
-                    if cands is not None:
-                        # Table hit: answered without the rollout.
-                        sources_by_seq[req.seq] = SOURCE_TABLE
-                        candidates_by_seq[req.seq] = cands[
-                            : self.config.degree
-                        ]
-                        continue
-                rollout_rows.append(i)
+                if not req.degraded:
+                    rollout_rows.append(i)
 
             # Phase D: one batched rollout from each request's own
             # stepped state, then the shared decode.
@@ -911,7 +867,6 @@ class PrefetchServer:
                 )
                 for r, i in enumerate(rollout_rows):
                     seq = live[i][0].seq
-                    sources_by_seq[seq] = SOURCE_NEURAL
                     candidates_by_seq[seq] = decode_block_candidates(
                         self._page_table,
                         pages[r],
@@ -931,7 +886,7 @@ class PrefetchServer:
                 source = SOURCE_SHED
                 cands = self._degrade_candidates(req)
             else:
-                source = sources_by_seq[req.seq]
+                source = SOURCE_NEURAL
                 cands = candidates_by_seq[req.seq]
             response = PrefetchResponse(
                 stream_id=req.stream_id,
@@ -1043,6 +998,97 @@ class PrefetchServer:
         return self._sessions[stream_id].state.copy()
 
 
+def drive_open_loop(
+    server: PrefetchServer,
+    stream_ids: Sequence[Hashable],
+    qos: Sequence[str],
+    traces: Sequence[Sequence[MemoryAccess]],
+    arrival_s: np.ndarray,
+    stream_of: np.ndarray,
+    clock: Callable[[], float] = time.perf_counter,
+    sleep: Callable[[float], None] = time.sleep,
+    hook_at: Iterable[int] = (),
+    hook: Optional[Callable[[PrefetchServer, int], None]] = None,
+) -> Tuple[float, List[List[List[int]]], np.ndarray, Dict[str, Any]]:
+    """Serve requests at their scheduled arrival times: the one driver.
+
+    ``arrival_s[j]`` (ascending) says when request ``j`` arrives;
+    ``stream_of[j]`` names the stream whose next trace access it is.
+    The loop submits everything due, ticks while work is pending, and
+    only sleeps when the next arrival is comfortably in the future — an
+    open-loop driver, so a slow tick makes the backlog (and the
+    measured queueing latency) grow instead of stalling the workload.
+    A schedule with every request due at t = 0 saturates the server:
+    it queues the whole trace at once, so a caller that must not shed
+    serves with a ``max_pending`` of at least the request count.
+
+    For each index ``j`` in ``hook_at`` (``0 <= j <= n``) the driver
+    answers every earlier request, calls ``hook(server, j)`` with
+    nothing in flight, and only then submits request ``j``; ``j == n``
+    runs after the last response.  A hook that hot-swaps therefore
+    draws a clean version boundary in arrival order: requests ``< j``
+    are answered by the old checkpoint and ``>= j`` by the new one.
+
+    Returns ``(elapsed_s, per-stream candidates, latency_s, stats)``
+    where ``latency_s[j]`` is completion minus *scheduled arrival* of
+    request ``j`` — queueing included, the honest open-loop number.
+    """
+    n = len(arrival_s)
+    marks = deque(sorted(set(hook_at)) if hook is not None else ())
+    if marks and not 0 <= marks[0] <= marks[-1] <= n:
+        raise ValueError(f"hook indices must lie in [0, {n}]")
+    for stream_id, stream_qos in zip(stream_ids, qos):
+        server.open_stream(stream_id, qos=stream_qos)
+    index = {sid: i for i, sid in enumerate(stream_ids)}
+    # Request j is stream i's k-th access; per-stream FIFO responses
+    # mean stream i's k-th response resolves arrival arrival_pos[i][k].
+    arrival_pos: List[List[int]] = [[] for _ in traces]
+    for j in range(n):
+        arrival_pos[int(stream_of[j])].append(j)
+    next_access = [0] * len(traces)
+    served = [0] * len(traces)
+    candidates: List[List[List[int]]] = [[] for _ in traces]
+    latency_s = np.zeros(n, dtype=np.float64)
+    submitted = 0
+    start = clock()
+
+    def tick() -> None:
+        responses = server.tick()
+        finish = clock() - start
+        for response in responses:
+            i = index[response.stream_id]
+            j = arrival_pos[i][served[i]]
+            served[i] += 1
+            candidates[i].append(response.candidates)
+            latency_s[j] = finish - arrival_s[j]
+
+    def run_hook() -> None:
+        while server.pending:
+            tick()
+        hook(server, marks.popleft())
+
+    while submitted < n or server.pending:
+        now = clock() - start
+        while submitted < n and arrival_s[submitted] <= now:
+            if marks and marks[0] == submitted:
+                run_hook()
+            i = int(stream_of[submitted])
+            access = traces[i][next_access[i]]
+            next_access[i] += 1
+            server.submit(stream_ids[i], access.pc, access.address)
+            submitted += 1
+        if server.pending:
+            tick()
+        elif submitted < n:
+            wait = arrival_s[submitted] - (clock() - start)
+            if wait > 0.002:  # spin for near arrivals, sleep for far ones
+                sleep(wait - 0.001)
+    while marks:  # j == n: after the last response
+        run_hook()
+    elapsed = clock() - start
+    return elapsed, candidates, latency_s, server.stats.snapshot()
+
+
 __all__ = [
     "DEFAULT_QOS",
     "LatencyReservoir",
@@ -1054,9 +1100,9 @@ __all__ = [
     "SOURCE_NEURAL",
     "SOURCE_ORPHANED",
     "SOURCE_SHED",
-    "SOURCE_TABLE",
     "ServeConfig",
     "ServerStats",
     "SpillStore",
     "StreamSession",
+    "drive_open_loop",
 ]

@@ -12,19 +12,19 @@ partitions stream sessions across ``N`` worker processes:
   ``N`` to ``N+1`` shards moves only the sessions captured by the new
   shard's vnodes — ~``1/(N+1)`` of them — instead of rehashing the
   world, which is what makes live pool resizes survivable.
-- :func:`drive_open_loop` — the per-shard driver: requests are
-  submitted at *pre-scheduled arrival times* (drawn up front by
-  :mod:`voyager.loadgen` from a seeded generator) rather than
-  lock-step request/response rounds, and latency is measured from the
-  scheduled arrival, so queueing delay under load is part of every
-  percentile — the open-loop methodology that closed-loop drivers
-  systematically underestimate (coordinated omission).
 - :func:`run_sharded` — fans shard workers over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (the same pool +
   :func:`~voyager.synthetic.derive_cell_seed` discipline as ``bench
   --jobs``: every worker derives its own seed, no RNG state crosses a
   process boundary), then merges per-shard throughput, latency
-  samples and counters into one report block.
+  samples and counters into one report block.  Each worker serves its
+  sub-schedule through :func:`~voyager.serve.drive_open_loop`, the
+  driver every serving caller uses: requests are submitted at
+  *pre-scheduled arrival times* (drawn up front by
+  :mod:`voyager.loadgen` from a seeded generator) and latency is
+  measured from the scheduled arrival, so queueing delay under load is
+  part of every percentile — no coordinated omission.  A worker that
+  dies or raises surfaces as one :class:`ShardError` naming its shard.
 
 Correctness story: the server's ``row_exact`` engine makes per-stream
 responses independent of batch composition, so *any* stream→shard
@@ -63,10 +63,15 @@ from voyager.serve import (
     LatencyReservoir,
     PrefetchServer,
     ServeConfig,
+    drive_open_loop,
 )
 from voyager.synthetic import derive_cell_seed
 from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
+
+
+class ShardError(RuntimeError):
+    """A shard worker died or raised; the message names the shard."""
 
 
 def _hash64(key: str) -> int:
@@ -184,97 +189,6 @@ class ShardConfig:
         )
 
 
-def drive_open_loop(
-    server: PrefetchServer,
-    stream_ids: Sequence[Hashable],
-    qos: Sequence[str],
-    traces: Sequence[Sequence[MemoryAccess]],
-    arrival_s: np.ndarray,
-    stream_of: np.ndarray,
-    clock=time.perf_counter,
-    sleep=time.sleep,
-    swap_after: Optional[int] = None,
-    swap_fn: Optional[Any] = None,
-) -> Tuple[float, List[List[List[int]]], np.ndarray, Dict[str, Any]]:
-    """Serve one shard's requests at their scheduled arrival times.
-
-    ``arrival_s[j]`` (ascending) says when request ``j`` arrives;
-    ``stream_of[j]`` names the local stream whose next trace access it
-    is.  The loop submits everything due, ticks while work is pending,
-    and only sleeps when the next arrival is comfortably in the future
-    — an open-loop driver, so a slow tick makes the backlog (and the
-    measured queueing latency) grow instead of stalling the workload.
-
-    ``swap_after``/``swap_fn`` implement the coordinated hot-swap: just
-    before request ``swap_after`` is submitted, ``swap_fn(server)`` runs
-    exactly once (``swap_checkpoint`` drains in-flight requests onto the
-    old weights; their responses are collected here via ``poll``), so
-    requests ``< swap_after`` are answered by the old checkpoint and
-    ``>= swap_after`` by the new one — a clean version boundary in
-    arrival order.  ``swap_after == n`` fires after the last response.
-
-    Returns ``(elapsed_s, per-stream candidates, latency_s, stats)``
-    where ``latency_s[j]`` is completion minus *scheduled arrival* of
-    request ``j`` — queueing included, the honest open-loop number.
-    """
-    for stream_id, stream_qos in zip(stream_ids, qos):
-        server.open_stream(stream_id, qos=stream_qos)
-    n = len(arrival_s)
-    index = {sid: i for i, sid in enumerate(stream_ids)}
-    # Request j is stream i's k-th access; per-stream FIFO responses
-    # mean stream i's k-th response resolves arrival arrival_pos[i][k].
-    arrival_pos: List[List[int]] = [[] for _ in traces]
-    for j in range(n):
-        arrival_pos[int(stream_of[j])].append(j)
-    next_access = [0] * len(traces)
-    served = [0] * len(traces)
-    candidates: List[List[List[int]]] = [[] for _ in traces]
-    latency_s = np.zeros(n, dtype=np.float64)
-    submitted = 0
-    done = 0
-    start = clock()
-
-    def resolve(responses: List[Any], finish: float) -> None:
-        nonlocal done
-        for response in responses:
-            i = index[response.stream_id]
-            j = arrival_pos[i][served[i]]
-            served[i] += 1
-            candidates[i].append(response.candidates)
-            latency_s[j] = finish - arrival_s[j]
-            done += 1
-
-    def maybe_swap() -> None:
-        nonlocal swap_fn
-        if swap_fn is not None and swap_after is not None:
-            if submitted >= swap_after:
-                fn, swap_fn = swap_fn, None
-                fn(server)  # drains in-flight onto the old weights
-                resolve(server.poll(), clock() - start)
-
-    while done < n:
-        maybe_swap()
-        now = clock() - start
-        while submitted < n and arrival_s[submitted] <= now:
-            maybe_swap()
-            i = int(stream_of[submitted])
-            access = traces[i][next_access[i]]
-            next_access[i] += 1
-            server.submit(stream_ids[i], access.pc, access.address)
-            submitted += 1
-        if server.pending:
-            responses = server.tick()
-            finish = clock() - start
-            resolve(responses, finish)
-        elif submitted < n:
-            wait = arrival_s[submitted] - (clock() - start)
-            if wait > 0.002:  # spin for near arrivals, sleep for far ones
-                sleep(wait - 0.001)
-    maybe_swap()  # swap_after == n: every shard still installs the version
-    elapsed = clock() - start
-    return elapsed, candidates, latency_s, server.stats.snapshot()
-
-
 def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Serve one shard's streams; module-level so pools can pickle it."""
     logger = None
@@ -284,10 +198,13 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
             segment_records=payload.get("segment_records", 512),
             compress=payload.get("compress", False),
         )
-    swap_fn = None
+    hook = None
     if payload.get("swap_prefix"):
         prefix = payload["swap_prefix"]
-        swap_fn = lambda srv: load_and_swap(srv, prefix)  # noqa: E731
+
+        def hook(srv: PrefetchServer, _j: int) -> None:
+            load_and_swap(srv, prefix)
+
     server = PrefetchServer(
         payload["model"],
         payload["pc_vocab"],
@@ -303,8 +220,8 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         payload["traces"],
         payload["arrival_s"],
         payload["stream_of"],
-        swap_after=payload.get("swap_after"),
-        swap_fn=swap_fn,
+        hook_at=[payload["swap_at"]] if hook is not None else (),
+        hook=hook,
     )
     requests = int(len(payload["arrival_s"]))
     result = {
@@ -344,7 +261,6 @@ _MERGED_COUNTERS = (
     "requests",
     "responses",
     "neural",
-    "table",
     "shed",
     "orphaned",
     "opened",
@@ -454,7 +370,7 @@ def run_sharded(
                     "compress": config.compress,
                     # Global arrival cutoff -> this shard's local request
                     # count before it: the worker swaps exactly there.
-                    "swap_after": (
+                    "swap_at": (
                         int(np.count_nonzero(mask[:swap_at]))
                         if swap_at is not None
                         else None
@@ -476,10 +392,15 @@ def run_sharded(
                 (shard, members, pool.submit(_shard_worker, payload))
                 for shard, members, payload in payloads
             ]
-            results = [
-                (shard, members, future.result())
-                for shard, members, future in futures
-            ]
+            results = []
+            for shard, members, future in futures:
+                try:
+                    results.append((shard, members, future.result()))
+                except Exception as exc:
+                    raise ShardError(
+                        f"shard {shard} of {config.shards} failed: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
     wall_s = time.perf_counter() - start
 
     total_requests = int(len(arrival_s))
@@ -544,7 +465,7 @@ def run_sharded(
 __all__ = [
     "HashRing",
     "ShardConfig",
-    "drive_open_loop",
+    "ShardError",
     "latency_summary",
     "run_sharded",
 ]

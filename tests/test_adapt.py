@@ -36,7 +36,7 @@ from voyager.adapt import (
     load_and_swap,
     run_adaptation_bench,
 )
-from voyager.bench import merge_report, validate_report
+from voyager.bench import load_report, merge_report, validate_report, write_bench
 from voyager.ingest import read_trace
 from voyager.ioutil import read_pointer, write_pointer
 from voyager.model import (
@@ -506,6 +506,24 @@ def test_adapt_bench_failing_gate_leaves_the_report_untouched(
     written = json.loads(out.read_text())
     assert validate_report(written) == []
     assert written["serving"] == {"adaptation": block}
+
+
+@pytest.mark.slow
+def test_default_adaptation_block_equals_the_committed_one(
+    committed_report, tmp_path
+):
+    """The CI adaptation run, written as the report write rounds it,
+    reproduces the committed block: the served candidates (and so every
+    coverage, gain and lag) are the ones the committed numbers came
+    from, with nothing shed."""
+    block = run_adaptation_bench(
+        AdaptBenchConfig(), workdir=tmp_path / "adapt-bench"
+    )
+    out = tmp_path / "BENCH_voyager.json"
+    write_bench(merge_report(None, {"serving/adaptation": block}), out)
+    assert load_report(out)["serving"]["adaptation"] == (
+        committed_report["serving"]["adaptation"]
+    )
 
 
 def test_adapt_bench_config_validation():

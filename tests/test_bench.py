@@ -458,10 +458,11 @@ def test_merge_replaces_a_section_whole_and_keeps_the_others(
     committed_report,
 ):
     fresh = {"streams": 1, "only_new": True}
-    merged = merge_report(committed_report, {"serving/closed_loop": fresh})
-    assert merged["serving"]["closed_loop"] == fresh  # no stale key left
-    for name in ("open_loop", "adaptation"):
-        assert merged["serving"][name] == committed_report["serving"][name]
+    merged = merge_report(committed_report, {"serving/open_loop": fresh})
+    assert merged["serving"]["open_loop"] == fresh  # no stale key left
+    assert merged["serving"]["adaptation"] == (
+        committed_report["serving"]["adaptation"]
+    )
     assert merged["distill"] == committed_report["distill"]
     assert strip_timing_fields(merged) == strip_timing_fields(
         committed_report
@@ -469,12 +470,12 @@ def test_merge_replaces_a_section_whole_and_keeps_the_others(
 
 
 def test_merge_drops_every_section_of_an_older_report(committed_report):
-    block = committed_report["serving"]["closed_loop"]
+    block = committed_report["serving"]["open_loop"]
     committed_report["schema_version"] = BENCH_SCHEMA_VERSION - 1
-    merged = merge_report(committed_report, {"serving/closed_loop": block})
+    merged = merge_report(committed_report, {"serving/open_loop": block})
     assert merged == {
         "schema_version": BENCH_SCHEMA_VERSION,
-        "serving": {"closed_loop": block},
+        "serving": {"open_loop": block},
     }
 
 
@@ -526,7 +527,7 @@ def test_schema_table_flags_every_missing_key_by_its_path(committed_report):
 @pytest.mark.parametrize(
     "block,flag",
     [
-        ("closed_loop", "responses_equal_sim"),
+        ("open_loop", "responses_equal_sim"),
         ("open_loop", "responses_equal_single"),
     ],
 )
@@ -538,7 +539,7 @@ def test_validator_flags_a_false_equality_flag(committed_report, block, flag):
 
 
 def test_bench_refuses_to_carry_an_invalid_section(
-    tmp_path, capsys, monkeypatch
+    tmp_path, capsys, monkeypatch, committed_report
 ):
     """bench validates the file it would write, not only its own grid:
     a carried serving block that fails stops the write."""
@@ -546,17 +547,13 @@ def test_bench_refuses_to_carry_an_invalid_section(
 
     monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
     out = tmp_path / "BENCH_voyager.json"
-    bad_block = {
-        "streams": 3,
-        "elapsed_s": 0.1,
-        "throughput_accesses_per_s": 1200.0,
-        "responses_equal_sim": False,
-    }
+    bad_block = committed_report["serving"]["open_loop"]
+    bad_block["responses_equal_sim"] = False
     out.write_text(
         json.dumps(
             {
                 "schema_version": BENCH_SCHEMA_VERSION,
-                "serving": {"closed_loop": bad_block},
+                "serving": {"open_loop": bad_block},
             }
         )
     )
@@ -564,7 +561,7 @@ def test_bench_refuses_to_carry_an_invalid_section(
     assert bench_mod.main(["--profile", "smoke", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert (
-        "error: serving/closed_loop: responses_equal_sim=False is not true"
+        "error: serving/open_loop: responses_equal_sim=False is not true"
         in err
     )
     assert err[-1] == f"error: {out} not written"

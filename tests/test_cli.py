@@ -1,7 +1,9 @@
-"""CLI tests: all four subcommands plus error paths and determinism."""
+"""CLI tests: the subcommands plus error paths and determinism."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from voyager.bench import BENCH_SCHEMA_VERSION, validate_report
@@ -355,6 +357,92 @@ def test_serve_missing_checkpoint_is_clean_error(
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "incomplete" in err
+
+
+@pytest.mark.parametrize(
+    "streams,trace_text,message",
+    [
+        ("0", None, "--streams must be >= 1, got 0"),
+        ("4", "", "empty trace, nothing to serve"),
+    ],
+    ids=["zero-streams", "empty-trace"],
+)
+def test_serve_rejects_zero_streams_and_an_empty_trace(
+    stride_trace_file, tiny_checkpoint, capsys, streams, trace_text, message
+):
+    if trace_text is not None:
+        stride_trace_file.write_text(trace_text)
+    rc = main(
+        [
+            "serve",
+            "--trace",
+            str(stride_trace_file),
+            "--checkpoint",
+            str(tiny_checkpoint),
+            "--streams",
+            streams,
+        ]
+    )
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def test_serve_adapt_swaps_on_schedule_without_shedding(
+    tmp_path, capsys, monkeypatch
+):
+    """``serve --adapt`` hooks every adapt_every x streams requests:
+    each hook rotates a full segment, fine-tunes and swaps; the run
+    sheds nothing, logs every access, and answers every request before
+    the first swap with the simulator's candidates."""
+    import voyager.cli as cli_mod
+    from voyager.loadgen import LoadGenConfig, _sim_candidates, serve_trace
+    from voyager.model import load_checkpoint
+
+    trace_path = tmp_path / "drift.txt"
+    prefix = tmp_path / "ckpt" / "model"
+    assert main(
+        ["gen", "drifting_zipf", "--out", str(trace_path), "-n", "200"]
+    ) == 0
+    assert main(
+        [
+            "train", "--trace", str(trace_path), "--steps", "5",
+            "--embed-dim", "4", "--hidden-dim", "8", "--seq-len", "8",
+            "--no-baselines", "--save", str(prefix),
+        ]
+    ) == 0
+    served = {}
+    drive = cli_mod.drive_open_loop
+
+    def recording(*args, **kwargs):
+        result = drive(*args, **kwargs)
+        served["candidates"] = result[1]
+        return result
+
+    monkeypatch.setattr(cli_mod, "drive_open_loop", recording)
+    capsys.readouterr()
+    rc = main(
+        [
+            "serve", "--trace", str(trace_path), "--checkpoint", str(prefix),
+            "--streams", "2", "--adapt", str(tmp_path / "logs"),
+            "--adapt-every", "20", "--adapt-steps", "3",
+        ]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    # k x adapt_every x streams, the last one after the last response
+    assert re.findall(r"request (\d+): swapped in", out) == [
+        "40", "80", "120", "160", "200"
+    ]
+    assert "streams=2 accesses=200 " in out and " shed=0 " in out
+    assert "adapt: logged=200 dropped=0 segments=5 swaps=5" in out
+    model, pc_vocab, page_vocab = load_checkpoint(prefix)
+    traces, _ = serve_trace(parse_trace(trace_path), 2)
+    want = _sim_candidates(
+        model, pc_vocab, page_vocab, traces, LoadGenConfig(), np.float64
+    )
+    got = served["candidates"]
+    assert [c[:20] for c in got] == [c[:20] for c in want]
 
 
 def test_unknown_prefetcher_is_usage_error(stride_trace_file, capsys):

@@ -11,8 +11,14 @@ with exactly its candidates:
   several accesses of one stream in a tick;
 - the same server evicting to a spill store and restoring streams
   across reset boundaries;
-- a table-backed server, on every table miss;
+- :func:`~voyager.serve.drive_open_loop`, the driver every serving
+  caller uses, with the whole schedule due at t = 0 and a hook that
+  hot-swaps the serving weights back in mid-run;
 - :func:`~voyager.shard.run_sharded` over two shards.
+
+A served answer is a rollout from the stream's carried state or a
+shed/orphan degrade; with room for every session and request, each of
+these paths answers every access with a rollout.
 """
 
 import tempfile
@@ -20,13 +26,13 @@ import tempfile
 import numpy as np
 import pytest
 
-from voyager.distill import DistillConfig, build_table
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.serve import (
+    DEFAULT_QOS,
     SOURCE_NEURAL,
-    SOURCE_TABLE,
     PrefetchServer,
     ServeConfig,
+    drive_open_loop,
 )
 from voyager.shard import ShardConfig, run_sharded
 from voyager.sim import NeuralPrefetcher, protocol_candidates
@@ -179,8 +185,28 @@ def test_every_layer_answers_with_the_simulator_candidates(
         if len(traces) > 1:
             assert server.stats.restored > 0
 
-    # two shards, the same interleaving as one global arrival order
+    # the driver, everything due at t = 0, swapping the same weights
+    # back in at a random request: a hot-swap moves no answer
     stream_of = np.array([i for tick in ticks for i in tick], dtype=np.int64)
+    n = len(stream_of)
+    swap_at = int(np.random.default_rng(schedule_seed).integers(0, n + 1))
+    server = PrefetchServer(
+        model, pc_vocab, page_vocab, ServeConfig(degree=DEGREE)
+    )
+    _, got, _, stats = drive_open_loop(
+        server,
+        [f"s{i}" for i in range(len(traces))],
+        [DEFAULT_QOS] * len(traces),
+        traces,
+        np.zeros(n),
+        stream_of,
+        hook_at=[swap_at],
+        hook=lambda srv, _j: srv.swap_checkpoint(model, pc_vocab, page_vocab),
+    )
+    assert got == want
+    assert (stats["neural"], stats["swaps"]) == (n, 1)
+
+    # two shards, the same interleaving as one global arrival order
     sharded = run_sharded(
         model,
         pc_vocab,
@@ -192,37 +218,3 @@ def test_every_layer_answers_with_the_simulator_candidates(
         inline=True,
     )
     assert sharded["candidates"] == want
-
-
-@settings(max_examples=5, deadline=None)
-@given(
-    workload=st.sampled_from(WORKLOADS),
-    trace_seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_table_backed_server_misses_match_the_simulator(
-    trained, workload, trace_seed
-):
-    """Table hits skip the rollout; every miss is the neural answer the
-    simulator gives, because hits still step the carried state."""
-    model, pc_vocab, page_vocab = trained
-    trace = generate(workload, 3 * SEQ_LEN, seed=trace_seed)
-    want = reference(model, pc_vocab, page_vocab, trace)
-    # Distilled from another trace of the workload: some contexts hit,
-    # some miss.
-    table = build_table(
-        model,
-        pc_vocab,
-        page_vocab,
-        generate(workload, 3 * SEQ_LEN, seed=trace_seed + 1),
-        DistillConfig(depths=(2,), top_k=DEGREE),
-    )
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(degree=DEGREE), table=table
-    )
-    sid = server.open_stream()
-    for t, access in enumerate(trace):
-        response = server.access(sid, access.pc, access.address)
-        if response.source == SOURCE_TABLE:
-            continue
-        assert response.source == SOURCE_NEURAL
-        assert response.candidates == want[t], t

@@ -1,10 +1,12 @@
 """Load-generator tests: stream multiplexing, report writes, CLI gates."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+import voyager.shard as shard_mod
 from voyager.bench import (
     BENCH_SCHEMA_VERSION,
     BenchProfile,
@@ -21,11 +23,12 @@ from voyager.loadgen import (
     mixed_training_trace,
     open_loop_schedule,
     parse_qos_mix,
-    run_loadgen,
     run_open_loop_bench,
+    saturating_schedule,
     serve_trace,
     stream_traces,
 )
+from voyager.serve import DEFAULT_QOS, PrefetchServer, drive_open_loop
 from voyager.sim import SimConfig
 from voyager.synthetic import page_cycle_trace
 
@@ -40,11 +43,15 @@ TINY = BenchProfile(
 )
 
 TINY_LOAD = LoadGenConfig(streams=3, accesses_per_stream=40)
+SATURATE = ArrivalConfig(process="saturate")
 
 
 @pytest.fixture(scope="module")
 def serving():
-    return run_loadgen(TINY, TINY_LOAD, seed=0)
+    """The saturating 1-shard block: peak load, checked against the simulator."""
+    return run_open_loop_bench(
+        TINY, TINY_LOAD, SATURATE, shard_counts=(1,), seed=0
+    )
 
 
 @pytest.fixture(scope="module")
@@ -97,37 +104,37 @@ def test_loadgen_config_validation():
 
 
 def test_serving_section_shape_and_equivalence(serving):
-    assert validate_report(serving_report(closed_loop=serving)) == []
+    assert validate_report(serving_report(open_loop=serving)) == []
     assert serving["responses_equal_sim"] is True
+    assert serving["responses_equal_single"] is True
     assert serving["streams"] == 3
-    assert serving["total_accesses"] == 120
-    assert serving["throughput_accesses_per_s"] > 0
-    assert "serial" not in serving and "speedup_vs_serial" not in serving
-    # v9: one elapsed_s, no nested duplicate of the throughput
-    assert "batched" not in serving
-    assert serving["throughput_accesses_per_s"] == pytest.approx(
-        serving["total_accesses"] / serving["elapsed_s"]
-    )
-    stats = serving["stats"]
-    assert stats["requests"] == 120
-    assert stats["responses"] == 120
-    assert stats["shed"] == 0
+    assert serving["requests"] == 120
+    assert serving["arrival"]["process"] == "saturate"
+    assert "max_pending" not in serving  # v11: the backlog is unbounded
+    (run,) = serving["runs"]
+    assert run["aggregate_throughput_per_s"] > 0
+    counters = run["counters"]
+    assert counters["requests"] == counters["responses"] == 120
+    assert counters["neural"] == 120
+    assert counters["shed"] == 0
+    assert "table" not in counters
 
 
-def test_validator_flags_closed_loop_problems(serving):
+def test_validator_flags_serving_problems(serving):
     broken = json.loads(json.dumps(serving))
     broken["responses_equal_sim"] = False
-    assert validate_report(serving_report(closed_loop=broken)) == [
-        "serving/closed_loop: responses_equal_sim=False is not true"
+    assert validate_report(serving_report(open_loop=broken)) == [
+        "serving/open_loop: responses_equal_sim=False is not true"
     ]
-    missing = json.loads(json.dumps(serving))
-    missing["throughput_accesses_per_s"] = 0
-    assert validate_report(serving_report(closed_loop=missing)) == [
-        "serving/closed_loop: throughput_accesses_per_s=0 is not a number > 0"
+    slow = json.loads(json.dumps(serving))
+    slow["runs"][0]["aggregate_throughput_per_s"] = 0
+    assert validate_report(serving_report(open_loop=slow)) == [
+        "serving/open_loop/runs[0]: aggregate_throughput_per_s=0 is not a "
+        "number > 0"
     ]
     # v8 kept the closed-loop keys at the top of serving
-    report = serving_report(closed_loop=serving)
-    report["serving"] = serving
+    report = serving_report(open_loop=serving)
+    report["serving"] = {"streams": 3, "responses_equal_sim": True}
     problems = validate_report(report)
     assert "report: no section present" in problems
     assert any("is not a dict of serving blocks" in p for p in problems)
@@ -139,26 +146,27 @@ def test_validator_flags_closed_loop_problems(serving):
 
 def test_serving_write_creates_a_serving_only_report(serving, tmp_path):
     out = tmp_path / "BENCH_voyager.json"
-    assert write_report(out, {"serving/closed_loop": serving}) == 0
+    assert write_report(out, {"serving/open_loop": serving}) == 0
     loaded = json.loads(out.read_text())
     assert loaded == {
         "schema_version": BENCH_SCHEMA_VERSION,
-        "serving": {"closed_loop": loaded["serving"]["closed_loop"]},
+        "serving": {"open_loop": loaded["serving"]["open_loop"]},
     }
     assert validate_report(loaded) == []
     # floats were rounded at serialisation
-    throughput = loaded["serving"]["closed_loop"]["throughput_accesses_per_s"]
+    run = loaded["serving"]["open_loop"]["runs"][0]
+    throughput = run["aggregate_throughput_per_s"]
     assert throughput == round(throughput, 6)
 
 
 def test_serving_write_keeps_the_sweep_and_back(serving, grid, tmp_path):
     out = tmp_path / "BENCH_voyager.json"
     assert write_report(out, {"grid": grid}) == 0
-    assert write_report(out, {"serving/closed_loop": serving}) == 0
+    assert write_report(out, {"serving/open_loop": serving}) == 0
     merged = load_report(out)
     assert validate_report(merged) == []
     assert set(merged["workloads"]) == {"stride", "page_cycle"}
-    assert merged["serving"]["closed_loop"]["streams"] == 3
+    assert merged["serving"]["open_loop"]["streams"] == 3
     # ...and a fresh sweep write keeps the serving block
     assert write_report(out, {"grid": grid}) == 0
     assert load_report(out)["serving"] == merged["serving"]
@@ -167,7 +175,7 @@ def test_serving_write_keeps_the_sweep_and_back(serving, grid, tmp_path):
 def test_serving_is_a_timing_section(serving, grid, tmp_path):
     out = tmp_path / "BENCH_voyager.json"
     write_report(out, {"grid": grid})
-    write_report(out, {"serving/closed_loop": serving})
+    write_report(out, {"serving/open_loop": serving})
     merged = load_report(out)
     assert "serving" not in strip_timing_fields(merged)
     # every non-timing value is written exactly
@@ -176,21 +184,45 @@ def test_serving_is_a_timing_section(serving, grid, tmp_path):
 
 def test_serve_trace_round_robin():
     trace = page_cycle_trace(20)
+    traces, schedule = serve_trace(trace, streams=4)
+    assert [len(t) for t in traces] == [5, 5, 5, 5]
+    assert traces[1] == trace[1::4]
+    assert schedule.requests == 20
+    assert not schedule.arrival_s.any()  # everything due at t = 0
+    # request j is trace[j]: stream j % 4, round-robin
+    assert schedule.stream_of.tolist() == [j % 4 for j in range(20)]
+    # more streams than accesses: one stream per access
+    few, few_schedule = serve_trace(trace[:2], streams=4)
+    assert few == [[trace[0]], [trace[1]]]
+    assert few_schedule.stream_of.tolist() == [0, 1]
+    # served through the driver, request j answers trace[j]
     from voyager.bench import _train_neural
 
     neural, _ = _train_neural(trace, TINY, seed=0)
-    elapsed, candidates, stats = serve_trace(
-        neural.model, neural.pc_vocab, neural.page_vocab, trace, streams=4
+    server = PrefetchServer(neural.model, neural.pc_vocab, neural.page_vocab)
+    elapsed, candidates, latency_s, stats = drive_open_loop(
+        server,
+        ["s0", "s1", "s2", "s3"],
+        [DEFAULT_QOS] * 4,
+        traces,
+        schedule.arrival_s,
+        schedule.stream_of,
     )
     assert elapsed > 0
-    assert len(candidates) == 4
-    assert sum(len(c) for c in candidates) == 20
-    assert stats["responses"] == 20
-    # more streams than accesses: empty streams are dropped
-    _, few, _ = serve_trace(
-        neural.model, neural.pc_vocab, neural.page_vocab, trace[:2], streams=4
+    assert [len(c) for c in candidates] == [5, 5, 5, 5]
+    assert stats["responses"] == stats["neural"] == 20
+    assert latency_s.shape == (20,)
+
+
+def test_saturating_schedule_is_round_robin_at_t0():
+    schedule = saturating_schedule(7, 3)
+    assert schedule.arrival_s.tolist() == [0.0] * 7
+    assert schedule.stream_of.tolist() == [0, 1, 2, 0, 1, 2, 0]
+    via_config = open_loop_schedule(
+        LoadGenConfig(streams=3, accesses_per_stream=2), SATURATE, seed=5
     )
-    assert len(few) == 2
+    assert via_config.stream_of.tolist() == [0, 1, 2, 0, 1, 2]
+    assert via_config.requests == 6
 
 
 def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
@@ -199,42 +231,21 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
     out = tmp_path / "BENCH_voyager.json"
-    rc = loadgen_mod.main(
-        [
-            "--profile",
-            "smoke",
-            "--streams",
-            "3",
-            "--accesses",
-            "40",
-            "--out",
-            str(out),
-            "--min-throughput",
-            "1",
-        ]
-    )
+    base = [
+        "--profile", "smoke", "--arrival", "saturate", "--shards", "1",
+        "--streams", "3", "--accesses", "40", "--out", str(out),
+    ]
+    rc = loadgen_mod.main(base + ["--min-throughput", "1"])
     assert rc == 0
     captured = capsys.readouterr()
-    assert "equal_sim=True" in captured.out
+    assert "arrival=saturate streams=3" in captured.out
+    assert "equal_sim=True equal_single=True" in captured.out
     loaded = json.loads(out.read_text())
     assert validate_report(loaded) == []
-    assert loaded["serving"]["closed_loop"]["profile"] == "tiny"
+    assert loaded["serving"]["open_loop"]["profile"] == "tiny"
     before = out.read_bytes()
 
-    rc = loadgen_mod.main(
-        [
-            "--profile",
-            "smoke",
-            "--streams",
-            "3",
-            "--accesses",
-            "40",
-            "--out",
-            str(out),
-            "--min-throughput",
-            "1e18",
-        ]
-    )
+    rc = loadgen_mod.main(base + ["--min-throughput", "1e18"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "below --min-throughput" in err
@@ -242,14 +253,75 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
 
 
 def test_float32_run_also_matches_serial():
-    serving = run_loadgen(
+    serving = run_open_loop_bench(
         TINY,
         LoadGenConfig(streams=2, accesses_per_stream=20),
+        SATURATE,
+        shard_counts=(1,),
         seed=0,
         dtype=np.float32,
     )
     assert serving["dtype"] == "float32"
     assert serving["responses_equal_sim"] is True
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--degree", "0", "degree must be >= 1"),
+        ("--max-batch", "0", "max_batch must be >= 1"),
+        ("--max-sessions", "0", "max_sessions must be >= 1"),
+        ("--shard-sweep", "0", "shards must be >= 1"),
+    ],
+)
+def test_serve_bench_checks_arguments_before_training(
+    flag, value, message, tmp_path, capsys, monkeypatch
+):
+    import voyager.loadgen as loadgen_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the arguments were checked")
+
+    monkeypatch.setattr(loadgen_mod, "_train_neural", no_training)
+    out = tmp_path / "BENCH_voyager.json"
+    rc = loadgen_mod.main(["--out", str(out), flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}, got 0\n"
+    assert not out.exists()
+
+
+MAIN_PID = os.getpid()
+SHARD_WORKER = shard_mod._shard_worker
+
+
+def dying_in_pool(payload):
+    """Dies in a forked pool worker; serves inline runs normally."""
+    if os.getpid() != MAIN_PID:
+        os._exit(3)
+    return SHARD_WORKER(payload)
+
+
+def test_serve_bench_failed_shard_worker_prints_one_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    import voyager.bench as bench_mod
+    import voyager.cli as cli_mod
+
+    monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
+    monkeypatch.setattr(shard_mod, "_shard_worker", dying_in_pool)
+    out = tmp_path / "BENCH_voyager.json"
+    rc = cli_mod.main(
+        [
+            "serve-bench", "--profile", "smoke", "--arrival", "saturate",
+            "--shards", "2", "--streams", "4", "--accesses", "5",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: shard ")
+    assert "of 2 failed: BrokenProcessPool" in line
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -366,17 +438,17 @@ def test_open_loop_validation_flags_problems(open_loop_section):
     ]
 
 
-def test_open_loop_and_closed_loop_blocks_coexist(
-    serving, open_loop_section, tmp_path
+def test_open_loop_and_adaptation_blocks_coexist(
+    committed_report, open_loop_section, tmp_path
 ):
     out = tmp_path / "BENCH_voyager.json"
-    assert write_report(out, {"serving/closed_loop": serving}) == 0
+    adaptation = committed_report["serving"]["adaptation"]
+    assert write_report(out, {"serving/adaptation": adaptation}) == 0
     assert write_report(out, {"serving/open_loop": open_loop_section}) == 0
     report = load_report(out)
     merged = report["serving"]
-    # both blocks coexist: the open-loop write kept the closed-loop block
-    assert merged["closed_loop"]["streams"] == 3
-    assert merged["closed_loop"]["throughput_accesses_per_s"] > 0
+    # both blocks coexist: the open-loop write kept the adaptation block
+    assert merged["adaptation"] == adaptation
     assert merged["open_loop"]["requests"] == 100
     assert validate_report(report) == []
     # floats in the open-loop block were rounded at serialisation
@@ -393,7 +465,7 @@ def test_open_loop_cli_runs_gates_and_fails_cleanly(
     monkeypatch.setitem(bench_mod.PROFILES, "smoke", TINY)
     out = tmp_path / "BENCH_voyager.json"
     base = [
-        "--profile", "smoke", "--open-loop",
+        "--profile", "smoke",
         "--shards", "2", "--streams", "4", "--accesses", "25",
         "--rate", "20000", "--out", str(out),
     ]
@@ -424,11 +496,11 @@ def test_open_loop_cli_runs_gates_and_fails_cleanly(
 
 
 # ----------------------------------------------------------------------
-# the write rule at both serve-bench writers
+# the write rule at serve-bench, saturating and timed arrivals
 # ----------------------------------------------------------------------
 SERVE_MODES = {
-    "closed_loop": [],
-    "open_loop": ["--open-loop", "--shards", "1", "--rate", "20000"],
+    "saturate": ["--arrival", "saturate", "--shards", "1"],
+    "open_loop": ["--shards", "1", "--rate", "20000"],
 }
 
 
@@ -487,4 +559,4 @@ def test_serve_bench_into_an_older_report_writes_only_its_block(
     written = json.loads(out.read_text())
     assert validate_report(written) == []
     assert set(written) == {"schema_version", "serving"}
-    assert set(written["serving"]) == {mode}
+    assert set(written["serving"]) == {"open_loop"}

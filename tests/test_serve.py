@@ -8,8 +8,9 @@ simulator's prefetcher), in float64 and float32, across state resets.
 The hypothesis property tests drive that over random models, stream
 counts and interleavings; the unit tests cover the operational
 envelope (LRU eviction, shed policies, batch accounting,
-injected-clock latency percentiles).  ``tests/test_crosslayer.py`` pins
-the same contract on trained models and zoo traces.
+injected-clock latency percentiles) and the driver's hook.
+``tests/test_crosslayer.py`` pins the same contract on trained models
+and zoo traces.
 """
 
 import json
@@ -18,21 +19,21 @@ import numpy as np
 import pytest
 
 from voyager.baselines import next_line_candidates
-from voyager.distill import DistillConfig, DistilledTable
 from voyager.infer import InferenceEngine
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.serve import (
+    DEFAULT_QOS,
     QOS_CLASSES,
     SOURCE_NEURAL,
     SOURCE_ORPHANED,
     SOURCE_SHED,
-    SOURCE_TABLE,
     LatencyReservoir,
     PrefetchResponse,
     PrefetchServer,
     ServeConfig,
     ServerStats,
     SpillStore,
+    drive_open_loop,
 )
 from voyager.sim import NeuralPrefetcher
 from voyager.traces import NUM_OFFSETS, MemoryAccess, join_address
@@ -369,97 +370,6 @@ def test_submit_to_unknown_stream_raises():
     server = PrefetchServer(model, pc_vocab, page_vocab)
     with pytest.raises(KeyError):
         server.submit("ghost", PCS[0], join_address(PAGES[0], 0))
-
-
-# ----------------------------------------------------------------------
-# table-backed serving: distilled-table hits skip the rollout
-# ----------------------------------------------------------------------
-def full_depth1_table(pc_vocab, page_vocab, candidates_for):
-    """Depth-1 table covering every (pc, page, offset) the tests emit."""
-    entries = {}
-    for pc in PCS:
-        for page in PAGES:
-            for off in range(NUM_OFFSETS):
-                key = (pc_vocab.encode(pc), page_vocab.encode(page), off)
-                entries[key] = candidates_for(page, off)
-    return DistilledTable(
-        DistillConfig(depths=(1,), top_k=4, fallback="none"),
-        pc_vocab,
-        page_vocab,
-        tables={1: entries},
-    )
-
-
-def test_table_backed_server_answers_every_access_from_the_table():
-    model, pc_vocab, page_vocab = serving_setup()
-    table = full_depth1_table(
-        pc_vocab,
-        page_vocab,
-        lambda page, off: (
-            ((page << 6) | off) + 1,  # block + 1 (OFFSET_BITS = 6)
-            ((page << 6) | off) + 2,
-            99,
-        ),
-    )
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(degree=DEGREE), table=table
-    )
-    server.open_stream("a")
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        access = random_access(rng)
-        response = server.access("a", access.pc, access.address)
-        assert response.source == SOURCE_TABLE
-        assert response.candidates == [access.block + 1, access.block + 2]
-    assert server.stats.table == 5
-    assert server.stats.neural == 0
-
-
-def test_table_backed_server_state_matches_plain_server():
-    """Table hits answer the request but must not skip the recurrent
-    update: later misses fall back to the exact same rollout a
-    table-free server would produce."""
-    model, pc_vocab, page_vocab = serving_setup()
-    one_key_table = DistilledTable(
-        DistillConfig(depths=(1,), top_k=4, fallback="none"),
-        pc_vocab,
-        page_vocab,
-        tables={1: {(pc_vocab.encode(PCS[0]), page_vocab.encode(PAGES[0]), 0): (7,)}},
-    )
-    with_table = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(degree=DEGREE), table=one_key_table
-    )
-    without = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(degree=DEGREE)
-    )
-    for server in (with_table, without):
-        server.open_stream("a")
-    rng = np.random.default_rng(13)
-    for _ in range(4 * SEQ_LEN):
-        access = random_access(rng)
-        rt = with_table.access("a", access.pc, access.address)
-        rp = without.access("a", access.pc, access.address)
-        if rt.source != SOURCE_TABLE:
-            assert (rt.source, rt.candidates) == (rp.source, rp.candidates)
-    st_t = with_table.session_state("a")
-    st_p = without.session_state("a")
-    np.testing.assert_array_equal(st_t.h, st_p.h)
-    np.testing.assert_array_equal(st_t.c, st_p.c)
-
-
-def test_table_ctx_depth_sizes_session_context():
-    model, pc_vocab, page_vocab = serving_setup()
-    table = DistilledTable(
-        DistillConfig(depths=(3, 1), top_k=2),
-        pc_vocab,
-        page_vocab,
-    )
-    server = PrefetchServer(model, pc_vocab, page_vocab, table=table)
-    server.open_stream("a")
-    assert server._sessions["a"].ctx.maxlen == 3
-    plain = PrefetchServer(model, pc_vocab, page_vocab)
-    plain.open_stream("a")
-    assert plain._sessions["a"].ctx.maxlen == 0
 
 
 # ----------------------------------------------------------------------
@@ -864,19 +774,16 @@ def test_spill_store_roundtrips_any_hashable_stream_id(tmp_path):
     store = SpillStore(tmp_path / "spill")
     from voyager.serve import StreamSession
 
-    session = StreamSession(("tenant", 7), engine, ctx_depth=2,
-                            qos="latency")
+    session = StreamSession(("tenant", 7), engine, qos="latency")
     session.state = engine.step(
         session.state, np.array([1]), np.array([2]), np.array([3])
     )
-    session.ctx.append((1, 2, 3))
     session.accesses = 5
     store.save(session)
     assert ("tenant", 7) in store
     back = store.load(("tenant", 7), engine)
     assert back.qos == "latency"
     assert back.accesses == 5
-    assert list(back.ctx) == [(1, 2, 3)]
     assert np.array_equal(back.state.h, session.state.h)
     assert np.array_equal(back.state.c, session.state.c)
     assert store.discard(("tenant", 7))
@@ -892,3 +799,55 @@ def test_spill_store_rejects_non_directory_root(tmp_path):
         ServeConfig(spill_dir="   ")
     with pytest.raises(ValueError, match="stats_seed"):
         ServeConfig(stats_seed=-1)
+
+
+# ----------------------------------------------------------------------
+# drive_open_loop: the one driver and its hook
+# ----------------------------------------------------------------------
+def test_driver_hook_runs_once_per_index_with_nothing_in_flight():
+    """At each hook index j every earlier request has been answered and
+    nothing is queued; index n runs after the last response; hooks
+    that touch nothing leave every candidate as it was."""
+    model, pc_vocab, page_vocab = serving_setup()
+    rng = np.random.default_rng(7)
+    traces = [[random_access(rng) for _ in range(5)] for _ in range(3)]
+    n = 15
+    stream_of = rng.permutation(np.repeat(np.arange(3), 5))
+    arrival_s = np.sort(rng.uniform(0.0, 0.003, size=n))
+    now = [0.0]
+
+    def clock():
+        now[0] += 1e-4
+        return now[0]
+
+    def drive(**hook_args):
+        server = PrefetchServer(
+            model,
+            pc_vocab,
+            page_vocab,
+            ServeConfig(degree=DEGREE, max_batch=4),
+        )
+        return drive_open_loop(
+            server,
+            ["a", "b", "c"],
+            [DEFAULT_QOS] * 3,
+            traces,
+            arrival_s,
+            stream_of,
+            clock=clock,
+            sleep=lambda _: None,
+            **hook_args,
+        )
+
+    calls = []
+
+    def hook(server, j):
+        calls.append((j, server.pending, server.stats.responses))
+
+    _, plain, _, _ = drive()
+    _, hooked, _, stats = drive(hook_at=[n, 0, 7, 7, 3], hook=hook)
+    assert calls == [(0, 0, 0), (3, 0, 3), (7, 0, 7), (n, 0, n)]
+    assert hooked == plain
+    assert stats["responses"] == n
+    with pytest.raises(ValueError, match="hook indices"):
+        drive(hook_at=[n + 1], hook=hook)

@@ -8,15 +8,19 @@ tests pin the consistent-hash ring (determinism, balance, minimal
 movement on resize) and the pooled multi-process path.
 """
 
+import os
+import time
+
 import numpy as np
 import pytest
 
+import voyager.shard as shard_mod
 from voyager.model import HierarchicalModel, ModelConfig
-from voyager.serve import DEFAULT_QOS, PrefetchServer
+from voyager.serve import DEFAULT_QOS, PrefetchServer, drive_open_loop
 from voyager.shard import (
     HashRing,
     ShardConfig,
-    drive_open_loop,
+    ShardError,
     latency_summary,
     run_sharded,
 )
@@ -284,7 +288,54 @@ def test_pooled_two_shard_run_matches_single_process(shard_setup):
 
 
 # ----------------------------------------------------------------------
-# drive_open_loop: the per-shard serving loop
+# a failed worker: one error that names its shard, and nothing hangs
+# ----------------------------------------------------------------------
+SHARD_WORKER = shard_mod._shard_worker
+
+
+def exiting_worker(payload):
+    """Forked workers inherit this in place of ``_shard_worker``."""
+    os._exit(3)
+
+
+def raising_worker(payload):
+    """Fails on the shard that owns stream ``s0``; the other serves."""
+    if "s0" in payload["stream_ids"]:
+        raise RuntimeError("worker blew up")
+    return SHARD_WORKER(payload)
+
+
+@pytest.mark.parametrize(
+    "worker,message",
+    [
+        (exiting_worker, r"shard \d of 2 failed: BrokenProcessPool"),
+        (raising_worker, "shard {s0} of 2 failed: RuntimeError: worker blew up"),
+    ],
+    ids=["exit", "raise"],
+)
+def test_failed_shard_worker_is_one_error_naming_the_shard(
+    shard_setup, monkeypatch, worker, message
+):
+    model, pc_vocab, page_vocab, traces, arrival_s, stream_of, _ = shard_setup
+    monkeypatch.setattr(shard_mod, "_shard_worker", worker)
+    expected = message.format(s0=HashRing(2).shard_for("s0"))
+    started = time.perf_counter()
+    with pytest.raises(ShardError, match=expected):
+        run_sharded(
+            model,
+            pc_vocab,
+            page_vocab,
+            traces,
+            arrival_s,
+            stream_of,
+            config=ShardConfig(shards=2),
+            inline=False,
+        )
+    assert time.perf_counter() - started < 10.0
+
+
+# ----------------------------------------------------------------------
+# drive_open_loop: the serving loop every shard runs
 # ----------------------------------------------------------------------
 def test_drive_open_loop_latency_is_from_arrival():
     """Latency counts queueing delay from the *scheduled* arrival."""
