@@ -19,10 +19,10 @@ inference-only counterpart:
   that consumed the access and ``k - 1`` lookahead steps;
 - an optional float32 mode (``dtype=np.float32``) that halves memory
   traffic for throughput-oriented simulation;
-- an optional ``row_exact`` mode that pins every batch-height-sensitive
-  matmul to its batch-width-1 shape, making batched calls bit-identical
-  *per row* to serial calls — the foundation of the serving layer's
-  cross-stream micro-batching (:mod:`voyager.serve`).
+- an optional ``row_exact`` mode that issues every batch-height-sensitive
+  matmul as one stacked call of width-1 products, making batched calls
+  bit-identical *per row* to serial calls — the foundation of the
+  serving layer's cross-stream micro-batching (:mod:`voyager.serve`).
 
 Equivalence guarantee: with ``dtype=np.float64`` (the default) the
 engine shares the model's parameter arrays and performs the same
@@ -52,25 +52,33 @@ from voyager.vocab import OOV_ID
 
 
 def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` computed one ``(1, K)`` row at a time.
+    """``x @ w`` with every row computed as its own ``(1, K) @ (K, N)``.
 
     BLAS chooses different kernels — and different summation orders —
     for different batch heights, so a batched ``(B, K) @ (K, N)``
-    product does not reproduce its rows' ``(1, K) @ (K, N)`` results
-    bit for bit.  This loop pins every row to the exact shape a
-    serially driven engine uses, which is what lets the serving
-    layer's cross-stream micro-batching stay bit-identical per stream
+    product (gemm) does not reproduce its rows' width-1 results (gemv)
+    bit for bit; for an odd ``N`` a row's gemm result can even change
+    with the batch height.  Stacking the rows as ``(B, 1, K)`` makes
+    NumPy's matmul gufunc issue, in C, the same gemv per row that a
+    standalone width-1 call issues, so each row keeps its bits while
+    the batch pays one Python-level call.  ``tests/test_infer.py``
+    pins this at serving shapes; it is what lets the serving layer's
+    cross-stream micro-batching stay bit-identical per stream
     (``row_exact=True`` mode below).
     """
-    out = np.empty((x.shape[0], w.shape[1]), dtype=w.dtype)
-    for i in range(x.shape[0]):
-        out[i : i + 1] = x[i : i + 1] @ w
-    return out
+    return np.matmul(x[:, None, :], w)[:, 0, :]
 
 
 @dataclass
 class LSTMState:
-    """Carried ``(h, c)`` recurrent state for a batch of sequences."""
+    """Carried ``(h, c)`` recurrent state for a batch of sequences.
+
+    The engine never writes a state's arrays in place: every method
+    returns fresh arrays.  A holder may therefore keep a row *view*
+    (``h[i : i + 1]``) of a batched state instead of a copy — the
+    serving layer's sessions do — and it stays valid for as long as
+    nobody else writes into the batch it views.
+    """
 
     h: np.ndarray  # (B, hidden)
     c: np.ndarray  # (B, hidden)
@@ -98,16 +106,6 @@ class LSTMState:
             c=np.concatenate([s.c for s in states], axis=0),
         )
 
-    def row(self, i: int) -> "LSTMState":
-        """Copy row ``i`` out as an independent single-row state.
-
-        The scatter half of micro-batching: after a batched step, each
-        stream takes its row back without aliasing the batch buffers.
-        """
-        return LSTMState(
-            h=self.h[i : i + 1].copy(), c=self.c[i : i + 1].copy()
-        )
-
 
 class InferenceEngine:
     """Cache-free incremental inference over a trained model.
@@ -119,14 +117,15 @@ class InferenceEngine:
     reference and rolled out without disturbing the online stream.
 
     ``row_exact=True`` switches every batch-height-sensitive matmul to
-    the row-at-a-time form (:func:`_rowwise_matmul`): each row of a
-    batched call then carries bit-identical results to the same row
-    driven through a ``row_exact=False`` engine at batch width 1.  All
-    other ops in the pipeline — embedding gathers, the attention
+    the stacked width-1 form (:func:`_rowwise_matmul`): one call per
+    matmul whose every row carries bit-identical results to the same
+    row driven through a ``row_exact=False`` engine at batch width 1.
+    All other ops in the pipeline — embedding gathers, the attention
     einsums, gate nonlinearities — are already row-independent, so this
     is the one switch cross-stream micro-batching (:mod:`voyager.serve`)
     needs to stay bit-identical per stream.  Default off: single-stream
-    and fixed-batch callers keep the fully batched BLAS calls.
+    and fixed-batch callers keep the fully batched BLAS calls (gemm),
+    which is the faster kernel for a whole trace.
     """
 
     def __init__(
@@ -150,10 +149,10 @@ class InferenceEngine:
         self.row_exact = bool(row_exact)
 
     def _mm(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``(B, K) @ (K, N)`` — row-at-a-time when ``row_exact`` is on.
+        """``(B, K) @ (K, N)`` — stacked width-1 rows when ``row_exact``.
 
         Single rows take the plain matmul either way: at batch width 1
-        the two forms are the same call.
+        the two forms are the same gemv.
         """
         if not self.row_exact or x.shape[0] == 1:
             return x @ w

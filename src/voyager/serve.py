@@ -20,16 +20,19 @@ under a latency budget — the practicality framing of Hashemi et al.
   pending requests across streams are coalesced into **one** batched
   feature embed, one batched LSTM cell evaluation per wave (wave ``k``
   = the ``k``-th pending access of each stream, so per-stream
-  recurrence order is preserved), and one batched
+  recurrence order is preserved), one batched
   :meth:`~voyager.infer.InferenceEngine.rollout` that continues each
-  prediction-eligible request from the state its own access produced.
-  A prediction of ``degree`` candidates costs ``degree`` cell
-  evaluations in all, the access's own step included.  Per stream the
-  arithmetic is bit-identical to the simulator's streaming
-  :class:`~voyager.sim.NeuralPrefetcher`: the server's engine runs in
-  ``row_exact`` mode, which pins every batch-height-sensitive matmul to
-  its batch-width-1 shape (BLAS changes summation order with batch
-  height), and every other op in the pipeline is row-independent.
+  prediction-eligible request from the state its own access produced,
+  and one decode of every rollout row.  A prediction of ``degree``
+  candidates costs ``degree`` cell evaluations in all, the access's
+  own step included.  Per stream the arithmetic is bit-identical to
+  the simulator's streaming :class:`~voyager.sim.NeuralPrefetcher`:
+  the server's engine runs in ``row_exact`` mode, where one stacked
+  matmul call issues each row's width-1 product (BLAS changes
+  summation order with batch height, so a plain batched product would
+  not), and every other op in the pipeline is row-independent.
+  Sessions keep row views of each tick's stepped state, never copies;
+  that is safe because the engine never writes a state in place.
   ``tests/test_serve.py`` and ``tests/test_crosslayer.py`` pin the
   equivalence — states, top-k and candidates — with hypothesis
   property tests.
@@ -74,10 +77,12 @@ assert reproducible throughput runs.
 from __future__ import annotations
 
 import hashlib
+import random
 import time
 import zipfile
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 from typing import (
     Any,
@@ -215,7 +220,7 @@ class LatencyReservoir:
         self._sum = 0.0  # exact running sum -> exact mean
         self._max = 0.0  # exact running max
         self._samples: List[float] = []
-        self._rng = np.random.default_rng(seed)
+        self._rng = random.Random(seed)
 
     def add(self, value: float) -> None:
         self.observed += 1
@@ -225,7 +230,7 @@ class LatencyReservoir:
         if len(self._samples) < self.capacity:
             self._samples.append(value)
         else:
-            j = int(self._rng.integers(0, self.observed))
+            j = self._rng.randrange(self.observed)
             if j < self.capacity:
                 self._samples[j] = value
 
@@ -422,6 +427,43 @@ class _Pending:
     qos: str = DEFAULT_QOS
     session: Optional[StreamSession] = None  # holds the in-flight pin
     done: bool = False  # resolved (stale in the admitted-class index)
+
+
+def _admit_by_priority(window: Sequence[_Pending], max_batch: int) -> List[int]:
+    """The QoS admission rule: which window requests one tick admits.
+
+    Admits by QoS priority (latency first), oldest first within a
+    class, *pulling in* any earlier same-stream requests a pick depends
+    on, so every stream's accesses still step its recurrence in submit
+    order — the invariant the wave decomposition (and bitwise equality
+    with serial engines) rests on.  A pick whose stream prefix would
+    overflow ``max_batch`` is skipped.  Returns the admitted window
+    indices in ascending (submit) order.
+    """
+    positions: Dict[Hashable, List[int]] = {}
+    stream_rank = []  # index of window[i] within its stream
+    for i, req in enumerate(window):
+        stream = positions.setdefault(req.stream_id, [])
+        stream_rank.append(len(stream))
+        stream.append(i)
+    taken = {sid: 0 for sid in positions}  # chosen prefix length
+    order = sorted(
+        range(len(window)),
+        key=lambda i: (QOS_PRIORITY.get(window[i].qos, 1), i),
+    )
+    chosen: List[int] = []
+    for i in order:
+        if len(chosen) >= max_batch:
+            break
+        sid = window[i].stream_id
+        if stream_rank[i] < taken[sid]:
+            continue  # already pulled in by a later same-stream pick
+        need = stream_rank[i] - taken[sid] + 1
+        if len(chosen) + need > max_batch:
+            continue  # would split the stream's FIFO prefix
+        chosen.extend(positions[sid][taken[sid] : stream_rank[i] + 1])
+        taken[sid] = stream_rank[i] + 1
+    return sorted(chosen)
 
 
 class PrefetchServer:
@@ -771,7 +813,8 @@ class PrefetchServer:
         ``k`` holds the ``k``-th pending access of each stream, which
         preserves per-stream ordering while batching across streams);
         one batched rollout continues every prediction-eligible request
-        from the state its own access produced.  A stream's state
+        from the state its own access produced, and one call decodes
+        every rollout row.  A stream's state
         restarts from zero every ``seq_len`` accesses, counted from its
         first access — the segmentation the weights trained on.  When
         the backlog exceeds ``max_batch``, admission is in QoS-priority
@@ -831,7 +874,12 @@ class PrefetchServer:
                     waves.append([])
                 waves[k].append(i)
             seq_len = self.model.config.seq_len
-            stepped: List[Optional[LSTMState]] = [None] * len(live)
+            # One wave (every live stream has one request, the common
+            # case) holds all rows in live order, so its output is the
+            # stepped state itself; several waves scatter into it.
+            one_wave = len(waves) == 1
+            if not one_wave:
+                stepped = self.engine.init_state(len(live))
             for wave in waves:
                 sessions = [live[i][1] for i in wave]
                 for session in sessions:
@@ -839,41 +887,52 @@ class PrefetchServer:
                         session.state = self.engine.init_state(1)
                     session.accesses += 1
                 state = self.engine.step_from_features(
-                    LSTMState.stack([s.state for s in sessions]), feats[wave]
+                    LSTMState.stack([s.state for s in sessions]),
+                    feats if one_wave else feats[wave],
                 )
-                for j, (i, session) in enumerate(zip(wave, sessions)):
-                    session.state = stepped[i] = state.row(j)
+                # Sessions hold row views of the wave's output: the
+                # engine never writes a state in place (see LSTMState).
+                # A view keeps its wave's arrays (at most max_batch
+                # rows) alive until the session steps again.
+                h, c = state.h, state.c
+                for j, session in enumerate(sessions):
+                    session.state = LSTMState(h=h[j : j + 1], c=c[j : j + 1])
+                if one_wave:
+                    stepped = state
+                else:
+                    stepped.h[wave] = h
+                    stepped.c[wave] = c
 
             # Phase C: log, and collect the rollout-eligible requests.
-            rollout_rows: List[int] = []
-            for i, (req, _) in enumerate(live):
-                if self.logger is not None:
+            if self.logger is not None:
+                for req, _ in live:
                     self.logger.log(
                         req.access.pc,
                         req.access.address,
                         tick=self.stats.ticks,
                         stream_id=req.stream_id,
                     )
-                if not req.degraded:
-                    rollout_rows.append(i)
+            rollout_rows = [
+                i for i, (req, _) in enumerate(live) if not req.degraded
+            ]
 
             # Phase D: one batched rollout from each request's own
-            # stepped state, then the shared decode.
+            # stepped state, then one decode for every row.
             if rollout_rows:
-                pages, offsets, valid = self.engine.rollout(
-                    LSTMState.stack([stepped[i] for i in rollout_rows]),
-                    pc_ids[rollout_rows],
-                    self.config.degree,
-                )
-                for r, i in enumerate(rollout_rows):
-                    seq = live[i][0].seq
-                    candidates_by_seq[seq] = decode_block_candidates(
-                        self._page_table,
-                        pages[r],
-                        offsets[r],
-                        valid[r],
-                        self.config.degree,
+                start, start_pcs = stepped, pc_ids
+                if len(rollout_rows) < len(live):
+                    start = LSTMState(
+                        h=stepped.h[rollout_rows], c=stepped.c[rollout_rows]
                     )
+                    start_pcs = pc_ids[rollout_rows]
+                pages, offsets, valid = self.engine.rollout(
+                    start, start_pcs, self.config.degree
+                )
+                decoded = decode_block_candidates(
+                    self._page_table, pages, offsets, valid
+                )
+                for i, cands in zip(rollout_rows, decoded):
+                    candidates_by_seq[live[i][0].seq] = cands
 
         # Phase E: responses in submit order.
         now = self.clock()
@@ -909,56 +968,30 @@ class PrefetchServer:
         """Pop up to ``max_batch`` pending requests for this tick.
 
         Backlog at or under ``max_batch``: take everything, in submit
-        order (the historical fast path).  Over it: admit by QoS
-        priority, oldest first within a class, *pulling in* any
-        earlier same-stream requests a pick depends on so every
-        stream's accesses still step its recurrence in submit order —
-        the invariant the wave decomposition (and bitwise equality
-        with serial engines) rests on.  The selected set is returned
-        in submit order; unselected requests stay queued, order
-        intact.
+        order.  Over it: admit from a bounded window by
+        :func:`_admit_by_priority`.  When every request in the window
+        has one QoS class, priority order is submit order and that rule
+        admits exactly the first ``max_batch`` requests, so they are
+        taken directly.  Unselected requests stay queued, order intact.
         """
         max_batch = self.config.max_batch
-        if len(self._pending) <= max_batch:
-            batch = list(self._pending)
-            self._pending.clear()
+        pending = self._pending
+        if len(pending) <= max_batch:
+            batch = list(pending)
+            pending.clear()
             return batch
         # Bounded admission window: enough to let latency-class
         # requests jump a deep backlog without scanning all of it.
-        window_n = min(len(self._pending), max(4 * max_batch, 256))
-        window = [self._pending.popleft() for _ in range(window_n)]
-        positions: Dict[Hashable, List[int]] = {}
-        stream_rank = []  # index of window[i] within its stream
-        for i, req in enumerate(window):
-            stream = positions.setdefault(req.stream_id, [])
-            stream_rank.append(len(stream))
-            stream.append(i)
-        taken = {sid: 0 for sid in positions}  # chosen prefix length
-        order = sorted(
-            range(window_n),
-            key=lambda i: (QOS_PRIORITY.get(window[i].qos, 1), i),
-        )
-        chosen: set = set()
-        count = 0
-        for i in order:
-            if count >= max_batch:
-                break
-            sid = window[i].stream_id
-            if stream_rank[i] < taken[sid]:
-                continue  # already pulled in by a later same-stream pick
-            need = stream_rank[i] - taken[sid] + 1
-            if count + need > max_batch:
-                continue  # would split the stream's FIFO prefix
-            for k in range(taken[sid], stream_rank[i] + 1):
-                chosen.add(positions[sid][k])
-            taken[sid] = stream_rank[i] + 1
-            count += need
-        batch = [window[i] for i in sorted(chosen)]
-        leftovers = [
-            window[i] for i in range(window_n) if i not in chosen
-        ]
-        self._pending.extendleft(reversed(leftovers))
-        return batch
+        window_n = min(len(pending), max(4 * max_batch, 256))
+        qos = pending[0].qos
+        if all(req.qos == qos for req in islice(pending, window_n)):
+            return [pending.popleft() for _ in range(max_batch)]
+        window = [pending.popleft() for _ in range(window_n)]
+        chosen = _admit_by_priority(window, max_batch)
+        picked = set(chosen)
+        leftovers = [window[i] for i in range(window_n) if i not in picked]
+        pending.extendleft(reversed(leftovers))
+        return [window[i] for i in chosen]
 
     def _trim_capacity(self) -> None:
         """Evict spill-eligible LRU sessions back down to the cap."""

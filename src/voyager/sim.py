@@ -428,19 +428,19 @@ def page_id_table(page_vocab: Vocab) -> np.ndarray:
 
 def decode_block_candidates(
     page_table: np.ndarray,  # from :func:`page_id_table`
-    pages: np.ndarray,  # (S,) page vocab ids
-    offsets: np.ndarray,  # (S,)
-    valid: np.ndarray,  # (S,) bool, monotone prefix
-    limit: int,
-) -> List[int]:
-    """Decode one rollout row into up to ``limit`` block addresses.
+    pages: np.ndarray,  # (R, S) page vocab ids
+    offsets: np.ndarray,  # (R, S)
+    valid: np.ndarray,  # (R, S) bool, each row a monotone prefix
+) -> List[List[int]]:
+    """Decode ``R`` rollout rows into block-address lists, one call.
 
-    ``valid`` is a monotone prefix (False from the first OOV step on),
-    so its first False bounds the decodable candidates.
+    ``valid`` is a monotone prefix per row (False from the first OOV
+    step on), so its row sum is the row's candidate count.  The
+    simulator's streaming and offline paths and the server's tick all
+    decode through this one rule.
     """
-    n = min(limit, valid.shape[0] if valid.all() else int(valid.argmin()))
-    raw = page_table[pages[:n]]
-    return ((raw << OFFSET_BITS) | offsets[:n]).tolist()
+    blocks = ((page_table[pages] << OFFSET_BITS) | offsets).tolist()
+    return [row[:n] for row, n in zip(blocks, valid.sum(axis=1).tolist())]
 
 
 # ----------------------------------------------------------------------
@@ -514,9 +514,7 @@ class NeuralPrefetcher:
         pages, offsets, valid = self.engine.rollout(
             self._state, np.array([self._last_pc_id], dtype=np.int64), degree
         )
-        return decode_block_candidates(
-            self._page_table, pages[0], offsets[0], valid[0], degree
-        )
+        return decode_block_candidates(self._page_table, pages, offsets, valid)[0]
 
     def offline_candidates(
         self, trace: Sequence[MemoryAccess], degree: int, distance: int
@@ -544,9 +542,14 @@ class NeuralPrefetcher:
         x = self.engine.feature_step(pc_all, page_all, off_all)
         states = self.engine.segment_states(x, self.seq_len)
         pages, offsets, valid = self.engine.rollout(states, pc_all, want)
-        blocks = ((self._page_table[pages] << OFFSET_BITS) | offsets).tolist()
-        counts = np.where(valid.all(axis=1), want, valid.argmin(axis=1)).tolist()
-        return [row[distance:count] for row, count in zip(blocks, counts)]
+        # The first ``distance`` steps are skipped; a monotone prefix
+        # stays one once its leading columns are cut.
+        return decode_block_candidates(
+            self._page_table,
+            pages[:, distance:],
+            offsets[:, distance:],
+            valid[:, distance:],
+        )
 
 
 def make_prefetcher(

@@ -11,7 +11,7 @@ simulator hot path never touches the training forward.
 import numpy as np
 import pytest
 
-from voyager.infer import InferenceEngine, LSTMState
+from voyager.infer import InferenceEngine, LSTMState, _rowwise_matmul
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import NeuralPrefetcher, SimConfig, protocol_candidates, simulate
 from voyager.synthetic import page_cycle_trace
@@ -356,6 +356,41 @@ def test_row_exact_batched_ops_match_serial_rows(model_seed, data_seed, B):
         np.testing.assert_array_equal(offs_b[i, mask], offs_r[0, mask])
 
 
+@settings(max_examples=80)
+@given(
+    dtype=st.sampled_from([np.float64, np.float32]),
+    K=st.sampled_from([16, 24, 32, 48]),
+    N=st.sampled_from([17, 33, 64, 113, 128, 1025]),
+    B=st.integers(min_value=2, max_value=70),
+    layout=st.sampled_from(["C", "strided", "F"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rowwise_matmul_is_per_row_gemv_at_serving_shapes(
+    dtype, K, N, B, layout, seed
+):
+    """One stacked ``(B, 1, K) @ (K, N)`` call equals ``B`` separate
+    width-1 products bit for bit, at the shapes the server runs (input
+    and hidden projections, odd page vocabularies, wide heads).
+
+    This is the NumPy behaviour the serving contract rests on: the
+    matmul gufunc must send every stacked item down the same gemv
+    branch as a standalone ``(1, K)`` call.  A plain ``x @ w`` (gemm)
+    fails it.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((K, N)).astype(dtype)
+    big = rng.standard_normal((B, 2 * K)).astype(dtype)
+    x = {
+        "C": big[:, :K].copy(),
+        "strided": big[:, ::2],
+        "F": np.asfortranarray(big[:, :K]),
+    }[layout]
+    got = _rowwise_matmul(x, w)
+    want = np.vstack([x[i : i + 1] @ w for i in range(B)])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_row_exact_is_identity_at_batch_width_one():
     """row_exact changes nothing for B=1 (same call shapes)."""
     model = tiny_model(2)
@@ -367,6 +402,9 @@ def test_row_exact_is_identity_at_batch_width_one():
 
 
 def test_lstm_state_stack_and_row_round_trip():
+    """Stacked rows read back bit-for-bit as row slices, and the stack
+    owns its rows.  (Sessions hold row views of a batch, not copies, so
+    the stack must never alias the states it gathers.)"""
     model = tiny_model(3)
     engine = InferenceEngine(model)
     states = []
@@ -375,13 +413,16 @@ def test_lstm_state_stack_and_row_round_trip():
         states.append(stepped_state(engine, pc, page, off))
     stacked = LSTMState.stack(states)
     assert stacked.batch == 3
+    originals = [state.copy() for state in states]
     for i, state in enumerate(states):
-        row = stacked.row(i)
-        np.testing.assert_array_equal(row.h, state.h)
-        np.testing.assert_array_equal(row.c, state.c)
-        # row() copies: mutating the row leaves the stack untouched
-        row.h += 1.0
-        np.testing.assert_array_equal(stacked.row(i).h, state.h)
+        np.testing.assert_array_equal(stacked.h[i : i + 1], state.h)
+        np.testing.assert_array_equal(stacked.c[i : i + 1], state.c)
+    # stack() copies: mutating the stack leaves its inputs untouched
+    stacked.h += 1.0
+    stacked.c += 1.0
+    for state, original in zip(states, originals):
+        np.testing.assert_array_equal(state.h, original.h)
+        np.testing.assert_array_equal(state.c, original.c)
     with pytest.raises(ValueError, match="zero states"):
         LSTMState.stack([])
 

@@ -33,6 +33,7 @@ from voyager.serve import (
     ServeConfig,
     ServerStats,
     SpillStore,
+    _admit_by_priority,
     drive_open_loop,
 )
 from voyager.sim import NeuralPrefetcher
@@ -40,7 +41,7 @@ from voyager.traces import NUM_OFFSETS, MemoryAccess, join_address
 from voyager.vocab import Vocab
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 PCS = [0x400000 + 4 * i for i in range(6)]
@@ -631,6 +632,43 @@ def test_qos_priority_batch_admission_over_max_batch():
     assert sorted(r.seq for r in first) == sorted([lat_seq, seqs[0]])
     rest = server.tick()
     assert [r.seq for r in rest] == seqs[1:]
+
+
+@settings(max_examples=40)
+@given(
+    max_batch=st.integers(min_value=1, max_value=8),
+    qos=st.sampled_from(QOS_CLASSES),
+    stream_of=st.lists(
+        st.integers(min_value=0, max_value=5), min_size=2, max_size=300
+    ),
+)
+def test_single_class_admission_takes_the_fifo_prefix(
+    max_batch, qos, stream_of
+):
+    """Backlog > max_batch, one QoS class: the general admission rule
+    admits exactly the first ``max_batch`` requests, and the server's
+    shortcut for that case admits the same requests, in the same order,
+    and leaves the same queue behind."""
+    assume(len(stream_of) > max_batch)
+    model, pc_vocab, page_vocab = serving_setup()
+    server = PrefetchServer(
+        model, pc_vocab, page_vocab,
+        ServeConfig(max_batch=max_batch, max_pending=1024),
+    )
+    for stream in sorted(set(stream_of)):
+        server.open_stream(stream, qos=qos)
+    rng = np.random.default_rng(len(stream_of))
+    for stream in stream_of:
+        a = random_access(rng)
+        server.submit(stream, a.pc, a.address)
+    queued = list(server._pending)
+    assert _admit_by_priority(queued, max_batch) == list(range(max_batch))
+    batch = server._select_batch()
+    assert len(batch) == max_batch
+    assert all(got is want for got, want in zip(batch, queued))
+    left = list(server._pending)
+    assert len(left) == len(queued) - max_batch
+    assert all(got is want for got, want in zip(left, queued[max_batch:]))
 
 
 # ----------------------------------------------------------------------
