@@ -63,6 +63,7 @@ runs, so the gain is apples to apples.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
@@ -102,6 +103,20 @@ from voyager.train import build_sequence_dataset, build_vocabs, train
 #: fully-published checkpoint prefix.
 CURRENT_POINTER = "CURRENT"
 
+#: Numbered names in a log dir (closed and open segments), an output
+#: dir (checkpoint files) and a bench workdir (run directories).
+_SEGMENT_NAME = re.compile(r"(?:open-)?segment-(\d+)\.")
+_CHECKPOINT_NAME = re.compile(r"ckpt-v(\d+)\.")
+_RUN_NAME = re.compile(r"run-(\d+)$")
+
+
+def _highest_index(root: Path, pattern: re.Pattern) -> int:
+    """Largest number among ``root``'s entries named by ``pattern``, or -1."""
+    return max(
+        (int(m.group(1)) for m in map(pattern.match, os.listdir(root)) if m),
+        default=-1,
+    )
+
 
 # ----------------------------------------------------------------------
 # access logging
@@ -117,6 +132,11 @@ class AccessLogger:
     :meth:`closed_segments` (and therefore :class:`AdaptationLoop`)
     ever return.  A crash mid-append tears only an ``open-`` file no
     reader consumes.
+
+    A logger started on a directory that already holds segments numbers
+    its own after the highest index there, closed or ``open-``: it
+    never overwrites a closed segment, and never appends to (or
+    publishes) an ``open-`` file a crashed predecessor may have torn.
 
     ``log`` never performs I/O: records go into a bounded buffer and
     are written by :meth:`flush` (typically called between ticks, or
@@ -153,7 +173,8 @@ class AccessLogger:
         self.stream_counts: Dict[Hashable, int] = {}
         self._fmt = IngestFormat()
         self._buffer: List[ExternalRecord] = []
-        self._segment_index = 0  # index of the segment being filled
+        # Index of the segment being filled.
+        self._segment_index = _highest_index(self.root, _SEGMENT_NAME) + 1
         self._in_segment = 0  # records already written to it
 
     @property
@@ -283,6 +304,13 @@ class AdaptationLoop:
     ``(seed, r)``, so the same base checkpoint + same segments =>
     bit-identical checkpoints, regardless of wall clock or call timing.
 
+    Each closed segment is parsed once: it never changes (it is
+    published by atomic rename), so the loop keeps its ``(pc, address)``
+    columns and rebuilds the accesses whenever a round replays it.  A
+    loop started on an ``out_dir`` that already holds checkpoints
+    numbers its own after the newest one there, so it never overwrites
+    a published checkpoint.
+
     The segment length is the base model's ``ModelConfig.seq_len``: a
     fine-tuned checkpoint must reset state where the live sessions it
     is swapped under do.  ``seq_len``, when given, must equal it.
@@ -337,10 +365,13 @@ class AdaptationLoop:
         self.replay_mix = replay_mix
         self.min_new_records = min_new_records
         self.seed = seed
-        self.version = 0  # of the newest emitted checkpoint
+        # Version of the newest checkpoint in out_dir.
+        self.version = max(0, _highest_index(self.out_dir, _CHECKPOINT_NAME))
         self.rounds = 0  # fine-tune rounds actually run
         self.trained_records = 0  # accesses ever used as training input
         self._consumed: List[Path] = []  # closed segments already trained on
+        # (pc, address) columns of every segment read so far.
+        self._columns: Dict[Path, np.ndarray] = {}
 
     @property
     def consumed(self) -> List[Path]:
@@ -359,8 +390,14 @@ class AdaptationLoop:
     def _read_segments(self, segments: List[Path]) -> List[MemoryAccess]:
         trace: List[MemoryAccess] = []
         for segment in segments:
-            accesses, _ = read_trace(segment)
-            trace.extend(accesses)
+            columns = self._columns.get(segment)
+            if columns is None:
+                accesses, _ = read_trace(segment)
+                columns = self._columns[segment] = _access_columns(accesses)
+            trace.extend(
+                MemoryAccess.from_pc_address(pc, address)
+                for pc, address in columns.tolist()
+            )
         return trace
 
     def poll(self) -> Optional[Path]:
@@ -426,6 +463,20 @@ class AdaptationLoop:
         """Newest fully-published checkpoint prefix, or ``None``."""
         name = read_pointer(self.out_dir / CURRENT_POINTER)
         return self.out_dir / name if name else None
+
+
+def _access_columns(accesses: List[MemoryAccess]) -> np.ndarray:
+    """``(n, 2)`` array of each access's ``(pc, address)``.
+
+    16 bytes an access, about a seventh of the access objects.
+    Addresses are masked to 48 bits on ingest, but a PC is kept
+    verbatim, so one beyond 64 bits falls back to Python ints.
+    """
+    pairs = [(a.pc, a.address) for a in accesses]
+    try:
+        return np.array(pairs, dtype=np.uint64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(pairs, dtype=object).reshape(-1, 2)
 
 
 def clone_model(model: HierarchicalModel) -> HierarchicalModel:
@@ -711,13 +762,18 @@ def run_adaptation_bench(
     Returns the ``serving.adaptation`` block: shared knobs plus one
     per-workload record (see :func:`_run_workload`).  Deterministic
     given ``config`` — every RNG consumer derives its seed from
-    ``config.seed``.
+    ``config.seed``.  Each call writes its checkpoints and logs under a
+    new ``run-NNNN`` directory in ``workdir``, numbered after the
+    highest one there, so the loop trains only on segments this run
+    logged and a rerun into the same ``workdir`` reproduces the block.
     """
     config = config or AdaptBenchConfig()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
+    run_dir = workdir / f"run-{_highest_index(workdir, _RUN_NAME) + 1:04d}"
+    run_dir.mkdir()
     runs = {
-        workload: _run_workload(workload, config, workdir)
+        workload: _run_workload(workload, config, run_dir)
         for workload in config.workloads
     }
     return {

@@ -34,10 +34,22 @@ def embedding_forward(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 def embedding_backward(
     table: np.ndarray, ids: np.ndarray, grad_out: np.ndarray
 ) -> np.ndarray:
-    """Scatter-add gradient for a lookup (duplicate ids accumulate)."""
-    grad = np.zeros_like(table)
-    np.add.at(grad, ids, grad_out)
-    return grad
+    """Scatter-add gradient for a lookup (duplicate ids accumulate).
+
+    Works for any table rank: row ``ids[i]`` of a zero ``table``-shaped
+    array receives ``grad_out[i]``.  One ``np.bincount`` over the
+    flattened ``id * width + column`` indices does it; like
+    ``np.add.at`` it adds each entry's contributions in index order
+    starting from zero, so every sum keeps its bits.  It returns
+    float64, the training dtype.
+    """
+    width = math.prod(table.shape[1:])
+    flat_ids = ids.reshape(-1, 1) * width + np.arange(width)
+    return np.bincount(
+        flat_ids.reshape(-1),
+        weights=grad_out.reshape(-1),
+        minlength=table.shape[0] * width,
+    ).reshape(table.shape)
 
 
 def page_aware_offset_forward(
@@ -127,8 +139,7 @@ def page_aware_offset_backward(
     grad_query = np.einsum("bhk,bhkd->bhd", grad_scores, cand)
     grad_cand += grad_scores[..., None] * query[:, :, None, :]
 
-    grad_table = np.zeros_like(offset_table)
-    np.add.at(grad_table, offset_ids, grad_cand)
+    grad_table = embedding_backward(offset_table, offset_ids, grad_cand)
 
     flat_page = page_emb.reshape(-1, d)
     flat_gq = grad_query.reshape(-1, d)

@@ -88,40 +88,44 @@ class ModelConfig:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    out = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Numerically stable logistic function.
 
     The naive ``1 / (1 + exp(-x))`` overflows ``np.exp`` for large
     negative ``x`` (|x| > ~709 in float64, far sooner in float32).
     ``exp(-|x|)`` only ever exponentiates non-positive values, so it
-    cannot overflow in either direction; selecting ``1 / (1 + z)`` for
-    ``x >= 0`` and ``z / (1 + z)`` otherwise is the split-sign form,
+    cannot overflow in either direction; dividing ``1`` for ``x >= 0``
+    and ``z`` otherwise by ``1 + z`` is the split-sign form,
     bit-identical to the naive one wherever the latter is safe
-    (``x >= 0``).  ``np.where`` over two fully vectorised branches beats
-    boolean-mask scatter by ~3x on the LSTM gate slices that dominate
-    the inference hot path; the explicit ``out=`` chain below performs
-    the same elementwise operations in the same order (so results stay
-    bit-identical) while reusing one scratch buffer instead of
-    allocating four temporaries.
+    (``x >= 0``).  The numerator is ``max(z, x >= 0)``: exactly ``1``
+    where ``x >= 0`` (there ``z <= 1``) and exactly ``z`` elsewhere
+    (``z >= 0``; a NaN stays NaN), without the branchy select of
+    ``np.where``.  The result is built in ``out`` (which may
+    be ``x`` itself: the LSTM cell activates its fresh pre-activation
+    in place), so besides the sign mask the only temporary is the
+    ``1 + z`` denominator.
     """
-    z = np.abs(x)
+    positive = x >= 0
+    z = np.abs(x, out=out)
     np.negative(z, out=z)
-    np.exp(z, out=z)  # z = exp(-|x|), contiguous scratch
-    out = np.where(x >= 0, 1.0, z)
-    z += 1.0
-    out /= z
-    return out
+    np.exp(z, out=z)  # z = exp(-|x|)
+    denom = z + 1.0
+    np.maximum(z, positive, out=z)
+    z /= denom
+    return z
 
 
 def _lstm_activate(
-    a: np.ndarray,  # (B, 4h) pre-activation
+    a: np.ndarray,  # (B, 4h) pre-activation, overwritten
     c_prev: np.ndarray,  # (B, h)
     h_dim: int,
+    out: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> Tuple[np.ndarray, ...]:
     """Gate nonlinearities shared by every LSTM entry point.
 
@@ -130,17 +134,25 @@ def _lstm_activate(
     and the inference engine's cell step
     (:meth:`voyager.infer.InferenceEngine.step_from_features`) are
     bit-bound to each other by construction.
+
+    ``a`` must be the caller's own fresh pre-activation: it is
+    activated in place, so a 6,000-row inference batch needs no second
+    ``(B, 4h)`` array.  Every column gets the sigmoid in one call
+    (elementwise, so the i, f and o columns keep their bits); ``i``,
+    ``f`` and ``o`` are views of ``a``, and the g block of ``a`` is
+    left holding an unused sigmoid.  ``out``, when given, is the
+    ``(g, c_new, tanh_c, h_new)`` arrays to write into; otherwise they
+    are allocated.
     """
-    # The input and forget gates are adjacent columns, so one sigmoid
-    # call covers both (elementwise, so batching changes no bits).
-    i_f = _sigmoid(a[:, : 2 * h_dim])
-    i_g = i_f[:, :h_dim]
-    f_g = i_f[:, h_dim:]
-    g_g = np.tanh(a[:, 2 * h_dim : 3 * h_dim])
-    o_g = _sigmoid(a[:, 3 * h_dim :])
-    c_new = f_g * c_prev + i_g * g_g
-    tanh_c = np.tanh(c_new)
-    h_new = o_g * tanh_c
+    g_out, c_out, tanh_out, h_out = (None,) * 4 if out is None else out
+    h2, h3 = 2 * h_dim, 3 * h_dim
+    g_g = np.tanh(a[:, h2:h3], out=g_out)  # before the sigmoid overwrites it
+    _sigmoid(a, out=a)
+    i_g, f_g, o_g = a[:, :h_dim], a[:, h_dim:h2], a[:, h3:]
+    c_new = np.multiply(f_g, c_prev, out=c_out)
+    c_new += i_g * g_g
+    tanh_c = np.tanh(c_new, out=tanh_out)
+    h_new = np.multiply(o_g, tanh_c, out=h_out)
     return h_new, c_new, i_g, f_g, g_g, o_g, tanh_c
 
 
@@ -196,10 +208,11 @@ def head_logits(
     params: Dict[str, np.ndarray], h: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Project a hidden state onto the page and offset heads (no softmax)."""
-    return (
-        h @ params["w_page"] + params["b_page"],
-        h @ params["w_offset"] + params["b_offset"],
-    )
+    page = h @ params["w_page"]
+    page += params["b_page"]
+    offset = h @ params["w_offset"]
+    offset += params["b_offset"]
+    return page, offset
 
 
 def topk_from_logits(logits: np.ndarray, k: int) -> np.ndarray:
@@ -273,7 +286,12 @@ class HierarchicalModel:
         Embeddings and attention are gathered for the whole segment at
         once, the input projection is one fused matmul
         (:func:`project_features`), and only the recurrent ``h @ w_h``
-        product runs per timestep.
+        product runs per timestep.  The recurrence works in time-major
+        ``(T, B, ·)`` buffers: step ``t`` computes its pre-activation
+        in row ``t`` of the gate buffer and the cell writes its
+        activations and state straight into the cache.  The cache's
+        ``"hs"``/``"cs"`` hold the per-timestep states batch-major,
+        ``(B, T, h)``.
 
         Returns ``(page_probs, offset_probs, cache, (h, c))`` with probs
         of shape ``(B, T, vocab)`` and the final state for chunk
@@ -292,35 +310,30 @@ class HierarchicalModel:
         ax = project_features(p, x)
 
         dtype = p["w_h"].dtype
-        h_first = np.zeros((B, h_dim), dtype=dtype) if h0 is None else h0
-        c_first = np.zeros((B, h_dim), dtype=dtype) if c0 is None else c0
-        h_t, c_t = h_first, c_first
-        hs = np.empty((B, T, h_dim), dtype=dtype)
-        # The i/f/g/o activations, tanh(c), and the previous h/c per
-        # step form the backward cache.  h_prev/c_prev are not copied:
-        # step t's predecessors are hs[:, t-1] (resp. the chunk-entry
-        # state), which _backward_sequence reconstructs by shifting.
-        gates = {
-            name: np.empty((B, T, h_dim), dtype=dtype)
-            for name in ("i", "f", "g", "o", "tanh_c")
-        }
-        cs = np.empty((B, T, h_dim), dtype=dtype)
+        # hs[t] / cs[t] is the state entering step t: hs[1:] are the
+        # step outputs and hs[:-1] their predecessors, with no copy.
+        hs = np.empty((T + 1, B, h_dim), dtype=dtype)
+        cs = np.empty((T + 1, B, h_dim), dtype=dtype)
+        hs[0] = 0.0 if h0 is None else h0
+        cs[0] = 0.0 if c0 is None else c0
+        # Activated gates [i | f | · | o] (see _lstm_activate), tanh(g)
+        # and tanh(c) per step: the backward cache.
+        acts = np.empty((T, B, 4 * h_dim), dtype=dtype)
+        gs = np.empty((T, B, h_dim), dtype=dtype)
+        tanh_cs = np.empty((T, B, h_dim), dtype=dtype)
         w_h, b_lstm = p["w_h"], p["b_lstm"]
         for t in range(T):
-            a = ax[:, t, :] + h_t @ w_h
+            # (h @ w_h + x @ w_x) + b: the inference engine's
+            # (x @ w_x + h @ w_h) + b, as addition commutes exactly.
+            a = np.matmul(hs[t], w_h, out=acts[t])
+            a += ax[:, t]
             a += b_lstm
-            h_t, c_t, i_g, f_g, g_g, o_g, tanh_c = _lstm_activate(
-                a, c_t, h_dim
+            _lstm_activate(
+                a, cs[t], h_dim, out=(gs[t], cs[t + 1], tanh_cs[t], hs[t + 1])
             )
-            gates["i"][:, t] = i_g
-            gates["f"][:, t] = f_g
-            gates["g"][:, t] = g_g
-            gates["o"][:, t] = o_g
-            gates["tanh_c"][:, t] = tanh_c
-            cs[:, t] = c_t
-            hs[:, t] = h_t
 
-        flat = hs.reshape(B * T, h_dim)
+        # Batch-major rows: the order the heads' gradients reduce over.
+        flat = hs[1:].transpose(1, 0, 2).reshape(B * T, h_dim)
         page_logits, offset_logits = head_logits(p, flat)
         page_probs = softmax(page_logits).reshape(B, T, -1)
         offset_probs = softmax(offset_logits).reshape(B, T, -1)
@@ -329,13 +342,14 @@ class HierarchicalModel:
             "page_ids": page_ids,
             "attn": attn_cache,
             "x": x,
-            "hs": hs,
-            "cs": cs,
-            "h0": h_first,
-            "c0": c_first,
-            "gates": gates,
+            "hs": flat.reshape(B, T, h_dim),
+            "cs": cs[1:].transpose(1, 0, 2),
+            "states": (hs, cs),
+            "acts": acts,
+            "gs": gs,
+            "tanh_cs": tanh_cs,
         }
-        return page_probs, offset_probs, cache, (h_t, c_t)
+        return page_probs, offset_probs, cache, (hs[T], cs[T])
 
     def loss_and_grads_sequence(
         self,
@@ -376,8 +390,13 @@ class HierarchicalModel:
         L = label_page_ids.shape[2]
         eps = 1e-12
 
-        pp = np.take_along_axis(page_probs, label_page_ids, axis=2)
-        op = np.take_along_axis(offset_probs, label_offsets, axis=2)
+        page_flat = page_probs.reshape(n, -1)
+        offset_flat = offset_probs.reshape(n, -1)
+        rows = np.repeat(np.arange(n), L)
+        lab_pages = label_page_ids.reshape(-1)
+        lab_offsets = label_offsets.reshape(-1)
+        pp = page_flat[rows, lab_pages].reshape(B, T, L)
+        op = offset_flat[rows, lab_offsets].reshape(B, T, L)
         loss_page = -(label_weights * np.log(pp + eps)).sum() / n
         loss_offset = -(label_weights * np.log(op + eps)).sum() / n
         loss = loss_page + loss_offset
@@ -386,14 +405,18 @@ class HierarchicalModel:
             t0 = perf_counter()
 
         # d_logits = (probs - targets) / n, with the target subtraction
-        # done as a sparse scatter.  Padding slots carry weight 0 and
-        # subtract nothing.
-        d_page = page_probs.reshape(n, -1) / n
-        d_offset = offset_probs.reshape(n, -1) / n
-        rows = np.repeat(np.arange(n), L)
+        # done as a sparse scatter into the flat view (in index order,
+        # so duplicate labels subtract one after another).  Padding
+        # slots carry weight 0 and subtract nothing.
+        d_page = page_flat / n
+        d_offset = offset_flat / n
         w_flat = label_weights.reshape(-1) / n
-        np.subtract.at(d_page, (rows, label_page_ids.reshape(-1)), w_flat)
-        np.subtract.at(d_offset, (rows, label_offsets.reshape(-1)), w_flat)
+        np.subtract.at(
+            d_page.reshape(-1), rows * d_page.shape[1] + lab_pages, w_flat
+        )
+        np.subtract.at(
+            d_offset.reshape(-1), rows * d_offset.shape[1] + lab_offsets, w_flat
+        )
 
         grads = self._backward_sequence(cache, d_page, d_offset)
         if phases is not None:
@@ -410,20 +433,22 @@ class HierarchicalModel:
 
         Only the recurrent gate chain runs per timestep; the head, input
         projection and recurrent weight gradients are each one batched
-        matmul over the flattened ``(B*T, ·)`` arrays.
+        matmul over the flattened batch-major ``(B*T, ·)`` arrays.
         """
         p = self.params
         cfg = self.config
         h_dim = cfg.hidden_dim
         d = cfg.embed_dim
         x = cache["x"]
-        hs = cache["hs"]
-        g = cache["gates"]
-        B, T = hs.shape[0], hs.shape[1]
+        hs, cs = cache["states"]  # (T+1, B, h): entry state, then steps
+        gs, tanh_cs = cache["gs"], cache["tanh_cs"]
+        T, B = gs.shape[0], gs.shape[1]
         n = B * T
+        acts = cache["acts"].reshape(T, B, 4, h_dim)  # gate-major columns
+        i_g, f_g, o_g = acts[:, :, 0], acts[:, :, 1], acts[:, :, 3]
 
         grads: Dict[str, np.ndarray] = {}
-        hs_flat = hs.reshape(n, h_dim)
+        hs_flat = cache["hs"].reshape(n, h_dim)
         grads["w_page"] = hs_flat.T @ d_page_logits
         grads["b_page"] = d_page_logits.sum(axis=0)
         grads["w_offset"] = hs_flat.T @ d_offset_logits
@@ -431,44 +456,45 @@ class HierarchicalModel:
 
         dh_ext = (
             d_page_logits @ p["w_page"].T + d_offset_logits @ p["w_offset"].T
-        ).reshape(B, T, h_dim)
+        ).reshape(B, T, h_dim).transpose(1, 0, 2)
         # Gate-derivative factors depend only on cached activations, so
-        # they batch over (B, T, h) outside the sequential loop; the
+        # they batch over (T, B, h) outside the sequential loop; the
         # loop itself carries only the dc / dh_rec recurrences.
-        i_g, f_g, g_g, o_g = g["i"], g["f"], g["g"], g["o"]
-        tanh_c = g["tanh_c"]
-        dc_fac = o_g * (1.0 - tanh_c**2)  # dh -> dc through h = o*tanh(c)
-        do_fac = tanh_c * (o_g * (1.0 - o_g))  # dh -> o pre-activation
-        i_fac = i_g * (1.0 - i_g)
-        f_fac = f_g * (1.0 - f_g)
-        g_fac = 1.0 - g_g**2
-        # Predecessor states, shifted once per chunk instead of copied
-        # per step in the forward.
-        c_prev = np.concatenate(
-            [cache["c0"][:, None], cache["cs"][:, :-1]], axis=1
-        )
-        h_prev = np.concatenate(
-            [cache["h0"][:, None], hs[:, :-1]], axis=1
-        )
+        dc_fac = o_g * (1.0 - tanh_cs**2)  # dh -> dc through h = o*tanh(c)
+        do_fac = tanh_cs * (o_g * (1.0 - o_g))  # dh -> o pre-activation
+        # The i, f and g pre-activation gradients are
+        # (dc * left) * right per gate: (dc * g) * i(1-i),
+        # (dc * c_prev) * f(1-f) and (dc * i) * (1-g^2).
+        left = np.empty((T, B, 3, h_dim))
+        left[:, :, 0] = gs
+        left[:, :, 1] = cs[:-1]
+        left[:, :, 2] = i_g
+        right = np.empty((T, B, 3, h_dim))
+        i_f = acts[:, :, :2]
+        np.subtract(1.0, i_f, out=right[:, :, :2])
+        right[:, :, :2] *= i_f
+        np.square(gs, out=right[:, :, 2])
+        np.subtract(1.0, right[:, :, 2], out=right[:, :, 2])
         w_h_T = p["w_h"].T
         dc = np.zeros((B, h_dim))
         dh_rec = np.zeros((B, h_dim))
-        da_all = np.empty((B, T, 4 * h_dim))
+        scratch = np.empty((B, h_dim))
+        da_all = np.empty((T, B, 4 * h_dim))
+        da_gates = da_all.reshape(T, B, 4, h_dim)
         for t in range(T - 1, -1, -1):
-            dh = dh_ext[:, t]
+            dh = dh_ext[t]
             dh += dh_rec
-            dc += dh * dc_fac[:, t]
-            da = da_all[:, t]
-            da[:, :h_dim] = (dc * g_g[:, t]) * i_fac[:, t]
-            da[:, h_dim : 2 * h_dim] = (dc * c_prev[:, t]) * f_fac[:, t]
-            da[:, 2 * h_dim : 3 * h_dim] = (dc * i_g[:, t]) * g_fac[:, t]
-            da[:, 3 * h_dim :] = dh * do_fac[:, t]
-            dc *= f_g[:, t]
-            dh_rec = da @ w_h_T
+            dc += np.multiply(dh, dc_fac[t], out=scratch)
+            np.multiply(dc[:, None], left[t], out=da_gates[t, :, :3])
+            da_gates[t, :, :3] *= right[t]
+            np.multiply(dh, do_fac[t], out=da_gates[t, :, 3])
+            dc *= f_g[t]
+            if t:
+                np.matmul(da_all[t], w_h_T, out=dh_rec)
 
-        da_flat = da_all.reshape(n, 4 * h_dim)
+        da_flat = da_all.transpose(1, 0, 2).reshape(n, 4 * h_dim)
         grads["w_x"] = x.reshape(n, 3 * d).T @ da_flat
-        grads["w_h"] = h_prev.reshape(n, h_dim).T @ da_flat
+        grads["w_h"] = hs[:-1].transpose(1, 0, 2).reshape(n, h_dim).T @ da_flat
         grads["b_lstm"] = da_flat.sum(axis=0)
         dx = (da_flat @ p["w_x"].T).reshape(B, T, 3 * d)
 

@@ -12,12 +12,15 @@ class Adam:
 
     The moment buffers live in two *flat* arrays spanning every
     parameter, so one step runs a fixed handful of full-width vector
-    ops plus one ravel-concatenate of the incoming gradients — instead
-    of ~8 small ops per parameter tensor.  Per-element arithmetic (and
+    ops, then one in-place subtract per parameter from a fixed view of
+    a third flat array that holds the update — instead of ~8 small ops
+    per parameter tensor.  Per-element arithmetic (and
     therefore every parameter trajectory) is bit-identical to the
     per-parameter formulation: all operations are elementwise, so the
-    packing changes no values, only the op count.  ``lr`` may be
-    reassigned between steps (train-loop learning-rate schedules).
+    packing changes no values, only the op count.  The parameter
+    arrays are updated in place, so every holder of ``params`` keeps
+    seeing the live weights.  ``lr`` may be reassigned between steps
+    (train-loop learning-rate schedules).
     """
 
     def __init__(
@@ -35,38 +38,41 @@ class Adam:
         self.eps = eps
         self.t = 0
         self._order = list(params)
-        self._slices = {}
+        total = sum(int(params[name].size) for name in self._order)
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        self._num = np.empty(total)  # scaled gradient terms, then the update
+        self._updates = []
         offset = 0
         for name in self._order:
+            shape = params[name].shape
             size = int(params[name].size)
-            self._slices[name] = slice(offset, offset + size)
+            self._updates.append(
+                (name, self._num[offset : offset + size].reshape(shape))
+            )
             offset += size
-        self._m = np.zeros(offset)
-        self._v = np.zeros(offset)
 
     def step(self, grads: Dict[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        g = np.concatenate(
-            [grads[name].ravel() for name in self._order]
-        )
-        m, v = self._m, self._v
+        g = np.concatenate([grads[name].ravel() for name in self._order])
+        m, v, num = self._m, self._v, self._num
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=num)
         v *= b2
         g *= g
-        v += (1.0 - b2) * g
+        v += np.multiply(1.0 - b2, g, out=num)
         # Same association as ``lr * m_hat / (sqrt(v_hat) + eps)``:
         # scale by lr *before* dividing, as the scalar form multiplies
-        # first left to right.
-        m_hat = m / bias1
-        v_hat = v / bias2
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += self.eps
-        m_hat *= self.lr
-        m_hat /= v_hat
-        for name, param in self.params.items():
-            sl = self._slices[name]
-            param -= m_hat[sl].reshape(param.shape)
+        # first left to right.  ``g`` is done with, so it takes v_hat.
+        np.divide(m, bias1, out=num)
+        np.divide(v, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        num *= self.lr
+        num /= g
+        params = self.params
+        for name, update in self._updates:
+            params[name] -= update

@@ -277,17 +277,21 @@ def train(
     bounds = [(s, min(s + chunk, T)) for s in range(0, T, chunk)]
     batches = batch_indices(len(dataset), batch_size, steps, rng)
     step = 0
+    columns = (
+        dataset.pc_ids,
+        dataset.page_ids,
+        dataset.offset_ids,
+        dataset.label_page_ids,
+        dataset.label_offsets,
+        dataset.label_weights,
+    )
     while step < steps:
         batch = next(batches)
+        rows = [column[batch] for column in columns]
         h = c = None
         for lo, hi in bounds:
             loss, grads, (h, c) = model.loss_and_grads_sequence(
-                dataset.pc_ids[batch, lo:hi],
-                dataset.page_ids[batch, lo:hi],
-                dataset.offset_ids[batch, lo:hi],
-                dataset.label_page_ids[batch, lo:hi],
-                dataset.label_offsets[batch, lo:hi],
-                dataset.label_weights[batch, lo:hi],
+                *(r[:, lo:hi] for r in rows),
                 h0=h,
                 c0=c,
                 phases=model_phases,

@@ -150,6 +150,41 @@ def test_logger_rejects_bad_config(tmp_path):
         AccessLogger(target)
 
 
+def test_restarted_logger_keeps_closed_segments_and_skips_a_torn_one(tmp_path):
+    """A second logger on a used directory numbers its segments after
+    every existing one: closed segments keep their bytes and a torn
+    ``open-`` file is never appended to or published."""
+    log_dir = tmp_path / "log"
+    trace = generate("zipf_db", 22, seed=3)
+    first = AccessLogger(log_dir, segment_records=4)
+    for t, access in enumerate(trace[:10]):
+        first.log(access.pc, access.address, tick=t)
+    first.flush()  # closes 000000 and 000001; 000002 stays open
+    torn = log_dir / "open-segment-000002.csv"
+    with open(torn, "a") as fh:
+        fh.write("17,3,0x4")  # a crash mid-append
+    before = {p.name: p.read_bytes() for p in log_dir.iterdir()}
+
+    second = AccessLogger(log_dir, segment_records=4)
+    for t, access in enumerate(trace[10:]):
+        second.log(access.pc, access.address, tick=t)
+    closed = second.rotate()
+    assert [p.name for p in closed] == [
+        "segment-000003.csv",
+        "segment-000004.csv",
+        "segment-000005.csv",
+    ]
+    for name, data in before.items():
+        assert (log_dir / name).read_bytes() == data
+    assert not (log_dir / "segment-000002.csv").exists()
+    replayed = [a for p in closed for a in read_trace(p)[0]]
+    assert replayed == trace[10:]
+    # Every closed segment parses, so the loop can consume the directory.
+    assert [a for p in second.closed_segments() for a in read_trace(p)[0]] == (
+        trace[:8] + trace[10:]
+    )
+
+
 def test_pointer_roundtrip(tmp_path):
     path = tmp_path / "CURRENT"
     assert read_pointer(path) is None
@@ -251,6 +286,91 @@ def test_adaptation_loop_versions_and_replay(tmp_path):
     # Replay mixed consumed segments into round 2's training input.
     assert loop.trained_records > 160
     assert len(loop.consumed) == 8
+
+
+def test_restarted_loop_never_overwrites_a_checkpoint(tmp_path):
+    trace = generate("stride", 120, seed=4)
+    base = _seed_checkpoint(tmp_path, trace)
+    log_dir = _fill_log(tmp_path, trace[:60])
+    out = tmp_path / "out"
+    first = AdaptationLoop(base, log_dir, out, steps=2, batch_size=4)
+    assert first.poll().name == "ckpt-v0001"
+    published = {p.name: p.read_bytes() for p in out.iterdir()}
+    logger = AccessLogger(log_dir, segment_records=20)
+    for t, access in enumerate(trace[60:]):
+        logger.log(access.pc, access.address, tick=t)
+    logger.rotate()
+    restarted = AdaptationLoop(base, log_dir, out, steps=2, batch_size=4)
+    assert restarted.version == 1
+    assert restarted.poll().name == "ckpt-v0002"
+    assert read_pointer(out / "CURRENT") == "ckpt-v0002"
+    for name, data in published.items():
+        if name != "CURRENT":
+            assert (out / name).read_bytes() == data
+
+
+def test_each_segment_is_parsed_once(tmp_path, monkeypatch):
+    """Over nine rounds that replay every consumed segment, each segment
+    is read once, and each round trains on the replayed segments'
+    accesses (all of them, in order, at replay_mix 1) then the fresh
+    one's."""
+    import voyager.adapt as adapt_mod
+
+    trace = generate("stride", 200, seed=4)
+    base = _seed_checkpoint(tmp_path, trace)
+    reads = []
+    trained = []
+    read_trace_orig = adapt_mod.read_trace
+    build_orig = adapt_mod.build_sequence_dataset
+
+    def spy_read(path, *args, **kwargs):
+        reads.append(path)
+        return read_trace_orig(path, *args, **kwargs)
+
+    def spy_build(mix, *args, **kwargs):
+        trained.append(list(mix))
+        return build_orig(mix, *args, **kwargs)
+
+    monkeypatch.setattr(adapt_mod, "read_trace", spy_read)
+    monkeypatch.setattr(adapt_mod, "build_sequence_dataset", spy_build)
+    logger = AccessLogger(tmp_path / "log", segment_records=20)
+    loop = AdaptationLoop(
+        base, tmp_path / "log", tmp_path / "out",
+        steps=1, batch_size=2, replay_mix=1.0, seed=2,
+    )
+    for r in range(9):
+        for t, access in enumerate(trace[20 * r : 20 * (r + 1)]):
+            logger.log(access.pc, access.address, tick=t)
+        logger.rotate()
+        assert loop.poll() is not None
+    segments = logger.closed_segments()
+    assert len(segments) == 9
+    assert sorted(reads) == segments
+    parsed = [read_trace(p)[0] for p in segments]
+    for r, mix in enumerate(trained):
+        assert mix == [a for accesses in parsed[: r + 1] for a in accesses]
+
+
+def test_parsed_segments_keep_pcs_beyond_64_bits(tmp_path, monkeypatch):
+    import voyager.adapt as adapt_mod
+
+    trace = generate("stride", 60, seed=4)
+    base = _seed_checkpoint(tmp_path, trace)
+    wide = [
+        MemoryAccess.from_pc_address(2**70 + a.pc, a.address) for a in trace
+    ]
+    trained = []
+    build_orig = adapt_mod.build_sequence_dataset
+    monkeypatch.setattr(
+        adapt_mod,
+        "build_sequence_dataset",
+        lambda mix, *a, **kw: trained.append(list(mix)) or build_orig(mix, *a, **kw),
+    )
+    loop = AdaptationLoop(
+        base, _fill_log(tmp_path, wide), tmp_path / "out", steps=1, batch_size=2
+    )
+    assert loop.poll() is not None
+    assert trained == [wide]
 
 
 def test_clone_model_shares_nothing(tmp_path):
@@ -420,19 +540,38 @@ def test_load_and_swap_missing_checkpoint(tmp_path):
 # ----------------------------------------------------------------------
 # adaptation bench block + gates
 # ----------------------------------------------------------------------
+SMALL_BENCH = AdaptBenchConfig(
+    workloads=("drifting_zipf",),
+    n=600,
+    adapt_steps=12,
+    base_steps=20,
+    segment_records=150,
+    window=80,
+)
+
+
 @pytest.fixture(scope="module")
-def adapt_block(tmp_path_factory):
-    config = AdaptBenchConfig(
-        workloads=("drifting_zipf",),
-        n=600,
-        adapt_steps=12,
-        base_steps=20,
-        segment_records=150,
-        window=80,
+def adapt_workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("adapt-bench")
+
+
+@pytest.fixture(scope="module")
+def adapt_block(adapt_workdir):
+    return run_adaptation_bench(SMALL_BENCH, workdir=adapt_workdir)
+
+
+def test_rerun_into_the_same_workdir_gives_the_same_block(
+    adapt_block, adapt_workdir
+):
+    """A rerun trains only on the segments it logged itself, not on the
+    earlier run's (which hold the rest of the same trace)."""
+    assert run_adaptation_bench(SMALL_BENCH, workdir=adapt_workdir) == (
+        adapt_block
     )
-    return run_adaptation_bench(
-        config, workdir=tmp_path_factory.mktemp("adapt-bench")
-    )
+    assert sorted(p.name for p in adapt_workdir.iterdir()) == [
+        "run-0000",
+        "run-0001",
+    ]
 
 
 def test_adaptation_bench_block_shape(adapt_block):
