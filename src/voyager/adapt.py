@@ -170,6 +170,7 @@ class AccessLogger:
         self.logged = 0  # records accepted into the buffer, ever
         self.flushed = 0  # records written to disk, ever
         self.dropped = 0  # records refused because the buffer was full
+        self.segments_closed = 0  # segments this logger published
         self.stream_counts: Dict[Hashable, int] = {}
         self._fmt = IngestFormat()
         self._buffer: List[ExternalRecord] = []
@@ -251,6 +252,7 @@ class AccessLogger:
         open_path = self._open_path()
         closed_path = self._closed_path(self._segment_index)
         os.replace(open_path, closed_path)
+        self.segments_closed += 1
         self._segment_index += 1
         self._in_segment = 0
         return closed_path
@@ -295,9 +297,8 @@ class AdaptationLoop:
        regime is rehearsed alongside the new one;
     3. fine-tunes a *copy* of the current weights with
        :func:`~voyager.train.train` (TBPTT, cosine schedule) on
-       segments of the base model's ``seq_len`` — the serving engine
-       aliases the live model's arrays, so training in place would
-       corrupt in-flight serving;
+       segments of the base model's ``seq_len``, so the model of the
+       previous round, which a caller may still hold, never changes;
     4. saves ``ckpt-vNNNN`` atomically and repoints ``CURRENT`` at it.
 
     Determinism: round ``r`` derives its RNG and training seeds from
@@ -482,8 +483,8 @@ def _access_columns(accesses: List[MemoryAccess]) -> np.ndarray:
 def clone_model(model: HierarchicalModel) -> HierarchicalModel:
     """Deep-copy a model's parameters into a fresh instance.
 
-    Fine-tuning must never write through to the weights a live
-    ``InferenceEngine`` aliases (float64 engines share the arrays).
+    Fine-tuning must never write through to a model a caller still
+    holds (a server keeps the model it was built from).
     """
     clone = HierarchicalModel(model.config)
     for name, value in model.params.items():
@@ -749,7 +750,7 @@ def _run_workload(
         "logged_records": logger.logged,
         "dropped_records": logger.dropped,
         "trained_records": loop.trained_records,
-        "segments": len(logger.closed_segments()),
+        "segments": logger.segments_closed,
     }
 
 

@@ -63,8 +63,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-import numpy as np
-
 from voyager import synthetic
 from voyager.adapt import (
     AccessLogger,
@@ -271,13 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distilled table file (from the distill subcommand); "
         "required with --prefetcher table",
     )
-    sim.add_argument(
-        "--dtype",
-        choices=("float64", "float32"),
-        default="float64",
-        help="neural inference precision: float64 is bit-identical to "
-        "training, float32 trades exactness for speed",
-    )
     _add_sim_args(sim)
 
     distill = sub.add_parser(
@@ -339,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--streams", type=int, default=4)
     serve.add_argument("--degree", type=int, default=2)
     serve.add_argument("--max-batch", type=int, default=64)
-    serve.add_argument(
-        "--dtype", choices=("float64", "float32"), default="float64"
-    )
     serve.add_argument(
         "--adapt",
         metavar="LOGDIR",
@@ -650,14 +638,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         return 0
     if args.checkpoint:
         model, pc_vocab, page_vocab = load_checkpoint(args.checkpoint)
-        result = simulate_model(
-            model,
-            pc_vocab,
-            page_vocab,
-            trace,
-            sim_config,
-            dtype=np.float32 if args.dtype == "float32" else np.float64,
-        )
+        result = simulate_model(model, pc_vocab, page_vocab, trace, sim_config)
     elif args.prefetcher == "none":
         result = simulate(trace, None, sim_config)
     else:
@@ -735,7 +716,6 @@ def run_serve(args: argparse.Namespace) -> int:
             max_pending=len(trace),
             max_batch=args.max_batch,
         ),
-        dtype=np.float32 if args.dtype == "float32" else np.float64,
         logger=logger,
     )
     elapsed, _, latency_s, stats = drive_open_loop(
@@ -764,7 +744,7 @@ def run_serve(args: argparse.Namespace) -> int:
         logger.close()
         print(
             f"adapt: logged={logger.logged} dropped={logger.dropped} "
-            f"segments={len(logger.closed_segments())} "
+            f"segments={logger.segments_closed} "
             f"swaps={stats['swaps']} model_version={stats['model_version']}"
         )
     return 0

@@ -56,8 +56,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from voyager.baselines import StridePrefetcher, next_line_candidates
 from voyager.ioutil import atomic_write_text
 from voyager.model import HierarchicalModel
@@ -305,7 +303,6 @@ def build_table(
     page_vocab: Vocab,
     trace: Sequence[MemoryAccess],
     config: Optional[DistillConfig] = None,
-    dtype=np.float64,
 ) -> DistilledTable:
     """Compile ``model`` into a :class:`DistilledTable` over ``trace``.
 
@@ -327,9 +324,9 @@ def build_table(
     config = config or DistillConfig()
     table = DistilledTable(config, pc_vocab, page_vocab)
     n = len(trace)
-    rollouts = NeuralPrefetcher(
-        model, pc_vocab, page_vocab, dtype=dtype
-    ).offline_candidates(trace, config.top_k, 0)
+    rollouts = NeuralPrefetcher(model, pc_vocab, page_vocab).offline_candidates(
+        trace, config.top_k, 0
+    )
     pc_all = pc_vocab.encode_all(a.pc for a in trace)
     page_all = page_vocab.encode_all(a.page for a in trace)
     off_all = [a.offset for a in trace]

@@ -96,8 +96,10 @@ def page_aware_offset_step(
 
     Inference-mode counterpart of :func:`page_aware_offset_forward`:
     identical arithmetic on a ``(B,)`` slice of ids, but no backward
-    cache is built.  In float64 the result is bit-identical to the
-    corresponding position of the segment forward.
+    cache is built.  The result is bit-identical to the corresponding
+    position of the segment forward, in float64 and in float32; it is
+    the per-row definition :func:`page_aware_offset_table` is pinned
+    against.
     """
     d = offset_table.shape[-1]
     cand = offset_table[offset_ids]  # (B, K, d)
@@ -107,6 +109,34 @@ def page_aware_offset_step(
     exp = np.exp(scores)
     alpha = exp / exp.sum(axis=-1, keepdims=True)  # (B, K)
     return np.einsum("bk,bkd->bd", alpha, cand)
+
+
+def page_aware_offset_table(
+    offset_table: np.ndarray,  # (num_offsets, K, d)
+    w_query: np.ndarray,  # (d, d)
+    page_embed: np.ndarray,  # (P, d)
+) -> np.ndarray:
+    """The attention of every ``(page, offset)`` pair, for inference.
+
+    Row ``[p, o]`` of the ``(P, num_offsets, d)`` result is
+    :func:`page_aware_offset_step` of page embedding ``page_embed[p]``
+    and offset ``o``: the same einsum arithmetic, with the query
+    computed once per page and the scores of every pair in one
+    contraction.  The softmax's max runs over the K candidate columns
+    (a max is exact in any order, and a reduction over a short last
+    axis is slow).  ``tests/test_infer.py`` pins the table row by row
+    against that function, which is what makes the shortcuts safe.
+    """
+    d = offset_table.shape[-1]
+    query = np.einsum("pd,de->pe", page_embed, w_query)  # (P, d)
+    scores = np.einsum("pd,okd->pok", query, offset_table) / math.sqrt(d)
+    top = scores[..., 0].copy()
+    for k in range(1, scores.shape[-1]):
+        np.maximum(top, scores[..., k], out=top)
+    scores -= top[..., None]
+    exp = np.exp(scores)
+    alpha = exp / exp.sum(axis=-1, keepdims=True)  # (P, num_offsets, K)
+    return np.einsum("pok,okd->pod", alpha, offset_table)
 
 
 def page_aware_offset_backward(

@@ -91,7 +91,6 @@ def simulate_model(
     page_vocab: Vocab,
     trace: Sequence[MemoryAccess],
     sim_config: Optional[SimConfig] = None,
-    dtype=np.float64,
 ) -> SimResult:
     """Cache-outcome evaluation of a trained model on a raw trace.
 
@@ -100,14 +99,12 @@ def simulate_model(
     is measured as coverage (misses eliminated), accuracy (useful per
     issued prefetch) and timeliness — not argmax token accuracy.
 
-    The prefetcher runs on the cache-free inference engine and carries
-    state with the model's own ``seq_len`` reset rule;
-    :func:`~voyager.sim.simulate` computes its candidates for the whole
-    trace in one batched pass.
-    ``dtype=np.float32`` opts into the faster approximate mode; the
-    float64 default is bit-identical to the training-mode forward.
+    The prefetcher runs on the cache-free float32 inference engine every
+    layer predicts with and carries state with the model's own
+    ``seq_len`` reset rule; :func:`~voyager.sim.simulate` computes its
+    candidates for the whole trace in batched passes.
     """
-    prefetcher = NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype)
+    prefetcher = NeuralPrefetcher(model, pc_vocab, page_vocab)
     return simulate(trace, prefetcher, sim_config or SimConfig())
 
 

@@ -1,9 +1,10 @@
-"""Fast inference engine: incremental LSTM state, cache-free, batched.
+"""The inference engine: one float32, row-exact path for every consumer.
 
 Training (:meth:`~voyager.model.HierarchicalModel.forward_sequence`)
 builds the full backprop cache on every call — exactly what a
 simulator or serving hot path must not pay.  This module is the
-inference-only counterpart:
+inference-only counterpart, and the simulator, the distiller, the
+server and the shard pool all predict through it:
 
 - :class:`LSTMState` — an explicit ``(h, c)`` pair that can be carried
   incrementally, snapshotted, stacked across streams and advanced one
@@ -16,22 +17,29 @@ inference-only counterpart:
   :meth:`~InferenceEngine.rollout`, which continues a carried state one
   cell step between consecutive candidates.  A prediction of ``k``
   candidates therefore costs ``k`` cell evaluations in all: the one
-  that consumed the access and ``k - 1`` lookahead steps;
-- an optional float32 mode (``dtype=np.float32``) that halves memory
-  traffic for throughput-oriented simulation;
-- an optional ``row_exact`` mode that issues every batch-height-sensitive
-  matmul as one stacked call of width-1 products, making batched calls
-  bit-identical *per row* to serial calls — the foundation of the
-  serving layer's cross-stream micro-batching (:mod:`voyager.serve`).
+  that consumed the access and ``k - 1`` lookahead steps.
 
-Equivalence guarantee: with ``dtype=np.float64`` (the default) the
-engine shares the model's parameter arrays and performs the same
-operations in the same order as the training forward, so feeding a
-segment one access at a time through :meth:`InferenceEngine.step`
-reproduces the training forward's state at every timestep bit for bit
-(pinned in ``tests/test_sequence_train.py``), and a ``row_exact``
-engine's batched rows equal serial batch-width-1 runs bit for bit
-(pinned in ``tests/test_infer.py``).
+The engine is a float32 snapshot of the float64 training weights
+(:data:`DTYPE`), taken when it is built: a later in-place change to
+the model does not reach it.  Three properties make every batched call
+answer each row exactly as a batch-width-1 call would:
+
+- every matmul is :func:`_rowwise_matmul`, one stacked call of
+  width-1 products, so no row's bits depend on its batch;
+- the page-aware offset attention depends only on the ``(page,
+  offset)`` pair it embeds, so the engine tabulates it once over every
+  pair (:func:`~voyager.embeddings.page_aware_offset_table`) and each
+  access's features are three gathers;
+- every other op (gate nonlinearities, argmax) is elementwise or per
+  row.
+
+So the simulator's whole-trace scan, the server's cross-stream
+micro-batches and a stream replayed alone carry identical states by
+construction, and a batch may be cut into row blocks freely.  Feeding a
+segment one access at a time reproduces, state for state, the training
+forward run at batch width 1 on a float32 copy of the same parameters
+(pinned in ``tests/test_infer.py`` and
+``tests/test_sequence_train.py``).
 """
 
 from __future__ import annotations
@@ -41,14 +49,18 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from voyager.embeddings import page_aware_offset_table
 from voyager.model import (
     HierarchicalModel,
     _lstm_activate,
     softmax,
-    step_features,
     topk_from_logits,
 )
 from voyager.vocab import OOV_ID
+
+#: The one inference dtype.  Training, checkpoints and distilled tables
+#: stay float64; the engine down-casts its snapshot once.
+DTYPE = np.float32
 
 
 def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -61,11 +73,13 @@ def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     with the batch height.  Stacking the rows as ``(B, 1, K)`` makes
     NumPy's matmul gufunc issue, in C, the same gemv per row that a
     standalone width-1 call issues, so each row keeps its bits while
-    the batch pays one Python-level call.  ``tests/test_infer.py``
-    pins this at serving shapes; it is what lets the serving layer's
-    cross-stream micro-batching stay bit-identical per stream
-    (``row_exact=True`` mode below).
+    the batch pays one Python-level call.  A single row takes the plain
+    product, which is that same gemv without the stacking.
+    ``tests/test_infer.py`` pins both at serving shapes; every matmul
+    of the engine goes through here.
     """
+    if x.shape[0] == 1:
+        return x @ w
     return np.matmul(x[:, None, :], w)[:, 0, :]
 
 
@@ -108,55 +122,27 @@ class LSTMState:
 
 
 class InferenceEngine:
-    """Cache-free incremental inference over a trained model.
+    """Cache-free incremental inference over a snapshot of a model.
 
-    In float64 mode the engine aliases the model's parameter arrays
-    (zero copy, bit-identical results); in float32 mode it keeps a
-    one-time down-cast copy.  All methods are functional: states are
-    returned, never mutated in place, so a state can be snapshotted by
-    reference and rolled out without disturbing the online stream.
-
-    ``row_exact=True`` switches every batch-height-sensitive matmul to
-    the stacked width-1 form (:func:`_rowwise_matmul`): one call per
-    matmul whose every row carries bit-identical results to the same
-    row driven through a ``row_exact=False`` engine at batch width 1.
-    All other ops in the pipeline — embedding gathers, the attention
-    einsums, gate nonlinearities — are already row-independent, so this
-    is the one switch cross-stream micro-batching (:mod:`voyager.serve`)
-    needs to stay bit-identical per stream.  Default off: single-stream
-    and fixed-batch callers keep the fully batched BLAS calls (gemm),
-    which is the faster kernel for a whole trace.
+    Built from a trained model, the engine keeps a float32 copy of its
+    parameters and the model's offset attention tabulated over every
+    ``(page, offset)`` pair; nothing it holds aliases the model.  All
+    methods are functional: states are returned, never mutated in
+    place, so a state can be snapshotted by reference and rolled out
+    without disturbing the online stream.  Every batched call answers
+    each row bit for bit as the same row driven alone would (see the
+    module docstring).
     """
 
-    def __init__(
-        self,
-        model: HierarchicalModel,
-        dtype=np.float64,
-        row_exact: bool = False,
-    ):
+    def __init__(self, model: HierarchicalModel):
         self.config = model.config
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(
-                f"dtype must be float64 or float32, got {self.dtype}"
-            )
-        if self.dtype == np.dtype(np.float64):
-            self.params: Dict[str, np.ndarray] = model.params
-        else:
-            self.params = {
-                k: v.astype(self.dtype) for k, v in model.params.items()
-            }
-        self.row_exact = bool(row_exact)
-
-    def _mm(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``(B, K) @ (K, N)`` — stacked width-1 rows when ``row_exact``.
-
-        Single rows take the plain matmul either way: at batch width 1
-        the two forms are the same gemv.
-        """
-        if not self.row_exact or x.shape[0] == 1:
-            return x @ w
-        return _rowwise_matmul(x, w)
+        self.params: Dict[str, np.ndarray] = {
+            k: v.astype(DTYPE) for k, v in model.params.items()
+        }
+        p = self.params
+        self.offset_attention = page_aware_offset_table(
+            p["offset_embed"], p["w_query"], p["page_embed"]
+        )
 
     # ------------------------------------------------------------------
     # features and state construction
@@ -169,18 +155,44 @@ class InferenceEngine:
     ) -> np.ndarray:
         """Embed one access per row: ``(B,)`` ids -> ``(B, 3d)`` features.
 
-        Features carry no recurrence, so a caller may embed many
-        accesses (of one trace, or of many streams) in one batched call
-        and feed the rows to :meth:`step_from_features` one at a time.
+        ``[pc_embed[pc] | page_embed[page] | attention[page, offset]]``,
+        gathered into one array: per row, the training forward's
+        embedding and attention block.  Features carry no recurrence,
+        so a caller may embed many accesses (of one trace, or of many
+        streams) in one batched call and feed the rows to
+        :meth:`step_from_features` one at a time.
         """
-        return step_features(self.params, pc_ids, page_ids, offset_ids)
+        d = self.config.embed_dim
+        x = np.empty((len(pc_ids), 3 * d), dtype=DTYPE)
+        x[:, :d] = self.params["pc_embed"][pc_ids]
+        x[:, d : 2 * d] = self.params["page_embed"][page_ids]
+        x[:, 2 * d :] = self.offset_attention[page_ids, offset_ids]
+        return x
+
+    def load_state(self, h: np.ndarray, c: np.ndarray) -> LSTMState:
+        """A stored single-row ``(h, c)`` as a state this engine serves.
+
+        Raises :class:`ValueError` unless both arrays are one row of
+        the engine's dtype and hidden size: a state of another dtype
+        or model would silently change, or break, every answer after
+        it.
+        """
+        want = (1, self.config.hidden_dim)
+        for name, value in (("h", h), ("c", c)):
+            if value.dtype != DTYPE or value.shape != want:
+                raise ValueError(
+                    f"state {name} has dtype {value.dtype} and shape "
+                    f"{value.shape}; this engine serves dtype "
+                    f"{np.dtype(DTYPE)} and shape {want}"
+                )
+        return LSTMState(h=h, c=c)
 
     def init_state(self, batch: int = 1) -> LSTMState:
         """All-zero state for ``batch`` independent sequences."""
         h_dim = self.config.hidden_dim
         return LSTMState(
-            h=np.zeros((batch, h_dim), dtype=self.dtype),
-            c=np.zeros((batch, h_dim), dtype=self.dtype),
+            h=np.zeros((batch, h_dim), dtype=DTYPE),
+            c=np.zeros((batch, h_dim), dtype=DTYPE),
         )
 
     def step(
@@ -209,8 +221,8 @@ class InferenceEngine:
         """
         # Same association as HierarchicalModel.forward_sequence:
         # (x @ w_x + h @ w_h) + b, with in-place adds.
-        a = self._mm(x_t, self.params["w_x"])
-        a += self._mm(state.h, self.params["w_h"])
+        a = _rowwise_matmul(x_t, self.params["w_x"])
+        a += _rowwise_matmul(state.h, self.params["w_h"])
         a += self.params["b_lstm"]
         h, c, *_ = _lstm_activate(a, state.c, state.h.shape[-1])
         return LSTMState(h=h, c=c)
@@ -239,8 +251,8 @@ class InferenceEngine:
             return self.init_state(0)
         h_dim = self.config.hidden_dim
         starts = np.arange(0, n, seq_len)
-        h_all = np.empty((n, h_dim), dtype=self.dtype)
-        c_all = np.empty((n, h_dim), dtype=self.dtype)
+        h_all = np.empty((n, h_dim), dtype=DTYPE)
+        c_all = np.empty((n, h_dim), dtype=DTYPE)
         state = self.init_state(starts.shape[0])
         for t in range(min(seq_len, n)):
             pos = starts + t
@@ -261,8 +273,9 @@ class InferenceEngine:
     def logits(self, state: LSTMState) -> Tuple[np.ndarray, np.ndarray]:
         """Raw ``(page_logits, offset_logits)`` for a state."""
         return (
-            self._mm(state.h, self.params["w_page"]) + self.params["b_page"],
-            self._mm(state.h, self.params["w_offset"])
+            _rowwise_matmul(state.h, self.params["w_page"])
+            + self.params["b_page"],
+            _rowwise_matmul(state.h, self.params["w_offset"])
             + self.params["b_offset"],
         )
 
@@ -333,4 +346,4 @@ class InferenceEngine:
         return pages, offsets, valid
 
 
-__all__ = ["InferenceEngine", "LSTMState"]
+__all__ = ["DTYPE", "InferenceEngine", "LSTMState"]

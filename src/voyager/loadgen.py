@@ -13,12 +13,12 @@ through ``--spill-dir``, and an optional ``overload`` sub-run pins the
 QoS shedding order under deliberate backlog.
 
 The server and the simulator's prefetcher share all model arithmetic,
-so their candidate lists are bit-identical per stream (the server's
-``row_exact`` engine guarantees it).  Every run cross-checks on every
-access and records ``responses_equal_sim`` (the 1-shard run against
-the simulator) and ``responses_equal_single`` (every pool size against
-the 1-shard run), so a silent divergence fails the CI gate instead
-of slipping a throughput number.
+so their candidate lists are bit-identical per stream (both predict
+with the one row-exact float32 inference engine).  Every run
+cross-checks on every access and records ``responses_equal_sim`` (the
+1-shard run against the simulator) and ``responses_equal_single``
+(every pool size against the 1-shard run), so a silent divergence
+fails the CI gate instead of slipping a throughput number.
 
 The run writes one report block, ``serving/open_loop``, through
 :func:`voyager.bench.write_report`.  Throughput fields are wall-clock
@@ -286,13 +286,12 @@ def _sim_candidates(
     page_vocab: Vocab,
     traces: Sequence[Sequence[MemoryAccess]],
     config: LoadGenConfig,
-    dtype,
 ) -> List[List[List[int]]]:
     """The reference: each stream replayed through the simulator's
     streaming :class:`~voyager.sim.NeuralPrefetcher`."""
     return [
         protocol_candidates(
-            NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype),
+            NeuralPrefetcher(model, pc_vocab, page_vocab),
             trace,
             config.degree,
             0,
@@ -307,7 +306,6 @@ def _overload_run(
     page_vocab: Vocab,
     traces: Sequence[Sequence[MemoryAccess]],
     config: LoadGenConfig,
-    dtype,
 ) -> Dict[str, Any]:
     """Deliberate-backlog sub-run pinning the QoS shedding order.
 
@@ -332,7 +330,6 @@ def _overload_run(
             max_pending=max(2, streams // 2),
             max_batch=config.max_batch,
         ),
-        dtype=dtype,
     )
     n = sum(len(t) for t in traces)
     # Round-robin submit order, so the three classes contend from the
@@ -376,7 +373,6 @@ def run_open_loop_bench(
     arrival: Optional[ArrivalConfig] = None,
     shard_counts: Sequence[int] = (1, 2, 4),
     seed: int = 0,
-    dtype=np.float64,
     qos_mix: Optional[str] = None,
     max_sessions: Optional[int] = None,
     spill_dir: Optional[str] = None,
@@ -435,14 +431,13 @@ def run_open_loop_bench(
             schedule.stream_of,
             config=shard_config,
             qos=qos,
-            dtype=dtype,
             seed=seed,
         )
         candidates_by_shards[shard_config.shards] = result.pop("candidates")
         runs.append(result)
     single = candidates_by_shards[1]
     sim = _sim_candidates(
-        neural.model, neural.pc_vocab, neural.page_vocab, traces, config, dtype
+        neural.model, neural.pc_vocab, neural.page_vocab, traces, config
     )
     base = runs[0]["aggregate_throughput_per_s"]
     for run in runs:
@@ -452,7 +447,6 @@ def run_open_loop_bench(
     section: Dict[str, Any] = {
         "profile": profile.name,
         "seed": seed,
-        "dtype": np.dtype(dtype).name,
         "streams": config.streams,
         "accesses_per_stream": config.accesses_per_stream,
         "requests": schedule.requests,
@@ -483,7 +477,6 @@ def run_open_loop_bench(
             neural.page_vocab,
             traces,
             config,
-            dtype,
         )
     return section
 
@@ -528,9 +521,6 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--degree", type=int, default=2)
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--dtype", choices=("float64", "float32"), default="float64"
-    )
     parser.add_argument("--out", default=BENCH_FILENAME)
     parser.add_argument(
         "--min-throughput",
@@ -655,7 +645,6 @@ def run_serve_bench(args: argparse.Namespace) -> int:
         arrival,
         shard_counts=sorted(counts),
         seed=args.seed,
-        dtype=np.float32 if args.dtype == "float32" else np.float64,
         qos_mix=args.qos_mix,
         max_sessions=args.max_sessions,
         spill_dir=args.spill_dir,

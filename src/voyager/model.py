@@ -41,7 +41,6 @@ from voyager.embeddings import (
     init_embedding,
     page_aware_offset_backward,
     page_aware_offset_forward,
-    page_aware_offset_step,
 )
 from voyager.ioutil import atomic_savez, atomic_write_text
 from voyager.traces import NUM_OFFSETS
@@ -182,26 +181,6 @@ def project_features(
     for t in range(H):
         ax[:, t, :] = x[:, t, :] @ w_x
     return ax
-
-
-def step_features(
-    params: Dict[str, np.ndarray],
-    pc_ids: np.ndarray,  # (B,)
-    page_ids: np.ndarray,  # (B,)
-    offset_ids: np.ndarray,  # (B,)
-) -> np.ndarray:
-    """Embed one access per row: ``(B,) ids -> (B, 3d)`` features.
-
-    Cache-free, single-position counterpart of the embedding+attention
-    block inside :meth:`HierarchicalModel.forward_sequence`;
-    bit-identical per position in float64.
-    """
-    pc_emb = embedding_forward(params["pc_embed"], pc_ids)
-    page_emb = embedding_forward(params["page_embed"], page_ids)
-    off_emb = page_aware_offset_step(
-        params["offset_embed"], params["w_query"], page_emb, offset_ids
-    )
-    return np.concatenate([pc_emb, page_emb, off_emb], axis=-1)
 
 
 def head_logits(

@@ -26,11 +26,13 @@ under a latency budget — the practicality framing of Hashemi et al.
   and one decode of every rollout row.  A prediction of ``degree``
   candidates costs ``degree`` cell evaluations in all, the access's
   own step included.  Per stream the arithmetic is bit-identical to
-  the simulator's streaming :class:`~voyager.sim.NeuralPrefetcher`:
-  the server's engine runs in ``row_exact`` mode, where one stacked
-  matmul call issues each row's width-1 product (BLAS changes
-  summation order with batch height, so a plain batched product would
-  not), and every other op in the pipeline is row-independent.
+  the simulator's streaming :class:`~voyager.sim.NeuralPrefetcher`
+  and to its whole-trace candidate table: every layer predicts with
+  the same float32 :class:`~voyager.infer.InferenceEngine`, whose
+  matmuls issue each row's width-1 product in one stacked call (BLAS
+  changes summation order with batch height, so a plain batched
+  product would not), and every other op in the pipeline is
+  row-independent.
   Sessions keep row views of each tick's stepped state, never copies;
   that is safe because the engine never writes a state in place.
   ``tests/test_serve.py`` and ``tests/test_crosslayer.py`` pin the
@@ -91,6 +93,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -160,9 +163,12 @@ class ServeConfig:
             )
 
 
-@dataclass(frozen=True)
-class PrefetchResponse:
-    """One served prediction: candidates plus provenance and latency."""
+class PrefetchResponse(NamedTuple):
+    """One served prediction: candidates plus provenance and latency.
+
+    An immutable record built once per request, so it is a named tuple:
+    about a third of a frozen dataclass's construction cost.
+    """
 
     stream_id: Hashable
     seq: int  # server-wide request sequence number
@@ -342,7 +348,8 @@ class SpillStore:
     (its position in the current reset segment) and QoS class — at full
     bit precision, which is what lets
     ``tests/test_serve.py`` pin a restored session bit-identical to a
-    never-evicted one.
+    never-evicted one.  A file is restored only into an engine that can
+    serve its state (same dtype, same hidden size).
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -376,8 +383,10 @@ class SpillStore:
     ) -> StreamSession:
         """Rebuild the checkpointed session; raises if never spilled.
 
-        A file that cannot be read back raises one :class:`ValueError`
-        naming it and leaves the file in place.
+        A file that cannot be read back, or whose state ``engine``
+        cannot serve (another dtype or hidden size: a spill of an older
+        build or another model in a shared spill directory), raises one
+        :class:`ValueError` naming it and leaves the file in place.
         """
         path = self._path(stream_id)
         try:
@@ -385,9 +394,7 @@ class SpillStore:
                 session = StreamSession(
                     stream_id, engine, qos=str(data["qos"])
                 )
-                session.state = LSTMState(
-                    h=data["h"].copy(), c=data["c"].copy()
-                )
+                h, c = data["h"].copy(), data["c"].copy()
                 session.accesses = int(data["accesses"])
         except (
             EOFError,
@@ -403,6 +410,13 @@ class SpillStore:
             # ``submit`` documents as an unknown stream.
             raise ValueError(
                 f"spill file {path} is corrupt or incomplete: {exc!r}"
+            ) from exc
+        try:
+            session.state = engine.load_state(h, c)
+        except ValueError as exc:
+            raise ValueError(
+                f"spill file {path} holds a state this server cannot "
+                f"serve: {exc}"
             ) from exc
         return session
 
@@ -483,15 +497,14 @@ class PrefetchServer:
         pc_vocab: Vocab,
         page_vocab: Vocab,
         config: Optional[ServeConfig] = None,
-        dtype=np.float64,
         clock: Callable[[], float] = time.perf_counter,
         logger: Optional[Any] = None,
     ):
         self.config = config or ServeConfig()
-        # row_exact: batched ticks must reproduce serially driven
-        # engines bit for bit per stream (see voyager.infer._mm).
         self.model = model
-        self.engine = InferenceEngine(model, dtype=dtype, row_exact=True)
+        # Its batched rows equal serially driven rows bit for bit, so
+        # ticks batch across streams freely (see voyager.infer).
+        self.engine = InferenceEngine(model)
         # Optional served-traffic logger (duck-typed: anything with a
         # ``log(pc, address, tick, stream_id)`` method — in practice
         # :class:`voyager.adapt.AccessLogger`).  ``log`` only buffers;
@@ -742,14 +755,14 @@ class PrefetchServer:
         """Install new weights between ticks without dropping sessions.
 
         Every session's serving state — recurrent ``LSTMState`` and
-        access counts — carries over untouched; only the parameter
-        arrays behind the shared engine change.  In-flight requests are
+        access counts — carries over untouched; only the shared engine
+        is rebuilt from the new weights.  In-flight requests are
         drained first on the *old* weights (their responses land in the
         :meth:`poll` buffer), so no request is ever served by a model
-        it wasn't submitted against.  Under ``row_exact`` the swapped
-        server is bit-identical to a fresh server started on the new
-        checkpoint with the same session states (``tests/test_adapt.py``
-        pins this).
+        it wasn't submitted against.  The swapped server is
+        bit-identical to a fresh server started on the new checkpoint
+        with the same session states (``tests/test_adapt.py`` pins
+        this).
 
         Incompatible weights are rejected with :class:`ValueError`
         *before* any server state changes — a failed swap leaves the
@@ -792,9 +805,7 @@ class PrefetchServer:
         while self._pending:
             self._undelivered.extend(self.tick())
         self.model = model
-        self.engine = InferenceEngine(
-            model, dtype=self.engine.dtype, row_exact=True
-        )
+        self.engine = InferenceEngine(model)
         self.pc_vocab = pc_vocab
         self.page_vocab = page_vocab
         self._page_table = page_id_table(page_vocab)

@@ -26,8 +26,9 @@ partitions stream sessions across ``N`` worker processes:
   part of every percentile — no coordinated omission.  A worker that
   dies or raises surfaces as one :class:`ShardError` naming its shard.
 
-Correctness story: the server's ``row_exact`` engine makes per-stream
-responses independent of batch composition, so *any* stream→shard
+Correctness story: the server's inference engine computes every batch
+row exactly as it would alone, which makes per-stream responses
+independent of batch composition, so *any* stream→shard
 partition — and any arrival timing — produces candidates bit-identical
 to one single-process server serving all streams.
 ``tests/test_shard.py`` pins that property over random partitions and
@@ -210,7 +211,6 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         payload["pc_vocab"],
         payload["page_vocab"],
         payload["serve_config"],
-        dtype=np.dtype(payload["dtype"]).type,
         logger=logger,
     )
     elapsed, candidates, latency_s, stats = drive_open_loop(
@@ -238,7 +238,7 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
             "logged": logger.logged,
             "flushed": logger.flushed,
             "dropped": logger.dropped,
-            "segments": len(logger.closed_segments()),
+            "segments": logger.segments_closed,
         }
     return result
 
@@ -283,7 +283,6 @@ def run_sharded(
     config: Optional[ShardConfig] = None,
     stream_ids: Optional[Sequence[Hashable]] = None,
     qos: Optional[Sequence[str]] = None,
-    dtype=np.float64,
     seed: int = 0,
     inline: Optional[bool] = None,
     swap_at: Optional[int] = None,
@@ -356,7 +355,6 @@ def run_sharded(
                     "serve_config": config.serve_config(
                         shard, derive_cell_seed(seed, f"shard{shard}")
                     ),
-                    "dtype": np.dtype(dtype).name,
                     "stream_ids": [stream_ids[g] for g in members],
                     "qos": [qos[g] for g in members],
                     "traces": [traces[g] for g in members],

@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
-from voyager.infer import InferenceEngine
+from voyager.infer import InferenceEngine, LSTMState
 from voyager.model import HierarchicalModel
 from voyager.traces import NUM_OFFSETS, OFFSET_BITS, MemoryAccess
 from voyager.vocab import Vocab
@@ -103,56 +103,66 @@ class CacheConfig:
         return self.num_sets * self.ways
 
 
-@dataclass
-class CacheLine:
-    """Residency metadata for one cached block."""
-
-    prefetched: bool = False
-    demanded: bool = False  # a demand access has touched this line
+#: Line flags of :class:`SetAssociativeCache`: a prefetch fill sets
+#: ``PREFETCHED``, a demand fill ``DEMANDED``, and a demand hit on a
+#: prefetched line adds ``DEMANDED``.  A line whose flags equal
+#: ``PREFETCHED`` holds a prefetch no demand has used yet.
+PREFETCHED = 1
+DEMANDED = 2
 
 
 class SetAssociativeCache:
     """Set-associative cache with true-LRU replacement over block addresses.
 
     Each set is an :class:`~collections.OrderedDict` from block address
-    to :class:`CacheLine`; iteration order is LRU -> MRU.
+    to the line's int flags (:data:`PREFETCHED`, :data:`DEMANDED`);
+    iteration order is LRU -> MRU.  Block ``b`` lives in set
+    ``b % num_sets``.
     """
 
     def __init__(self, config: Optional[CacheConfig] = None):
         self.config = config or CacheConfig()
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(self.config.num_sets)
+        self._num_sets = self.config.num_sets
+        self._ways = self.config.ways
+        self._sets: List["OrderedDict[int, int]"] = [
+            OrderedDict() for _ in range(self._num_sets)
         ]
-
-    def _set_for(self, block: int) -> "OrderedDict[int, CacheLine]":
-        return self._sets[block % self.config.num_sets]
 
     def contains(self, block: int) -> bool:
         """Residency probe without touching LRU state."""
-        return block in self._set_for(block)
+        return block in self._sets[block % self._num_sets]
 
-    def lookup(self, block: int) -> Optional[CacheLine]:
-        """Demand lookup: returns the line (promoted to MRU) or ``None``."""
-        lines = self._set_for(block)
-        line = lines.get(block)
-        if line is not None:
+    def lookup(self, block: int) -> Optional[int]:
+        """Demand lookup: the line's flags before this access, or ``None``.
+
+        A hit promotes the line to MRU and marks it demanded, so a
+        prefetched line reads :data:`PREFETCHED` only on its first
+        demand hit.
+        """
+        lines = self._sets[block % self._num_sets]
+        flags = lines.get(block)
+        if flags is not None:
             lines.move_to_end(block)
-        return line
+            if flags == PREFETCHED:
+                lines[block] = PREFETCHED | DEMANDED
+        return flags
 
-    def fill(self, block: int, prefetched: bool = False) -> Optional[Tuple[int, CacheLine]]:
+    def fill(
+        self, block: int, prefetched: bool = False
+    ) -> Optional[Tuple[int, int]]:
         """Insert ``block`` as MRU, evicting LRU if the set is full.
 
-        Returns the ``(block, line)`` evicted, or ``None``.  Filling a
+        Returns the evicted ``(block, flags)``, or ``None``.  Filling a
         resident block just promotes it.
         """
-        lines = self._set_for(block)
+        lines = self._sets[block % self._num_sets]
         if block in lines:
             lines.move_to_end(block)
             return None
         evicted = None
-        if len(lines) >= self.config.ways:
+        if len(lines) >= self._ways:
             evicted = lines.popitem(last=False)
-        lines[block] = CacheLine(prefetched=prefetched, demanded=not prefetched)
+        lines[block] = PREFETCHED if prefetched else DEMANDED
         return evicted
 
 
@@ -332,6 +342,9 @@ def simulate(
 
     cache = SetAssociativeCache(config.cache)
     baseline_cache = SetAssociativeCache(config.cache)
+    # Bound once: the loop below runs these per access.
+    lookup, fill, contains = cache.lookup, cache.fill, cache.contains
+    baseline_lookup, baseline_fill = baseline_cache.lookup, baseline_cache.fill
     in_flight: Set[int] = set()
     arrivals: deque = deque()  # (arrival_time, block) in issue order
     latency = config.latency
@@ -349,24 +362,23 @@ def simulate(
     for t, block in enumerate(blocks):
         # 1. land prefetches whose latency has elapsed.
         while arrivals and arrivals[0][0] <= t:
-            _, arrived = arrivals.popleft()
+            arrived = arrivals.popleft()[1]
             if arrived not in in_flight:
                 continue  # consumed early by a late demand miss
             in_flight.remove(arrived)
-            evicted = cache.fill(arrived, prefetched=True)
-            if evicted is not None and evicted[1].prefetched and not evicted[1].demanded:
+            evicted = fill(arrived, True)
+            if evicted is not None and evicted[1] == PREFETCHED:
                 evicted_unused += 1
 
         # 2. demand access against both caches.
-        if baseline_cache.lookup(block) is None:
+        if baseline_lookup(block) is None:
             baseline_misses += 1
-            baseline_cache.fill(block)
+            baseline_fill(block)
 
-        line = cache.lookup(block)
-        if line is not None:
-            if line.prefetched and not line.demanded:
+        flags = lookup(block)
+        if flags is not None:
+            if flags == PREFETCHED:
                 timely += 1
-            line.demanded = True
         else:
             misses += 1
             if block in in_flight:
@@ -374,14 +386,14 @@ def simulate(
                 # the demand turns it into an ordinary (late) miss fill.
                 late += 1
                 in_flight.remove(block)
-            evicted = cache.fill(block)
-            if evicted is not None and evicted[1].prefetched and not evicted[1].demanded:
+            evicted = fill(block)
+            if evicted is not None and evicted[1] == PREFETCHED:
                 evicted_unused += 1
 
         # 3. issue this position's row of the candidate table.
         if rows is not None:
             for cand in rows[t]:
-                if cand < 0 or cand in in_flight or cache.contains(cand):
+                if cand < 0 or cand in in_flight or contains(cand):
                     continue
                 if len(in_flight) >= capacity:
                     dropped += 1
@@ -446,6 +458,16 @@ def decode_block_candidates(
 # ----------------------------------------------------------------------
 # neural prefetcher adapter
 # ----------------------------------------------------------------------
+#: Trace positions per rollout in :meth:`NeuralPrefetcher.offline_candidates`.
+#: A rollout over all of a trace's rows streams ``(rows, 4 * hidden)``
+#: and ``(rows, page_vocab)`` temporaries through memory at every
+#: step; blocks of this many rows keep them in L2.  Measured on 6,000-
+#: access traces at hidden 32: 512 and 1,024 rows ran within 5% of each
+#: other and ~20% under one whole-trace rollout, 256 rows ~10% over
+#: 512.  Any size gives the same rows.
+ROLLOUT_BLOCK_ROWS = 512
+
+
 class NeuralPrefetcher:
     """Adapts a trained :class:`HierarchicalModel` to the sim protocol.
 
@@ -467,27 +489,23 @@ class NeuralPrefetcher:
     ``update``/``prefetch`` per access is the online deployment shape,
     and what :class:`voyager.serve.PrefetchServer` reproduces bit for
     bit per stream; :meth:`offline_candidates` computes the same
-    candidates for a whole trace in one batched pass.
-
-    Float32 mode (``dtype=np.float32``) trades bit-exactness for
-    roughly halved memory traffic; float64 (default) predictions are
-    bit-identical to the training-mode forward.
+    candidates for a whole trace in batched passes.  The engine is
+    the float32 snapshot every layer predicts with, taken when the
+    prefetcher is built, and its batched rows are bit-identical to
+    single-row calls, so the streaming, offline and served states are
+    the same by construction.
     """
 
     name = "neural"
 
     def __init__(
-        self,
-        model: HierarchicalModel,
-        pc_vocab: Vocab,
-        page_vocab: Vocab,
-        dtype=np.float64,
+        self, model: HierarchicalModel, pc_vocab: Vocab, page_vocab: Vocab
     ):
         self.model = model
         self.pc_vocab = pc_vocab
         self.page_vocab = page_vocab
         self.seq_len = model.config.seq_len
-        self.engine = InferenceEngine(model, dtype=dtype)
+        self.engine = InferenceEngine(model)
         self._page_table = page_id_table(page_vocab)
         # streaming state: carried (h, c), the last access's pc id and
         # its position (the seq_len reset counter)
@@ -522,11 +540,14 @@ class NeuralPrefetcher:
         """The candidate table of a fresh prefetcher over ``trace``.
 
         Row ``t`` is ``prefetch(trace[t], degree + distance)[distance:]``
-        after ``update(trace[t])``, computed in one batched pass: one
+        after ``update(trace[t])``, computed in batched passes: one
         :meth:`~voyager.infer.InferenceEngine.segment_states` scan for
-        the carried states, then the lookahead's batched continuation
-        steps — the same arithmetic per position as the streaming
-        mode.  The streaming state is left alone.
+        the carried states, then one rollout per block of
+        :data:`ROLLOUT_BLOCK_ROWS` positions.  Rows never depend on
+        their batch, so this is the streaming mode's arithmetic per
+        position, and the blocks keep the rollout's temporaries
+        cache-sized whatever the trace length.  The streaming state is
+        left alone.
         """
         n = len(trace)
         want = degree + distance
@@ -541,15 +562,23 @@ class NeuralPrefetcher:
         off_all = np.array([a.offset for a in trace], dtype=np.int64)
         x = self.engine.feature_step(pc_all, page_all, off_all)
         states = self.engine.segment_states(x, self.seq_len)
-        pages, offsets, valid = self.engine.rollout(states, pc_all, want)
-        # The first ``distance`` steps are skipped; a monotone prefix
-        # stays one once its leading columns are cut.
-        return decode_block_candidates(
-            self._page_table,
-            pages[:, distance:],
-            offsets[:, distance:],
-            valid[:, distance:],
-        )
+        rows: List[List[int]] = []
+        for start in range(0, n, ROLLOUT_BLOCK_ROWS):
+            block = slice(start, start + ROLLOUT_BLOCK_ROWS)
+            pages, offsets, valid = self.engine.rollout(
+                LSTMState(h=states.h[block], c=states.c[block]),
+                pc_all[block],
+                want,
+            )
+            # The first ``distance`` steps are skipped; a monotone
+            # prefix stays one once its leading columns are cut.
+            rows += decode_block_candidates(
+                self._page_table,
+                pages[:, distance:],
+                offsets[:, distance:],
+                valid[:, distance:],
+            )
+        return rows
 
 
 def make_prefetcher(
@@ -557,7 +586,6 @@ def make_prefetcher(
     model: Optional[HierarchicalModel] = None,
     pc_vocab: Optional[Vocab] = None,
     page_vocab: Optional[Vocab] = None,
-    dtype=np.float64,
     table=None,
 ) -> Prefetcher:
     """Factory over the four prefetcher kinds used by bench and the CLI.
@@ -577,7 +605,7 @@ def make_prefetcher(
             raise ValueError(
                 "kind='neural' requires model, pc_vocab and page_vocab"
             )
-        return NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype)
+        return NeuralPrefetcher(model, pc_vocab, page_vocab)
     if kind == "table":
         from voyager.distill import DistilledTable, TablePrefetcher
 
@@ -596,8 +624,9 @@ def make_prefetcher(
 #: Offset count re-exported for sim users that reason about block maths.
 __all__ = [
     "CacheConfig",
-    "CacheLine",
+    "DEMANDED",
     "NeuralPrefetcher",
+    "PREFETCHED",
     "Prefetcher",
     "SetAssociativeCache",
     "SimConfig",

@@ -3,7 +3,6 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
 from voyager.bench import BENCH_SCHEMA_VERSION, validate_report
@@ -438,11 +437,37 @@ def test_serve_adapt_swaps_on_schedule_without_shedding(
     assert "adapt: logged=200 dropped=0 segments=5 swaps=5" in out
     model, pc_vocab, page_vocab = load_checkpoint(prefix)
     traces, _ = serve_trace(parse_trace(trace_path), 2)
-    want = _sim_candidates(
-        model, pc_vocab, page_vocab, traces, LoadGenConfig(), np.float64
-    )
+    want = _sim_candidates(model, pc_vocab, page_vocab, traces, LoadGenConfig())
     got = served["candidates"]
     assert [c[:20] for c in got] == [c[:20] for c in want]
+
+
+def test_serve_adapt_reports_the_segments_it_closed(tmp_path, capsys):
+    """A second ``serve --adapt`` on the same log dir closes as many
+    segments as the first and reports that count, not every segment
+    the directory holds."""
+    trace_path = tmp_path / "drift.txt"
+    prefix = tmp_path / "ckpt" / "model"
+    assert main(
+        ["gen", "drifting_zipf", "--out", str(trace_path), "-n", "120"]
+    ) == 0
+    assert main(
+        [
+            "train", "--trace", str(trace_path), "--steps", "2",
+            "--embed-dim", "4", "--hidden-dim", "8", "--seq-len", "8",
+            "--no-baselines", "--save", str(prefix),
+        ]
+    ) == 0
+    serve = [
+        "serve", "--trace", str(trace_path), "--checkpoint", str(prefix),
+        "--streams", "2", "--adapt", str(tmp_path / "logs"),
+        "--adapt-every", "20", "--adapt-steps", "1",
+    ]
+    for _ in range(2):
+        capsys.readouterr()
+        assert main(serve) == 0
+        assert "dropped=0 segments=3 swaps=3" in capsys.readouterr().out
+    assert len(list((tmp_path / "logs").glob("segment-*.csv"))) == 6
 
 
 def test_unknown_prefetcher_is_usage_error(stride_trace_file, capsys):

@@ -19,6 +19,11 @@ with exactly its candidates:
 A served answer is a rollout from the stream's carried state or a
 shed/orphan degrade; with room for every session and request, each of
 these paths answers every access with a rollout.
+
+Below the candidates, the states themselves are pinned at full-profile
+shapes: the simulator's whole-trace scan and its block rollouts, the
+streaming prefetcher and the server's sessions carry the same bits,
+because every layer predicts with one row-exact engine.
 """
 
 import tempfile
@@ -26,6 +31,8 @@ import tempfile
 import numpy as np
 import pytest
 
+import voyager.sim as sim_mod
+from voyager.infer import LSTMState
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.serve import (
     DEFAULT_QOS,
@@ -218,3 +225,120 @@ def test_every_layer_answers_with_the_simulator_candidates(
         inline=True,
     )
     assert sharded["candidates"] == want
+
+
+# ----------------------------------------------------------------------
+# states, not only candidates, at full-profile shapes
+# ----------------------------------------------------------------------
+FULL_SEQ_LEN = 32
+STREAMS = 64  # one 64-row wave per tick
+STREAM_LEN = 3 * FULL_SEQ_LEN  # every stream ends on a reset boundary
+
+
+@pytest.fixture(scope="module")
+def full_shape():
+    """Hidden 32, embed 16: 64 zoo streams of 96 accesses (6,144 in
+    all) and a model briefly trained on them."""
+    streams = [
+        generate(WORKLOADS[i % len(WORKLOADS)], STREAM_LEN, seed=100 + i)
+        for i in range(STREAMS)
+    ]
+    trace = [a for stream in streams for a in stream]
+    pc_vocab, page_vocab = build_vocabs(trace)
+    dataset = build_sequence_dataset(
+        trace, seq_len=FULL_SEQ_LEN, pc_vocab=pc_vocab, page_vocab=page_vocab
+    )
+    model = HierarchicalModel(
+        ModelConfig(
+            pc_vocab_size=pc_vocab.size,
+            page_vocab_size=page_vocab.size,
+            embed_dim=16,
+            hidden_dim=32,
+            seed=0,
+            seq_len=FULL_SEQ_LEN,
+        )
+    )
+    train(model, dataset, steps=40, batch_size=16, lr=0.04, seed=0, tbptt=8)
+    return model, pc_vocab, page_vocab, streams, trace
+
+
+def test_offline_streaming_and_served_states_are_identical(full_shape):
+    """The simulator's offline states — the whole-trace
+    :meth:`~voyager.infer.InferenceEngine.segment_states` scan and the
+    block rollouts of its candidate table — equal the streaming
+    prefetcher's and the server's session states bit for bit, and every
+    layer answers with the same candidates.
+
+    The streams lie end to end in one trace; each is a whole number of
+    reset periods, so the scan's segments are the streams' own.
+    """
+    model, pc_vocab, page_vocab, streams, trace = full_shape
+    n = len(trace)
+    offline = NeuralPrefetcher(model, pc_vocab, page_vocab)
+    engine = offline.engine
+    pc_all = np.array(pc_vocab.encode_all(a.pc for a in trace))
+    page_all = np.array(page_vocab.encode_all(a.page for a in trace))
+    off_all = np.array([a.offset for a in trace])
+    states = engine.segment_states(
+        engine.feature_step(pc_all, page_all, off_all), FULL_SEQ_LEN
+    )
+    size = sim_mod.ROLLOUT_BLOCK_ROWS
+    blocks = [
+        engine.rollout(
+            LSTMState(h=states.h[b : b + size], c=states.c[b : b + size]),
+            pc_all[b : b + size],
+            DEGREE,
+        )
+        for b in range(0, n, size)
+    ]
+    pages, offsets, valid = (np.concatenate(part) for part in zip(*blocks))
+    candidates = offline.offline_candidates(trace, DEGREE, 0)
+
+    # streaming: one prefetcher per stream, one access at a time
+    for i, stream in enumerate(streams):
+        prefetcher = NeuralPrefetcher(model, pc_vocab, page_vocab)
+        for t, access in enumerate(stream):
+            row = i * STREAM_LEN + t
+            prefetcher.update(access)
+            assert prefetcher._state.h.tobytes() == states.h[row].tobytes()
+            assert prefetcher._state.c.tobytes() == states.c[row].tobytes()
+            assert prefetcher.prefetch(access, DEGREE) == candidates[row]
+
+    # served: every stream in every tick, one 64-row wave each
+    server = PrefetchServer(
+        model,
+        pc_vocab,
+        page_vocab,
+        ServeConfig(degree=DEGREE, max_sessions=STREAMS, max_batch=STREAMS),
+    )
+    served_rollouts = []
+    rollout = server.engine.rollout
+
+    def recording(*args):
+        served_rollouts.append(rollout(*args))
+        return served_rollouts[-1]
+
+    server.engine.rollout = recording
+    sids = [server.open_stream(f"s{i}") for i in range(STREAMS)]
+    for t in range(STREAM_LEN):
+        for sid, stream in zip(sids, streams):
+            server.submit(sid, stream[t].pc, stream[t].address)
+        responses = server.tick()
+        rows = [i * STREAM_LEN + t for i in range(STREAMS)]
+        assert [r.source for r in responses] == [SOURCE_NEURAL] * STREAMS
+        assert [r.candidates for r in responses] == [candidates[r] for r in rows]
+        for sid, row in zip(sids, rows):
+            state = server.session_state(sid)
+            assert state.h.tobytes() == states.h[row].tobytes()
+            assert state.c.tobytes() == states.c[row].tobytes()
+        got_pages, got_offsets, got_valid = served_rollouts[-1]
+        np.testing.assert_array_equal(got_valid, valid[rows])
+        np.testing.assert_array_equal(
+            np.where(got_valid, got_pages, -1),
+            np.where(valid[rows], pages[rows], -1),
+        )
+        np.testing.assert_array_equal(
+            np.where(got_valid, got_offsets, -1),
+            np.where(valid[rows], offsets[rows], -1),
+        )
+    assert any(len(c) == DEGREE for c in candidates)

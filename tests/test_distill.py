@@ -15,7 +15,6 @@ frontier/budget plumbing in :mod:`voyager.bench`.
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from voyager.baselines import StridePrefetcher, next_line_candidates
@@ -608,14 +607,11 @@ def test_smoke_profile_distill_config_matches_issue_policy():
 # carried state: contexts from the first access, end to end
 # ----------------------------------------------------------------------
 def test_build_table_inference_validation():
-    """build_table validates its dtype and takes the reset period from
-    the model: with ``seq_len == 1`` every state is one step from zero,
-    so each depth-1 entry is exactly a fresh prefetcher's rollout after
-    that one access."""
+    """build_table takes the reset period from the model: with
+    ``seq_len == 1`` every state is one step from zero, so each depth-1
+    entry is exactly a fresh prefetcher's rollout after that one
+    access."""
     model, pc_vocab, page_vocab, trace = distill_setup()
-    with pytest.raises(ValueError, match="dtype"):
-        build_table(model, pc_vocab, page_vocab, trace, dtype=np.int32)
-
     one = HierarchicalModel(dataclasses.replace(model.config, seq_len=1))
     one.params = model.params
     config = DistillConfig(depths=(1,), top_k=TOP_K, table_size=10_000)

@@ -1,9 +1,11 @@
 """Inference-engine tests: bit-exact equivalence, no backprop cache.
 
-The engine's contract is arithmetic, not approximate: in float64 the
-cache-free incremental path must reproduce the training forward
-(:meth:`~voyager.model.HierarchicalModel.forward_sequence`) bit for bit
-(see :mod:`voyager.infer`).  The property tests here drive that over
+The engine's contract is arithmetic, not approximate: it is a float32
+snapshot of the model, and driving it one access at a time must
+reproduce the training forward run at batch width 1 on a float32 copy
+of the same parameters, state for state and bit for bit (see
+:mod:`voyager.infer`).  Every batched call must answer each row
+exactly as that row alone.  The property tests here drive both over
 randomly drawn models and segments; the cache tests prove the
 simulator hot path never touches the training forward.
 """
@@ -11,7 +13,9 @@ simulator hot path never touches the training forward.
 import numpy as np
 import pytest
 
-from voyager.infer import InferenceEngine, LSTMState, _rowwise_matmul
+import voyager.sim as sim_mod
+from voyager.embeddings import page_aware_offset_step, page_aware_offset_table
+from voyager.infer import DTYPE, InferenceEngine, LSTMState, _rowwise_matmul
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import NeuralPrefetcher, SimConfig, protocol_candidates, simulate
 from voyager.synthetic import page_cycle_trace
@@ -37,6 +41,13 @@ def tiny_model(seed: int = 1) -> HierarchicalModel:
     )
 
 
+def float32_copy(model: HierarchicalModel) -> HierarchicalModel:
+    """The same model with float32 parameters: the engine's reference."""
+    copy = HierarchicalModel(model.config)
+    copy.params = {k: v.astype(DTYPE) for k, v in model.params.items()}
+    return copy
+
+
 def random_segments(model: HierarchicalModel, B: int, seed: int, T: int = 3):
     cfg = model.config
     rng = np.random.default_rng(seed)
@@ -56,7 +67,7 @@ def stepped_state(eng: InferenceEngine, pc, page, off) -> LSTMState:
 
 
 # ----------------------------------------------------------------------
-# bit-exact equivalence properties (float64)
+# bit-exact equivalence properties: the engine == the float32 forward
 # ----------------------------------------------------------------------
 @settings(max_examples=40)
 @given(
@@ -68,29 +79,34 @@ def stepped_state(eng: InferenceEngine, pc, page, off) -> LSTMState:
 def test_incremental_steps_match_forward_bit_exactly(
     model_seed, data_seed, B, T
 ):
-    """Feeding a segment one access at a time == training forward.
+    """Feeding ``B`` segments one access at a time, as one batch, ==
+    the float32 training forward of each segment at batch width 1.
 
     Every timestep's state is bit-identical; the head distributions
-    agree to float tolerance (the forward reads the heads out of all
-    ``B * T`` states in one matmul, the engine ``B`` rows at a time).
+    agree to float32 tolerance (the forward reads the heads out of all
+    ``T`` states in one matmul, the engine one row at a time).
     """
     model = tiny_model(model_seed)
     pc, page, off = random_segments(model, B, data_seed, T)
-    page_probs, off_probs, cache, (h, c) = model.forward_sequence(
-        pc, page, off
-    )
+    reference = float32_copy(model)
+    forwards = [
+        reference.forward_sequence(pc[b : b + 1], page[b : b + 1], off[b : b + 1])
+        for b in range(B)
+    ]
 
     eng = InferenceEngine(model)
     state = eng.init_state(B)
     for t in range(T):
         state = eng.step(state, pc[:, t], page[:, t], off[:, t])
-        np.testing.assert_array_equal(state.h, cache["hs"][:, t])
-        np.testing.assert_array_equal(state.c, cache["cs"][:, t])
         eng_page, eng_off = eng.probs(state)
-        np.testing.assert_allclose(eng_page, page_probs[:, t], rtol=1e-12)
-        np.testing.assert_allclose(eng_off, off_probs[:, t], rtol=1e-12)
-    np.testing.assert_array_equal(state.h, h)
-    np.testing.assert_array_equal(state.c, c)
+        for b, (page_probs, off_probs, cache, _) in enumerate(forwards):
+            np.testing.assert_array_equal(state.h[b], cache["hs"][0, t])
+            np.testing.assert_array_equal(state.c[b], cache["cs"][0, t])
+            np.testing.assert_allclose(eng_page[b], page_probs[0, t], rtol=1e-5)
+            np.testing.assert_allclose(eng_off[b], off_probs[0, t], rtol=1e-5)
+    for b, (_, _, _, (h, c)) in enumerate(forwards):
+        np.testing.assert_array_equal(state.h[b : b + 1], h)
+        np.testing.assert_array_equal(state.c[b : b + 1], c)
 
 
 @settings(max_examples=40)
@@ -101,30 +117,64 @@ def test_incremental_steps_match_forward_bit_exactly(
     T=st.integers(min_value=1, max_value=6),
 )
 def test_window_state_matches_forward_bit_exactly(model_seed, data_seed, B, T):
-    """The batched candidate table's scan == training forward, bit for bit.
+    """The batched candidate table's scan == the float32 training
+    forward at batch width 1, bit for bit.
 
     :meth:`~voyager.infer.InferenceEngine.segment_states` over the ``B``
     segments laid end to end (state reset every ``T`` accesses) yields
-    ``forward_sequence``'s state at every timestep of every segment, and
+    each segment's ``forward_sequence`` state at every timestep, and
     the heads read out of those states give its distributions.
     """
     model = tiny_model(model_seed)
     pc, page, off = random_segments(model, B, data_seed, T)
-    page_probs, off_probs, cache, _ = model.forward_sequence(pc, page, off)
+    reference = float32_copy(model)
 
     eng = InferenceEngine(model)
     x = eng.feature_step(pc.reshape(-1), page.reshape(-1), off.reshape(-1))
     state = eng.segment_states(x, seq_len=T)
-    hidden = model.config.hidden_dim
-    np.testing.assert_array_equal(state.h, cache["hs"].reshape(B * T, hidden))
-    np.testing.assert_array_equal(state.c, cache["cs"].reshape(B * T, hidden))
     eng_page, eng_off = eng.probs(state)
-    np.testing.assert_allclose(
-        eng_page, page_probs.reshape(B * T, -1), rtol=1e-12
+    for b in range(B):
+        page_probs, off_probs, cache, _ = reference.forward_sequence(
+            pc[b : b + 1], page[b : b + 1], off[b : b + 1]
+        )
+        rows = slice(b * T, (b + 1) * T)
+        np.testing.assert_array_equal(state.h[rows], cache["hs"][0])
+        np.testing.assert_array_equal(state.c[rows], cache["cs"][0])
+        np.testing.assert_allclose(eng_page[rows], page_probs[0], rtol=1e-5)
+        np.testing.assert_allclose(eng_off[rows], off_probs[0], rtol=1e-5)
+
+
+@settings(max_examples=60)
+@given(
+    pages=st.integers(min_value=1, max_value=40),
+    d=st.integers(min_value=1, max_value=24),
+    K=st.integers(min_value=1, max_value=12),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_offset_table_rows_match_page_aware_offset_step(pages, d, K, dtype, seed):
+    """Every ``(page, offset)`` row of the engine's attention table is
+    :func:`page_aware_offset_step` of that pair, bit for bit, computed
+    row by row and as one batch over every pair."""
+    rng = np.random.default_rng(seed)
+    offsets = 8
+    offset_embed = rng.standard_normal((offsets, K, d)).astype(dtype)
+    w_query = rng.standard_normal((d, d)).astype(dtype)
+    page_embed = rng.standard_normal((pages, d)).astype(dtype)
+    table = page_aware_offset_table(offset_embed, w_query, page_embed)
+    assert table.dtype == dtype and table.shape == (pages, offsets, d)
+
+    page_ids = np.repeat(np.arange(pages), offsets)
+    offset_ids = np.tile(np.arange(offsets), pages)
+    batched = page_aware_offset_step(
+        offset_embed, w_query, page_embed[page_ids], offset_ids
     )
-    np.testing.assert_allclose(
-        eng_off, off_probs.reshape(B * T, -1), rtol=1e-12
-    )
+    assert batched.tobytes() == table.reshape(-1, d).tobytes()
+    for p, o in zip(page_ids.tolist(), offset_ids.tolist()):
+        row = page_aware_offset_step(
+            offset_embed, w_query, page_embed[p : p + 1], np.array([o])
+        )
+        assert row.tobytes() == table[p, o : o + 1].tobytes()
 
 
 @given(
@@ -140,12 +190,13 @@ def test_rollout_matches_extended_segment_forwards(
     extended by every prediction made so far.
 
     The reference appends each step's argmax ``(page, offset)`` as a
-    pseudo-access (PC repeating the last real one) and reruns
-    ``forward_sequence`` over the whole extended segment — the
+    pseudo-access (PC repeating the last real one) and reruns the
+    float32 ``forward_sequence`` over the whole extended segment — the
     semantics the carried-state rollout must reproduce, OOV masking
     included.
     """
     model = tiny_model(model_seed)
+    reference = float32_copy(model)
     pc, page, off = random_segments(model, B, data_seed)
     eng = InferenceEngine(model)
     state = stepped_state(eng, pc, page, off)
@@ -154,11 +205,16 @@ def test_rollout_matches_extended_segment_forwards(
     ref_pc, ref_page, ref_off = pc.copy(), page.copy(), off.copy()
     alive = np.ones(B, dtype=bool)
     for j in range(steps):
-        probs_page, probs_off, _, _ = model.forward_sequence(
-            ref_pc, ref_page, ref_off
-        )
-        pid = probs_page[:, -1].argmax(axis=-1)
-        oid = probs_off[:, -1].argmax(axis=-1)
+        # Each row at batch width 1, where the forward's states are the
+        # engine's bit for bit.
+        last = [
+            reference.forward_sequence(
+                ref_pc[b : b + 1], ref_page[b : b + 1], ref_off[b : b + 1]
+            )
+            for b in range(B)
+        ]
+        pid = np.array([probs[0][0, -1].argmax() for probs in last])
+        oid = np.array([probs[1][0, -1].argmax() for probs in last])
         alive = alive & (pid != OOV_ID)
         if not alive.any():
             np.testing.assert_array_equal(valid[:, j:], False)
@@ -174,17 +230,35 @@ def test_rollout_matches_extended_segment_forwards(
 # ----------------------------------------------------------------------
 # engine API behaviour
 # ----------------------------------------------------------------------
-def test_float64_engine_aliases_model_params():
-    """Zero-copy: the default engine shares the model's arrays."""
+def test_engine_is_a_snapshot_of_the_model():
+    """The engine copies the weights it was built from: a later in-place
+    change to the model does not reach it (a hot-swap builds a new
+    engine instead)."""
     model = tiny_model()
     eng = InferenceEngine(model)
-    assert all(eng.params[k] is model.params[k] for k in model.params)
+    pc, page, off = random_segments(model, 2, seed=4)
+    before = stepped_state(eng, pc, page, off)
+    for value in model.params.values():
+        value += 1.0
+    after = stepped_state(eng, pc, page, off)
+    np.testing.assert_array_equal(before.h, after.h)
+    np.testing.assert_array_equal(before.c, after.c)
+    assert not any(
+        np.shares_memory(eng.params[k], model.params[k]) for k in model.params
+    )
 
 
 def test_float32_mode_runs_end_to_end_in_float32():
+    """float32 is the engine's one dtype: weights, table, states, logits."""
     model = tiny_model()
-    eng = InferenceEngine(model, dtype=np.float32)
+    eng = InferenceEngine(model)
     assert all(v.dtype == np.float32 for v in eng.params.values())
+    assert eng.offset_attention.dtype == np.float32
+    assert eng.offset_attention.shape == (
+        model.config.page_vocab_size,
+        model.config.num_offsets,
+        model.config.embed_dim,
+    )
     pc, page, off = random_segments(model, 2, seed=3)
     state = stepped_state(eng, pc, page, off)
     assert state.h.dtype == np.float32 and state.c.dtype == np.float32
@@ -196,8 +270,22 @@ def test_float32_mode_runs_end_to_end_in_float32():
 
 
 def test_invalid_dtype_rejected():
-    with pytest.raises(ValueError, match="dtype"):
-        InferenceEngine(tiny_model(), dtype=np.int32)
+    """A stored state is served only in the engine's dtype and shape."""
+    model = tiny_model()
+    eng = InferenceEngine(model)
+    hidden = model.config.hidden_dim
+    good = np.zeros((1, hidden), dtype=np.float32)
+    state = eng.load_state(good, good.copy())
+    assert state.h is good
+    for h in (
+        np.zeros((1, hidden), dtype=np.float64),
+        np.zeros((1, hidden + 1), dtype=np.float32),
+        np.zeros((2, hidden), dtype=np.float32),
+    ):
+        with pytest.raises(ValueError, match="dtype"):
+            eng.load_state(h, good)
+        with pytest.raises(ValueError, match="dtype"):
+            eng.load_state(good, h)
 
 
 def test_negative_rollout_steps_rejected():
@@ -315,8 +403,21 @@ def test_streaming_and_primed_candidates_agree(small_fit):
     assert batched == protocol_candidates(make(), trace[:120], lookahead, 0)
 
 
+@pytest.mark.parametrize("block", [1, 7, 16, 512, 10_000])
+def test_offline_candidates_are_the_same_for_every_block_size(
+    small_fit, monkeypatch, block
+):
+    """The offline rollout's row blocks are a cost knob only: any block
+    size, one row included, gives the whole-trace table's rows."""
+    trace, model, dataset = small_fit
+    prefetcher = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
+    whole = prefetcher.offline_candidates(trace, 3, 2)
+    monkeypatch.setattr(sim_mod, "ROLLOUT_BLOCK_ROWS", block)
+    assert prefetcher.offline_candidates(trace, 3, 2) == whole
+
+
 # ----------------------------------------------------------------------
-# row_exact mode: batched rows == serial batch-width-1 runs, bit for bit
+# batched rows == serial batch-width-1 runs, bit for bit
 # ----------------------------------------------------------------------
 @given(
     model_seed=st.integers(min_value=0, max_value=50),
@@ -324,12 +425,12 @@ def test_streaming_and_primed_candidates_agree(small_fit):
     B=st.integers(min_value=2, max_value=6),
 )
 def test_row_exact_batched_ops_match_serial_rows(model_seed, data_seed, B):
-    """A row_exact engine's batched step/logits/rollout reproduce each
-    row of a plain engine driven at batch width 1 — the serving layer's
-    micro-batching contract (plain batched BLAS does not guarantee
-    this; the row-at-a-time matmuls do)."""
+    """The engine's batched step/logits/rollout reproduce each row
+    driven at batch width 1 — the contract the server's micro-batching
+    and the simulator's whole-trace scan rest on (plain batched BLAS
+    does not guarantee this; the row-at-a-time matmuls do)."""
     model = tiny_model(model_seed)
-    batched = InferenceEngine(model, row_exact=True)
+    batched = InferenceEngine(model)
     serial = InferenceEngine(model)
     pc, page, off = random_segments(model, B, data_seed)
 
@@ -391,14 +492,20 @@ def test_rowwise_matmul_is_per_row_gemv_at_serving_shapes(
     assert got.tobytes() == want.tobytes()
 
 
-def test_row_exact_is_identity_at_batch_width_one():
-    """row_exact changes nothing for B=1 (same call shapes)."""
-    model = tiny_model(2)
-    pc, page, off = random_segments(model, 1, 9)
-    plain = stepped_state(InferenceEngine(model), pc, page, off)
-    exact = stepped_state(InferenceEngine(model, row_exact=True), pc, page, off)
-    np.testing.assert_array_equal(plain.h, exact.h)
-    np.testing.assert_array_equal(plain.c, exact.c)
+@settings(max_examples=40)
+@given(
+    K=st.sampled_from([4, 16, 24, 32, 48]),
+    N=st.sampled_from([8, 17, 64, 113, 128, 1025]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_row_exact_is_identity_at_batch_width_one(K, N, seed):
+    """A single row takes the plain product, which is the very gemv
+    the stacked call issues per row: the shortcut changes no bits."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((K, N)).astype(DTYPE)
+    x = rng.standard_normal((1, K)).astype(DTYPE)
+    stacked = np.matmul(x[:, None, :], w)[:, 0, :]
+    assert _rowwise_matmul(x, w).tobytes() == stacked.tobytes()
 
 
 def test_lstm_state_stack_and_row_round_trip():
@@ -433,7 +540,7 @@ def test_lstm_state_stack_and_row_round_trip():
 def _serial_segment_states(engine, x, seq_len):
     """Reference: replay each access serially, resetting at segment starts."""
     n = x.shape[0]
-    hs = np.empty((n, engine.config.hidden_dim), dtype=engine.dtype)
+    hs = np.empty((n, engine.config.hidden_dim), dtype=DTYPE)
     cs = np.empty_like(hs)
     state = None
     for p in range(n):
@@ -446,9 +553,9 @@ def _serial_segment_states(engine, x, seq_len):
 
 
 def test_segment_states_matches_serial_replay_row_exact(small_fit):
-    """With row_exact the batched scan is bit-identical to serial replay."""
+    """The batched scan is bit-identical to serial replay."""
     trace, model, dataset = small_fit
-    engine = InferenceEngine(model, row_exact=True)
+    engine = InferenceEngine(model)
     n = 50
     pc = np.array(
         dataset.pc_vocab.encode_all(a.pc for a in trace[:n]), dtype=np.int64
@@ -466,7 +573,7 @@ def test_segment_states_matches_serial_replay_row_exact(small_fit):
 
 
 def test_segment_states_matches_serial_replay_default_engine(small_fit):
-    """The plain BLAS engine agrees to float tolerance (gemm vs gemv)."""
+    """A ragged trace (the last segment shorter than ``seq_len``) too."""
     trace, model, dataset = small_fit
     engine = InferenceEngine(model)
     n = 37  # ragged: 16 + 16 + 5, final segment shorter than seq_len
@@ -482,8 +589,8 @@ def test_segment_states_matches_serial_replay_default_engine(small_fit):
     state = engine.segment_states(x, seq_len=16)
     assert state.h.shape == (n, model.config.hidden_dim)
     hs, cs = _serial_segment_states(engine, x, seq_len=16)
-    np.testing.assert_allclose(state.h, hs, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(state.c, cs, rtol=1e-12, atol=1e-14)
+    np.testing.assert_array_equal(state.h, hs)
+    np.testing.assert_array_equal(state.c, cs)
 
 
 def test_segment_states_validation_and_empty():

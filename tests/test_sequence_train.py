@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from voyager.infer import InferenceEngine
+from voyager.infer import DTYPE, InferenceEngine
 from voyager.labeling import LabelConfig, make_labels
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.synthetic import page_cycle_trace
@@ -166,13 +166,16 @@ class TestForwardSequence:
         """Sequence-mode cells are the inference engine's arithmetic.
 
         Driving the engine one access at a time (batch width 1) must
-        reproduce the training forward's hidden state at every
-        timestep bit for bit — the property that makes stateful
+        reproduce, at every timestep and bit for bit, the hidden state
+        of the training forward run at batch width 1 on the engine's
+        float32 copy of the weights — the property that makes stateful
         serving faithful to sequence training.
         """
         model = HierarchicalModel(tiny_config())
         pc, page, off = random_segments(model, B=1, T=9)
-        _, _, cache, (h, c) = model.forward_sequence(pc, page, off)
+        reference = HierarchicalModel(model.config)
+        reference.params = {k: v.astype(DTYPE) for k, v in model.params.items()}
+        _, _, cache, (h, c) = reference.forward_sequence(pc, page, off)
         engine = InferenceEngine(model)
         state = engine.init_state(1)
         for t in range(9):

@@ -4,7 +4,7 @@ The tentpole contract: N interleaved streams through the
 micro-batching scheduler produce **bit-identical** per-stream results —
 recurrent states, top-k ids and candidate blocks — to N independent
 streaming :class:`~voyager.sim.NeuralPrefetcher` instances (the
-simulator's prefetcher), in float64 and float32, across state resets.
+simulator's prefetcher), across state resets.
 The hypothesis property tests drive that over random models, stream
 counts and interleavings; the unit tests cover the operational
 envelope (LRU eviction, shed policies, batch accounting,
@@ -13,6 +13,7 @@ injected-clock latency percentiles) and the driver's hook.
 and zoo traces.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from voyager.baselines import next_line_candidates
 from voyager.infer import InferenceEngine
+from voyager.ioutil import atomic_savez
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.serve import (
     DEFAULT_QOS,
@@ -84,8 +86,8 @@ class SerialStream:
     own ``seq_len`` reset rule — no cross-stream batching anywhere.
     """
 
-    def __init__(self, model, pc_vocab, page_vocab, dtype):
-        self.prefetcher = NeuralPrefetcher(model, pc_vocab, page_vocab, dtype=dtype)
+    def __init__(self, model, pc_vocab, page_vocab):
+        self.prefetcher = NeuralPrefetcher(model, pc_vocab, page_vocab)
 
     def access(self, access: MemoryAccess):
         self.prefetcher.update(access)
@@ -103,7 +105,7 @@ class SerialStream:
 # ----------------------------------------------------------------------
 # tentpole property: batched == serial, bit for bit, per stream
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("weight_dtype", [np.float64, np.float32])
 @settings(max_examples=12)
 @given(
     model_seed=st.integers(min_value=0, max_value=30),
@@ -112,24 +114,26 @@ class SerialStream:
     rounds=st.integers(min_value=3, max_value=8),
 )
 def test_interleaved_streams_match_independent_engines(
-    dtype, model_seed, data_seed, n_streams, rounds
+    weight_dtype, model_seed, data_seed, n_streams, rounds
 ):
     """Micro-batched serving == N independent streaming prefetchers
     (states, top-k, candidates), including streams that submit multiple
     accesses per tick (multi-wave batching): each access is predicted
-    from the state after its own step, not after its stream's last."""
+    from the state after its own step, not after its stream's last.
+    Holds whether the model's weights are float64 (as trained) or
+    already float32: either way every engine serves its own float32
+    snapshot of them."""
     model, pc_vocab, page_vocab = serving_setup(model_seed)
+    model.params = {k: v.astype(weight_dtype) for k, v in model.params.items()}
     server = PrefetchServer(
         model,
         pc_vocab,
         page_vocab,
         ServeConfig(degree=DEGREE, max_batch=64),
-        dtype=dtype,
     )
     sids = [server.open_stream() for _ in range(n_streams)]
     serial = [
-        SerialStream(model, pc_vocab, page_vocab, dtype)
-        for _ in range(n_streams)
+        SerialStream(model, pc_vocab, page_vocab) for _ in range(n_streams)
     ]
     rng = np.random.default_rng(data_seed)
     for _ in range(rounds):
@@ -245,7 +249,7 @@ def test_shed_requests_degrade_but_still_update_state(policy):
         ServeConfig(degree=DEGREE, max_pending=1, shed_policy=policy),
     )
     server.open_stream("a")
-    serial = SerialStream(model, pc_vocab, page_vocab, np.float64)
+    serial = SerialStream(model, pc_vocab, page_vocab)
     rng = np.random.default_rng(5)
     accesses = [random_access(rng) for _ in range(4)]
     for access in accesses:
@@ -806,9 +810,67 @@ def test_corrupt_spill_file_is_one_clean_error(tmp_path, corrupt):
     assert not path.exists()
 
 
+def _float64_spill(path):
+    """The spill file of the same session written with float64 state,
+    as a build that served in float64 wrote it."""
+    with np.load(path) as data:
+        fields = {k: data[k] for k in data.files}
+    atomic_savez(
+        path,
+        h=fields["h"].astype(np.float64),
+        c=fields["c"].astype(np.float64),
+        accesses=fields["accesses"],
+        qos=fields["qos"],
+    )
+
+
+@pytest.mark.parametrize("mismatch", ["hidden_size", "float64"])
+def test_spill_file_the_engine_cannot_serve_is_one_clean_error(
+    tmp_path, mismatch
+):
+    """A spill file whose state the server's engine cannot serve —
+    another model's hidden size left in a shared spill directory, or a
+    float64 state — fails ``submit`` with one ValueError naming it,
+    before anything is queued: nothing is counted, the file stays and
+    other streams keep serving."""
+    spill = str(tmp_path / "spill")
+    model, pc_vocab, page_vocab = serving_setup()
+    first = PrefetchServer(
+        model, pc_vocab, page_vocab, ServeConfig(max_sessions=1, spill_dir=spill)
+    )
+    first.open_stream("a")
+    access = random_access(np.random.default_rng(3))
+    first.access("a", access.pc, access.address)
+    first.open_stream("b")  # spills "a"
+    (path,) = (tmp_path / "spill").iterdir()
+    if mismatch == "float64":
+        _float64_spill(path)
+        server = first
+    else:
+        other = HierarchicalModel(
+            dataclasses.replace(model.config, hidden_dim=model.config.hidden_dim + 1)
+        )
+        server = PrefetchServer(
+            other, pc_vocab, page_vocab, ServeConfig(spill_dir=spill)
+        )
+        server.open_stream("b")
+    requests, restored = server.stats.requests, server.stats.restored
+    with pytest.raises(ValueError, match="cannot serve") as err:
+        server.submit("a", access.pc, access.address)
+    assert str(path) in str(err.value)
+    assert (server.stats.requests, server.stats.restored) == (
+        requests,
+        restored,
+    )
+    assert server.pending == 0
+    assert path.exists()
+    response = server.access("b", access.pc, access.address)
+    assert response.source == SOURCE_NEURAL
+
+
 def test_spill_store_roundtrips_any_hashable_stream_id(tmp_path):
     model, pc_vocab, page_vocab = serving_setup()
-    engine = InferenceEngine(model, row_exact=True)
+    engine = InferenceEngine(model)
     store = SpillStore(tmp_path / "spill")
     from voyager.serve import StreamSession
 

@@ -16,6 +16,8 @@ import pytest
 from voyager.baselines import NextLinePrefetcher
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import (
+    DEMANDED,
+    PREFETCHED,
     CacheConfig,
     NeuralPrefetcher,
     SetAssociativeCache,
@@ -77,22 +79,25 @@ def test_cache_refill_promotes_instead_of_evicting():
 
 
 def test_cache_prefetch_fill_flags():
-    """A prefetch fill is flagged prefetched but not yet demanded."""
+    """A prefetch fill is flagged prefetched but not yet demanded; its
+    first demand hit reads those flags and marks it demanded."""
     cache = SetAssociativeCache(CacheConfig(num_sets=4, ways=2))
     cache.fill(20, prefetched=True)
-    line = cache.lookup(20)
-    assert line.prefetched and not line.demanded
+    assert cache.lookup(20) == PREFETCHED
+    assert cache.lookup(20) == PREFETCHED | DEMANDED
     cache.fill(21)
-    line = cache.lookup(21)
-    assert line.demanded and not line.prefetched
+    assert cache.lookup(21) == DEMANDED
 
 
 def test_cache_eviction_reports_unused_prefetch():
     cache = SetAssociativeCache(CacheConfig(num_sets=1, ways=1))
     cache.fill(5, prefetched=True)
-    block, line = cache.fill(6)
+    block, flags = cache.fill(6)
     assert block == 5
-    assert line.prefetched and not line.demanded
+    assert flags == PREFETCHED
+    cache.fill(7, prefetched=True)
+    cache.lookup(7)
+    assert cache.fill(8) == (7, PREFETCHED | DEMANDED)
 
 
 def test_cache_rejects_bad_geometry():
@@ -274,15 +279,10 @@ def test_neural_prefetcher_simulates_end_to_end(trained_neural):
 
 
 def test_stateful_prefetcher_validation(trained_neural):
-    """The inference dtype is validated, and the reset period is the
-    model's own ``seq_len``: the carried state restarts from zero every
-    ``seq_len`` accesses, counted from the first."""
+    """The reset period is the model's own ``seq_len``: the carried
+    state restarts from zero every ``seq_len`` accesses, counted from
+    the first."""
     trace, model, dataset = trained_neural
-    with pytest.raises(ValueError, match="dtype"):
-        NeuralPrefetcher(
-            model, dataset.pc_vocab, dataset.page_vocab, dtype=np.int32
-        )
-
     short = HierarchicalModel(dataclasses.replace(model.config, seq_len=5))
     short.params = model.params  # same weights, reset every 5 accesses
     pf = NeuralPrefetcher(short, dataset.pc_vocab, dataset.page_vocab)
