@@ -7,17 +7,19 @@ simulating each with :func:`voyager.sim.simulate` under one shared
 issue policy, and writes a schema-versioned JSON report to the repo
 root (or ``--out``).  The report is the cross-PR benchmark trajectory
 ROADMAP asks for: CI runs the smoke profile and archives the file as a
-build artifact.  ``--distill-frontier`` additionally sweeps the
+build artifact.  ``--distill-frontier`` additionally distils the
 table-size x context-depth latency/quality frontier per workload into
 a ``distill`` section, and the ``--min-table-speedup`` /
 ``--max-table-coverage-drop`` flags gate the grid's table-vs-neural
 cells in CI.
 
-The unit of work is a workload (:func:`bench_workload`): its trace is
-generated once from a seed derived from the top-level seed, and its
-neural model is trained once — truncated BPTT over ``seq_len``-access
-segments, simulated with state carried across accesses and reset every
-``seq_len`` accesses — and then distilled into the table.
+The unit of work is a workload (:func:`bench_workload`), and one pass
+over it fills both the grid and the frontier: its trace is generated
+once from a seed derived from the top-level seed, its neural model is
+trained once — truncated BPTT over ``seq_len``-access segments,
+simulated with state carried across accesses and reset every
+``seq_len`` accesses — and one rollout of that model gives the
+candidate rows every table is distilled from.
 ``run_bench(..., jobs=N)`` fans the workloads over a
 :class:`~concurrent.futures.ProcessPoolExecutor` (``--jobs auto`` uses
 the CPU count); no RNG state crosses processes, so the report is
@@ -109,13 +111,26 @@ from voyager.train import build_sequence_dataset, train
 #: ``serving.open_loop`` like every other arrival process.  That block
 #: gains ``responses_equal_sim`` (the 1-shard run against the
 #: simulator) and drops ``max_pending``; its counters drop ``table``.
-BENCH_SCHEMA_VERSION = 11
+#: v12: one workload pass.  ``distill`` reuses the grid's trace, model
+#: and distillation rollout: each workload records ``rollout_s`` once
+#: and its ``neural`` block is the grid's neural cell; a cell's
+#: ``build_s`` is its table build alone; ``elapsed_s`` sums the
+#: rollouts, builds and sims (the grid's ``elapsed_s`` covers the whole
+#: pass).  The grid's ``table`` ``train_s`` is still that rollout plus
+#: its own build.  No non-timing value moves.
+BENCH_SCHEMA_VERSION = 12
 
 #: Canonical report filename at the repo root.
 BENCH_FILENAME = "BENCH_voyager.json"
 
 #: Prefetchers every bench run sweeps.
 PREFETCHERS = ("next_line", "stride", "neural", "table")
+
+#: The table-size x context-depth grid ``run_bench(..., frontier=True)``
+#: (``--distill-frontier``) distils per workload, next to the grid's
+#: own ``table`` cell.
+FRONTIER_TABLE_SIZES = (256, 1024, 4096)
+FRONTIER_DEPTHS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -227,16 +242,19 @@ def bench_workload(
     profile: BenchProfile,
     seed: int = 0,
     profile_sim: bool = False,
-) -> Dict[str, Dict[str, Any]]:
+    frontier: bool = False,
+) -> Tuple[Dict[str, Dict[str, Any]], Optional[Dict[str, Any]]]:
     """Run every prefetcher on one workload; picklable for process pools.
 
     Generates the trace once from the workload's derived seed,
     simulates the two baselines, trains the neural model once and
-    simulates it, then distils that same model into the table and
-    simulates the table — so the coverage delta between the ``neural``
-    and ``table`` cells is the distillation cost alone.  Returns
-    ``{prefetcher: entry}`` in :data:`PREFETCHERS` order, timing fields
-    at full precision.
+    simulates it.  One more rollout of that model gives the rows every
+    table is built from: the grid's ``table`` cell (so its coverage
+    delta to ``neural`` is the distillation cost alone) and, with
+    ``frontier``, each frontier point.  Returns ``(cells, frontier)``:
+    ``{prefetcher: entry}`` in :data:`PREFETCHERS` order and the
+    workload's ``distill`` entry (or ``None``), timing fields at full
+    precision.
     """
     cell_seed = derive_cell_seed(seed, workload)
     trace = synthetic.generate(workload, profile.trace_length, seed=cell_seed)
@@ -269,19 +287,61 @@ def bench_workload(
     neural, train_phases = _train_neural(trace, profile, cell_seed)
     cells["neural"] = cell(neural, start)
     cells["neural"]["train_phases"] = train_phases
+
+    # The neural cell keeps its own rollout in its sim_s, so the table
+    # speedup weighs inference plus the cache loop against probes.
+    distill = profile.distill_config()
     start = time.perf_counter()
-    table = build_table(
-        neural.model,
-        neural.pc_vocab,
-        neural.page_vocab,
-        trace,
-        profile.distill_config(),
-    )
-    prefetcher = make_prefetcher("table", table=table)
-    cells["table"] = cell(prefetcher, start)
-    cells["table"]["table_entries"] = table.total_entries
-    cells["table"]["table_hit_rate"] = prefetcher.hit_rate
-    return cells
+    rows = neural.offline_candidates(trace, distill.top_k, 0)
+    rollout_s = time.perf_counter() - start
+
+    def table_cell(config: DistillConfig, started: float) -> Dict[str, Any]:
+        table = build_table(
+            rows, neural.pc_vocab, neural.page_vocab, trace, config
+        )
+        prefetcher = make_prefetcher("table", table=table)
+        entry = cell(prefetcher, started)
+        entry["table_entries"] = table.total_entries
+        entry["table_hit_rate"] = prefetcher.hit_rate
+        return entry
+
+    cells["table"] = table_cell(distill, start)
+    if not frontier:
+        return cells, None
+    reference = cells["neural"]
+    points: List[Dict[str, Any]] = []
+    for table_size in FRONTIER_TABLE_SIZES:
+        for depth in FRONTIER_DEPTHS:
+            point = dataclasses.replace(
+                distill, depths=depth_chain(depth), table_size=table_size
+            )
+            entry = table_cell(point, time.perf_counter())
+            points.append(
+                {
+                    "table_size": table_size,
+                    "depth": depth,
+                    "coverage": entry["coverage"],
+                    "accuracy": entry["accuracy"],
+                    "coverage_delta": reference["coverage"] - entry["coverage"],
+                    "sim_s": entry["sim_s"],
+                    "build_s": entry["train_s"],
+                    "speedup_vs_neural": (
+                        reference["sim_s"] / entry["sim_s"]
+                        if entry["sim_s"] > 0
+                        else float("inf")
+                    ),
+                    "entries": entry["table_entries"],
+                    "hit_rate": entry["table_hit_rate"],
+                }
+            )
+    return cells, {
+        "neural": {
+            key: reference[key]
+            for key in ("coverage", "accuracy", "sim_s", "train_s")
+        },
+        "rollout_s": rollout_s,
+        "cells": points,
+    }
 
 
 def profile_with_workloads(
@@ -308,7 +368,12 @@ def resolve_jobs(jobs: Union[int, str]) -> int:
     """Normalise a ``--jobs`` value: ``'auto'`` means the CPU count."""
     if jobs == "auto":
         return os.cpu_count() or 1
-    jobs = int(jobs)
+    try:
+        jobs = int(jobs)
+    except ValueError:
+        raise ValueError(
+            f"jobs must be an integer or 'auto', got {jobs!r}"
+        ) from None
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -319,39 +384,53 @@ def run_bench(
     seed: int = 0,
     jobs: Union[int, str] = 1,
     profile_sim: bool = False,
+    frontier: bool = False,
 ) -> Dict[str, Any]:
     """Run the full sweep and return the report dict (not yet written).
 
     One task per workload (:func:`bench_workload`); ``jobs > 1`` fans
     them over a process pool.  Every workload is seeded independently
     (:func:`derive_cell_seed`), so the report matches the serial one in
-    every non-timing field.  Timing fields stay full-precision here —
-    :func:`write_bench` rounds.
+    every non-timing field.  ``frontier`` adds the ``distill`` section.
+    Timing fields stay full-precision here — :func:`write_bench` rounds.
     """
     jobs = resolve_jobs(jobs)
     started = time.perf_counter()
     task = functools.partial(
-        bench_workload, profile=profile, seed=seed, profile_sim=profile_sim
+        bench_workload,
+        profile=profile,
+        seed=seed,
+        profile_sim=profile_sim,
+        frontier=frontier,
     )
+    # The sweep runs with the heap it starts from (~25k objects after
+    # the imports) frozen: a full collection that re-traverses it is a
+    # 10-20 ms pause in whichever cell is being timed, a few-ms smoke
+    # table cell included.
     if jobs > 1:
         workers = min(jobs, len(profile.workloads))
-        # A worker inherits its parent's heap (~25k objects after the
-        # imports), which lives until the worker exits.  Freezing it
-        # spares every full collection a re-traversal of it: a pause
-        # of 10-20 ms that otherwise lands in whichever cell is being
-        # timed, a smoke table cell included (its sim_s is ~7 ms).
         with ProcessPoolExecutor(
             max_workers=workers, initializer=gc.freeze
         ) as pool:
             results = list(pool.map(task, profile.workloads))
     else:
-        results = [task(workload) for workload in profile.workloads]
-    workloads = dict(zip(profile.workloads, results))
+        # Collected first, so no garbage is frozen; unfrozen after, so
+        # the caller's heap, frozen or not, is left as it was found.
+        freeze = not gc.get_freeze_count()
+        if freeze:
+            gc.collect()
+            gc.freeze()
+        try:
+            results = [task(workload) for workload in profile.workloads]
+        finally:
+            if freeze:
+                gc.unfreeze()
+    workloads = {w: cells for w, (cells, _) in zip(profile.workloads, results)}
     cpu_s = 0.0
-    for cells in results:  # exact sum in deterministic cell order
+    for cells in workloads.values():  # exact sum in deterministic cell order
         for kind in PREFETCHERS:
             cpu_s += cells[kind]["cpu_s"]
-    return {
+    report = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "benchmark": "voyager_prefetch_sim",
         "profile": profile.name,
@@ -379,6 +458,22 @@ def run_bench(
         "cpu_s": cpu_s,
         "elapsed_s": time.perf_counter() - started,
     }
+    if frontier:
+        entries = {w: entry for w, (_, entry) in zip(profile.workloads, results)}
+        report["distill"] = {
+            "profile": profile.name,
+            "seed": seed,
+            "table_sizes": list(FRONTIER_TABLE_SIZES),
+            "depths": list(FRONTIER_DEPTHS),
+            "top_k": profile.distill_config().top_k,
+            "workloads": entries,
+            "elapsed_s": sum(
+                entry["rollout_s"]
+                + sum(cell["build_s"] + cell["sim_s"] for cell in entry["cells"])
+                for entry in entries.values()
+            ),
+        }
+    return report
 
 
 #: Per-cell keys that describe *when/how fast*, not *what happened*.
@@ -594,11 +689,12 @@ REPORT_SCHEMA: Dict[str, List[Tuple[str, Check]]] = {
         ("workloads/*", _DICT),
         ("workloads/*/neural", _DICT),
         ("workloads/*/neural/sim_s", _NUMBER),
+        ("workloads/*/rollout_s", _NUMBER),
         ("workloads/*/cells", _sized(list, 1)),
         ("workloads/*/cells[]", _DICT),
         *_rows(
             "workloads/*/cells[]/",
-            "table_size depth coverage coverage_delta sim_s"
+            "table_size depth coverage coverage_delta sim_s build_s"
             " speedup_vs_neural entries hit_rate",
             _NUMBER,
         ),
@@ -718,103 +814,6 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
     return problems
 
 
-#: Frontier sweep defaults: the table-size x context-depth grid the
-#: ``--distill-frontier`` flag walks per workload.
-FRONTIER_TABLE_SIZES = (256, 1024, 4096)
-FRONTIER_DEPTHS = (1, 2, 4)
-
-
-def run_distill_frontier(
-    profile: BenchProfile = SMOKE_PROFILE,
-    seed: int = 0,
-    table_sizes: Sequence[int] = FRONTIER_TABLE_SIZES,
-    depths: Sequence[int] = FRONTIER_DEPTHS,
-) -> Dict[str, Any]:
-    """Sweep the distillation latency/quality frontier.
-
-    Per workload: train the neural model once (same derived seed as the
-    grid, so the frontier's reference point is the grid's neural cell),
-    simulate it as the reference, then build and simulate one distilled
-    table per ``(table_size, depth)`` grid point.  Each frontier cell
-    records the quality (coverage/accuracy plus ``coverage_delta`` =
-    neural coverage minus table coverage, in points) and the latency
-    side (``sim_s``, ``build_s``, ``speedup_vs_neural`` =
-    neural ``sim_s`` / table ``sim_s``) along with the table's actual
-    entry count and context hit rate.  Returns the report's ``distill``
-    section.
-    """
-    started = time.perf_counter()
-    top_k = max(1, profile.sim.degree + profile.sim.distance)
-    workloads: Dict[str, Any] = {}
-    for workload in profile.workloads:
-        cell_seed = derive_cell_seed(seed, workload)
-        trace = synthetic.generate(
-            workload, profile.trace_length, seed=cell_seed
-        )
-        train_start = time.perf_counter()
-        neural, _ = _train_neural(trace, profile, cell_seed)
-        train_s = time.perf_counter() - train_start
-        sim_start = time.perf_counter()
-        neural_sim = simulate(trace, neural, profile.sim)
-        neural_sim_s = time.perf_counter() - sim_start
-        cells: List[Dict[str, Any]] = []
-        for table_size in table_sizes:
-            for depth in depths:
-                config = DistillConfig(
-                    depths=depth_chain(depth),
-                    table_size=table_size,
-                    top_k=top_k,
-                )
-                build_start = time.perf_counter()
-                table = build_table(
-                    neural.model,
-                    neural.pc_vocab,
-                    neural.page_vocab,
-                    trace,
-                    config,
-                )
-                build_s = time.perf_counter() - build_start
-                prefetcher = make_prefetcher("table", table=table)
-                sim_start = time.perf_counter()
-                table_sim = simulate(trace, prefetcher, profile.sim)
-                sim_s = time.perf_counter() - sim_start
-                cells.append(
-                    {
-                        "table_size": table_size,
-                        "depth": depth,
-                        "coverage": table_sim.coverage,
-                        "accuracy": table_sim.accuracy,
-                        "coverage_delta": neural_sim.coverage
-                        - table_sim.coverage,
-                        "sim_s": sim_s,
-                        "build_s": build_s,
-                        "speedup_vs_neural": (
-                            neural_sim_s / sim_s if sim_s > 0 else float("inf")
-                        ),
-                        "entries": table.total_entries,
-                        "hit_rate": prefetcher.hit_rate,
-                    }
-                )
-        workloads[workload] = {
-            "neural": {
-                "coverage": neural_sim.coverage,
-                "accuracy": neural_sim.accuracy,
-                "sim_s": neural_sim_s,
-                "train_s": train_s,
-            },
-            "cells": cells,
-        }
-    return {
-        "profile": profile.name,
-        "seed": seed,
-        "table_sizes": list(table_sizes),
-        "depths": list(depths),
-        "top_k": top_k,
-        "workloads": workloads,
-        "elapsed_s": time.perf_counter() - started,
-    }
-
-
 def check_distill_budget(
     report: Dict[str, Any],
     min_speedup: float,
@@ -903,17 +902,6 @@ def check_sim_budget(
     return problems
 
 
-def parse_int_list(text: str, flag: str) -> Tuple[int, ...]:
-    """Parse a comma-separated CLI list like ``256,1024`` (>= 1 each)."""
-    try:
-        values = tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"{flag}: values must be integers >= 1, got {text!r}")
-    return values
-
-
 #: Selectable profiles.
 PROFILES = {
     "smoke": SMOKE_PROFILE,
@@ -973,16 +961,6 @@ def add_bench_args(parser: argparse.ArgumentParser) -> None:
         help="also sweep the table-size x depth frontier into 'distill'",
     )
     parser.add_argument(
-        "--distill-table-sizes",
-        default=",".join(str(s) for s in FRONTIER_TABLE_SIZES),
-        help="comma-separated table sizes for the frontier sweep",
-    )
-    parser.add_argument(
-        "--distill-depths",
-        default=",".join(str(d) for d in FRONTIER_DEPTHS),
-        help="comma-separated context depths for the frontier sweep",
-    )
-    parser.add_argument(
         "--min-table-speedup",
         type=float,
         default=None,
@@ -1011,18 +989,16 @@ def run_bench_args(args: argparse.Namespace) -> int:
         _profile_by_name(args.profile), args.workloads
     )
     jobs = resolve_jobs(args.jobs)
-    table_sizes = parse_int_list(
-        args.distill_table_sizes, "--distill-table-sizes"
-    )
-    depths = parse_int_list(args.distill_depths, "--distill-depths")
     report = run_bench(
-        profile, seed=args.seed, jobs=jobs, profile_sim=args.profile_sim
+        profile,
+        seed=args.seed,
+        jobs=jobs,
+        profile_sim=args.profile_sim,
+        frontier=args.distill_frontier,
     )
     sections = {"grid": report}
     if args.distill_frontier:
-        sections["distill"] = run_distill_frontier(
-            profile, seed=args.seed, table_sizes=table_sizes, depths=depths
-        )
+        sections["distill"] = report["distill"]
     problems: List[str] = []
     if args.max_neural_sim_s is not None:
         problems += check_sim_budget(report, args.max_neural_sim_s)

@@ -6,12 +6,13 @@ Distillation, and Tabularization") answer it by compiling the trained
 network into hierarchical table lookups.  This module is the software
 analogue of that compilation pass:
 
-- :func:`build_table` sweeps a training trace through the batched
-  :class:`~voyager.infer.InferenceEngine` rollout once and records, for
-  every *quantized context* (the last ``depth`` encoded
-  ``(pc, page, offset)`` triples), the model's ordered multi-step
-  candidate blocks.  One table per configured depth; each capped at
-  ``table_size`` most-frequent contexts.
+- :func:`build_table` records, for every *quantized context* (the
+  last ``depth`` encoded ``(pc, page, offset)`` triples), the teacher's
+  ordered multi-step candidate blocks at that trace position.  It reads
+  the teacher's outputs only — the candidate rows of one
+  :meth:`~voyager.sim.NeuralPrefetcher.offline_candidates` rollout —
+  so one rollout feeds any number of tables.  One table per configured
+  depth; each capped at ``table_size`` most-frequent contexts.
 - :class:`DistilledTable` holds the resulting tables plus the vocabs
   and config needed to encode future accesses, so a serialized table
   file is self-contained (no model checkpoint needed at serve time).
@@ -34,9 +35,9 @@ from at least one build-trace position whose trailing triples match
 the context (the table never invents candidates).
 
 The coverage cost of the approximation is quantified per workload by
-the ``distill`` frontier section :mod:`voyager.bench` writes into
-``BENCH_voyager.json`` (schema v5) and gated in CI next to the timing
-gates.
+the bench grid's ``table`` cell, which CI gates next to the timing
+gates, and by the table-size x context-depth frontier in the
+``distill`` section of ``BENCH_voyager.json`` (:mod:`voyager.bench`).
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from typing import (
 
 from voyager.baselines import StridePrefetcher, next_line_candidates
 from voyager.ioutil import atomic_write_text
-from voyager.model import HierarchicalModel
 from voyager.sim import NeuralPrefetcher
 from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
@@ -261,6 +261,13 @@ class DistilledTable:
                 tuple(int(v) for v in key.split(",")): tuple(cands)
                 for key, cands in table.items()
             }
+        # Every lookup probes every configured depth, so a depth without
+        # its table (or a table at no configured depth) cannot be served.
+        if sorted(tables) != sorted(config.depths):
+            raise ValueError(
+                f"distilled table holds depths {sorted(tables, reverse=True)}"
+                f" but its config lists {list(config.depths)}"
+            )
         return cls(
             config=config,
             pc_vocab=Vocab.from_dict(data["pc_vocab"]),
@@ -298,20 +305,21 @@ class DistilledTable:
 
 
 def build_table(
-    model: HierarchicalModel,
+    rows: Sequence[Sequence[int]],
     pc_vocab: Vocab,
     page_vocab: Vocab,
     trace: Sequence[MemoryAccess],
     config: Optional[DistillConfig] = None,
 ) -> DistilledTable:
-    """Compile ``model`` into a :class:`DistilledTable` over ``trace``.
+    """Compile a teacher's candidate rows into a :class:`DistilledTable`.
 
-    :meth:`voyager.sim.NeuralPrefetcher.offline_candidates` computes
-    the model's ``top_k``-step candidate blocks for every trace position
-    in one batched pass — the candidates the simulator issues from,
-    with LSTM state carried across each ``model.config.seq_len``-access
-    segment — and each position's candidate list is recorded under its
-    context key at every configured depth.
+    ``rows[t]`` is the teacher's candidate list at ``trace[t]``, as
+    ``NeuralPrefetcher.offline_candidates(trace, config.top_k, 0)``
+    returns it: the candidates the simulator issues from, with LSTM
+    state carried across each ``seq_len``-access segment.  Each row is
+    recorded under its position's context key at every configured
+    depth; the model itself is never consulted.  Raises
+    :class:`ValueError` unless there is one row per access.
 
     Aggregation is *modal*: a context seen with conflicting rollouts
     (a context key collapses positions whose carried states differ)
@@ -322,11 +330,13 @@ def build_table(
     rule as :meth:`voyager.vocab.Vocab.fit`).
     """
     config = config or DistillConfig()
-    table = DistilledTable(config, pc_vocab, page_vocab)
     n = len(trace)
-    rollouts = NeuralPrefetcher(model, pc_vocab, page_vocab).offline_candidates(
-        trace, config.top_k, 0
-    )
+    if len(rows) != n:
+        raise ValueError(
+            f"build_table: {len(rows)} candidate rows for a trace of "
+            f"{n} accesses; expected one row per access"
+        )
+    table = DistilledTable(config, pc_vocab, page_vocab)
     pc_all = pc_vocab.encode_all(a.pc for a in trace)
     page_all = page_vocab.encode_all(a.page for a in trace)
     off_all = [a.offset for a in trace]
@@ -337,7 +347,7 @@ def build_table(
         cand_votes: Dict[Context, Counter] = {}
         for pos in range(depth - 1, n):
             key = context_key(pc_all, page_all, off_all, pos, depth)
-            cands = tuple(rollouts[pos])
+            cands = tuple(rows[pos])
             ctx_counts[key] += 1
             if key not in first_seen:
                 first_seen[key] = pos
@@ -507,13 +517,18 @@ def distill_checkpoint(
 ) -> Tuple[DistilledTable, float]:
     """Load a checkpoint and compile it over ``trace``.
 
-    Returns ``(table, build_seconds)`` — the CLI ``distill`` handler.
+    Returns ``(table, build_seconds)``, the teacher rollout included —
+    the CLI ``distill`` handler.
     """
     from voyager.model import load_checkpoint
 
     model, pc_vocab, page_vocab = load_checkpoint(checkpoint_prefix)
+    config = config or DistillConfig()
     start = time.perf_counter()
-    table = build_table(model, pc_vocab, page_vocab, trace, config)
+    rows = NeuralPrefetcher(model, pc_vocab, page_vocab).offline_candidates(
+        trace, config.top_k, 0
+    )
+    table = build_table(rows, pc_vocab, page_vocab, trace, config)
     return table, time.perf_counter() - start
 
 

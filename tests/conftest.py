@@ -38,6 +38,8 @@ from pathlib import Path
 import pytest
 
 from voyager import synthetic
+from voyager.distill import DistillConfig, build_table
+from voyager.sim import NeuralPrefetcher
 
 try:
     from hypothesis import settings
@@ -121,6 +123,24 @@ def protocol_only():
     :func:`voyager.sim.protocol_candidates` — the reference every hook
     must equal."""
     return _ProtocolOnly
+
+
+def _distill_model(model, pc_vocab, page_vocab, trace, config=None):
+    config = config or DistillConfig()
+    rows = NeuralPrefetcher(model, pc_vocab, page_vocab).offline_candidates(
+        trace, config.top_k, 0
+    )
+    return build_table(rows, pc_vocab, page_vocab, trace, config)
+
+
+@pytest.fixture
+def distill_model():
+    """``distill_model(model, pc_vocab, page_vocab, trace, config)``
+    distils ``model`` over ``trace``: one teacher rollout
+    (``NeuralPrefetcher.offline_candidates(trace, config.top_k, 0)``)
+    compiled by :func:`voyager.distill.build_table`, as
+    ``distill_checkpoint`` does for a saved model."""
+    return _distill_model
 
 
 @pytest.fixture

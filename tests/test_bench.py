@@ -25,6 +25,7 @@ from voyager.bench import (
     validate_report,
     write_bench,
 )
+from voyager.ioutil import round_floats
 from voyager.sim import SimConfig
 
 #: Tiny but real: both workload count and metric structure match smoke.
@@ -41,7 +42,31 @@ TINY = BenchProfile(
 
 @pytest.fixture(scope="module")
 def report():
-    return run_bench(TINY, seed=0)
+    return run_bench(TINY, seed=0, frontier=True)
+
+
+#: The ``distill`` section's timing keys, at every level of it.
+FRONTIER_TIMING_FIELDS = (
+    "sim_s",
+    "train_s",
+    "build_s",
+    "rollout_s",
+    "speedup_vs_neural",
+    "elapsed_s",
+)
+
+
+def frontier_values(section):
+    """Every non-timing value of a ``distill`` section."""
+    if isinstance(section, dict):
+        return {
+            key: frontier_values(value)
+            for key, value in section.items()
+            if key not in FRONTIER_TIMING_FIELDS
+        }
+    if isinstance(section, list):
+        return [frontier_values(value) for value in section]
+    return section
 
 
 def test_report_shape_and_schema(report):
@@ -156,7 +181,7 @@ def test_stride_fallback_flag_set_when_table_overflows():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench_mod, "make_prefetcher", overflowing)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            cells = bench_mod.bench_workload("random_walk", tiny_table)
+            cells, _ = bench_mod.bench_workload("random_walk", tiny_table)
     assert cells["stride"]["stride_fallback"] is True
 
 
@@ -207,15 +232,19 @@ def test_write_bench_rounds_only_at_serialisation(report, tmp_path):
 # parallel sweep
 # ----------------------------------------------------------------------
 def test_parallel_report_matches_serial(report):
-    """jobs=4 and jobs=1 agree on every non-timing field (tentpole)."""
-    parallel = run_bench(TINY, seed=0, jobs=4)
-    assert parallel["jobs"] == 4
+    """jobs=2 and jobs=1 agree on every non-timing field, the frontier's
+    included."""
+    parallel = run_bench(TINY, seed=0, jobs=2, frontier=True)
+    assert parallel["jobs"] == 2
     assert strip_timing_fields(parallel) == strip_timing_fields(report)
+    assert frontier_values(parallel["distill"]) == frontier_values(
+        report["distill"]
+    )
 
 
 def test_strip_timing_fields_removes_all_timing(report):
     stripped = strip_timing_fields(report)
-    for key in ("elapsed_s", "cpu_s", "jobs"):
+    for key in ("elapsed_s", "cpu_s", "jobs", "distill"):
         assert key not in stripped
     for entries in stripped["workloads"].values():
         for entry in entries.values():
@@ -300,8 +329,8 @@ def test_failed_run_leaves_the_report_untouched(tmp_path, capsys, monkeypatch):
     "argv,flag",
     [
         (["--jobs", "0"], "jobs"),
-        (["--distill-table-sizes", "16,zero"], "--distill-table-sizes"),
-        (["--distill-depths", "0"], "--distill-depths"),
+        (["--workloads", " , "], "empty workload list"),
+        (["--jobs", "lots"], "jobs"),
         (["--workloads", "zigzag"], "unknown workload"),
     ],
 )
@@ -326,19 +355,21 @@ def test_main_rejects_unknown_profile():
 
 
 # ----------------------------------------------------------------------
-# one trace and one model per workload
+# one trace, one model and one distillation rollout per workload
 # ----------------------------------------------------------------------
 def test_each_workload_generates_and_trains_once(monkeypatch):
-    """A workload is the unit of work: one ``generate`` and one ``train``
-    call each, and the table distils the very model the neural cell
-    trained and simulated."""
+    """A workload is the unit of work, its frontier included: one
+    ``generate`` and one ``train`` call each, and two rollouts of the
+    model the neural cell trained — its simulation, then the one whose
+    rows every table of the workload is built from."""
     import voyager.bench as bench_mod
     from voyager import synthetic
     from voyager.sim import NeuralPrefetcher
 
-    generated, trained, simulated, distilled = [], [], [], []
+    generated, trained, rollouts, built = [], [], [], []
     generate, train = synthetic.generate, bench_mod.train
-    simulate, build_table = bench_mod.simulate, bench_mod.build_table
+    build_table = bench_mod.build_table
+    offline_candidates = NeuralPrefetcher.offline_candidates
 
     def counted_generate(workload, *args, **kwargs):
         generated.append(workload)
@@ -348,32 +379,91 @@ def test_each_workload_generates_and_trains_once(monkeypatch):
         trained.append(model)
         return train(model, *args, **kwargs)
 
-    def recording_simulate(trace, prefetcher, *args, **kwargs):
-        if isinstance(prefetcher, NeuralPrefetcher):
-            simulated.append(prefetcher.model)
-        return simulate(trace, prefetcher, *args, **kwargs)
+    def recording_offline_candidates(self, *args, **kwargs):
+        rows = offline_candidates(self, *args, **kwargs)
+        rollouts.append((self.model, rows))
+        return rows
 
-    def recording_build_table(model, *args, **kwargs):
-        distilled.append(model)
-        return build_table(model, *args, **kwargs)
+    def recording_build_table(rows, *args, **kwargs):
+        built.append(rows)
+        return build_table(rows, *args, **kwargs)
 
     monkeypatch.setattr(synthetic, "generate", counted_generate)
     monkeypatch.setattr(bench_mod, "train", counted_train)
-    monkeypatch.setattr(bench_mod, "simulate", recording_simulate)
+    monkeypatch.setattr(
+        NeuralPrefetcher, "offline_candidates", recording_offline_candidates
+    )
     monkeypatch.setattr(bench_mod, "build_table", recording_build_table)
-    run_bench(TINY, seed=0)
+    report = run_bench(TINY, seed=0, frontier=True)
     assert generated == list(TINY.workloads)
-    assert len(trained) == len(simulated) == len(distilled) == len(generated)
-    for model, neural, table in zip(trained, simulated, distilled):
-        assert model is neural is table
+    assert len(trained) == len(generated)
+    assert len(rollouts) == 2 * len(generated)
+    tables = 1 + len(report["distill"]["workloads"]["stride"]["cells"])
+    assert len(built) == tables * len(generated)
+    for i, model in enumerate(trained):
+        (simulated, _), (distilled, rows) = rollouts[2 * i : 2 * i + 2]
+        assert simulated is model and distilled is model
+        workload_tables = built[i * tables : (i + 1) * tables]
+        assert all(table_rows is rows for table_rows in workload_tables)
+
+
+def test_serial_sweep_runs_frozen_and_leaves_the_heap_as_found(monkeypatch):
+    """A serial sweep collects and freezes the heap it starts from, so
+    no full collection re-traverses it inside a timed cell, then
+    unfreezes it; a heap the caller froze itself is left frozen."""
+    import gc
+
+    from voyager import synthetic
+
+    frozen = []
+    generate = synthetic.generate
+
+    def recording_generate(*args, **kwargs):
+        frozen.append(gc.get_freeze_count())
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "generate", recording_generate)
+    assert gc.get_freeze_count() == 0
+    run_bench(TINY, seed=0, jobs=1)
+    assert gc.get_freeze_count() == 0
+    assert len(frozen) == len(TINY.workloads) and min(frozen) > 0
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        run_bench(TINY, seed=0, jobs=1)
+        # frozen objects the sweep freed leave the count, none join it
+        assert 0 < gc.get_freeze_count() <= before
+    finally:
+        gc.unfreeze()
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    """One full-profile sweep with its frontier, shared by the slow
+    tests that pin it against the committed report."""
+    return run_bench(FULL_PROFILE, seed=0, frontier=True)
 
 
 @pytest.mark.slow
-def test_full_profile_grid_equals_the_committed_one(committed_report):
+def test_full_profile_grid_equals_the_committed_one(
+    full_report, committed_report
+):
     """A fresh full-profile sweep reproduces every non-timing value of
     the committed grid: restructuring the sweep moves no counter."""
-    fresh = run_bench(FULL_PROFILE, seed=0)
-    assert strip_timing_fields(fresh) == strip_timing_fields(committed_report)
+    assert strip_timing_fields(full_report) == strip_timing_fields(
+        committed_report
+    )
+
+
+@pytest.mark.slow
+def test_full_profile_frontier_equals_the_committed_one(
+    full_report, committed_report
+):
+    """The same sweep's frontier reproduces every non-timing value of
+    the committed ``distill`` section, rounded as it was written."""
+    assert frontier_values(round_floats(full_report["distill"])) == (
+        frontier_values(committed_report["distill"])
+    )
 
 
 # ----------------------------------------------------------------------

@@ -492,22 +492,6 @@ def test_bench_jobs_zero_is_clean_error(capsys, no_sweep):
     assert err.startswith("error:") and "jobs" in err
 
 
-def test_bench_bad_distill_sizes_is_clean_error(capsys, no_sweep):
-    rc = main(
-        [
-            "bench",
-            "--profile",
-            "smoke",
-            "--distill-frontier",
-            "--distill-table-sizes",
-            "16,zero",
-        ]
-    )
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--distill-table-sizes" in err
-
-
 # ----------------------------------------------------------------------
 # distill -> simulate --prefetcher table
 # ----------------------------------------------------------------------
@@ -634,6 +618,41 @@ def test_simulate_corrupt_table_file_is_clean_error(
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_table_file_missing_a_depth_is_clean_error(
+    stride_trace_file, tmp_path, capsys
+):
+    """A table file whose config lists a depth it holds no table for
+    would fail its first probe at that depth: it is rejected on load."""
+    from voyager.distill import DistillConfig, DistilledTable
+    from voyager.vocab import Vocab
+
+    table = DistilledTable(
+        DistillConfig(depths=(2, 1)),
+        Vocab(cap=8).fit([1]),
+        Vocab(cap=8).fit([1]),
+    )
+    data = table.to_dict()
+    del data["tables"]["1"]
+    table_path = tmp_path / "t.json"
+    table_path.write_text(json.dumps(data))
+    rc = main(
+        [
+            "simulate",
+            "--trace",
+            str(stride_trace_file),
+            "--prefetcher",
+            "table",
+            "--table",
+            str(table_path),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: distilled table holds depths [2] but its config lists [2, 1]"
+    ]
 
 
 def test_workloads_json_listing(capsys):

@@ -20,13 +20,14 @@ import pytest
 from voyager.baselines import StridePrefetcher, next_line_candidates
 from voyager.bench import (
     BENCH_SCHEMA_VERSION,
+    FRONTIER_DEPTHS,
+    FRONTIER_TABLE_SIZES,
     SMOKE_PROFILE,
     BenchProfile,
     bench_workload,
     check_distill_budget,
     merge_report,
-    parse_int_list,
-    run_distill_frontier,
+    run_bench,
     validate_report,
 )
 from voyager.distill import (
@@ -152,17 +153,30 @@ def test_context_key_interleaves_oldest_first():
 # ----------------------------------------------------------------------
 # build: equivalence with the engine rollout
 # ----------------------------------------------------------------------
-def test_build_table_short_trace_is_empty():
+def test_build_table_short_trace_is_empty(distill_model):
     model, pc_vocab, page_vocab, trace = distill_setup(n=300)
-    table = build_table(
+    table = distill_model(
         model, pc_vocab, page_vocab, trace[:0], DistillConfig(depths=(2, 1))
     )
     assert table.total_entries == 0
     assert table.entries == {2: 0, 1: 0}
 
 
+def test_build_table_wants_one_row_per_access():
+    """The distiller reads a teacher's rows, one per trace position: a
+    row count that differs from the trace is an error, not a table."""
+    _, pc_vocab, page_vocab, trace = distill_setup(n=300)
+    rows = [[access.block + 1] for access in trace]
+    assert build_table(rows, pc_vocab, page_vocab, trace).total_entries > 0
+    for bad in (rows[:-1], rows + [[0]]):
+        with pytest.raises(ValueError, match="one row per access"):
+            build_table(bad, pc_vocab, page_vocab, trace)
+
+
 @pytest.mark.parametrize("workload", ["stride", "page_cycle", "random_walk"])
-def test_full_depth_hit_reproduces_engine_rollout_bit_exactly(workload):
+def test_full_depth_hit_reproduces_engine_rollout_bit_exactly(
+    workload, distill_model
+):
     """A deepest-depth context whose build-trace positions all roll out
     the same candidates is stored exactly: its table hit equals the
     engine's rollout at every such position, bit for bit.  (A context
@@ -171,7 +185,7 @@ def test_full_depth_hit_reproduces_engine_rollout_bit_exactly(workload):
     depth = 4
     model, pc_vocab, page_vocab, trace = distill_setup(workload)
     config = DistillConfig(depths=(depth, 1), top_k=TOP_K, table_size=10_000)
-    table = build_table(model, pc_vocab, page_vocab, trace, config)
+    table = distill_model(model, pc_vocab, page_vocab, trace, config)
     rollouts = engine_rollouts(model, pc_vocab, page_vocab, trace, TOP_K)
     triples = encoded_triples(pc_vocab, page_vocab, trace)
 
@@ -192,13 +206,13 @@ def test_full_depth_hit_reproduces_engine_rollout_bit_exactly(workload):
 
 
 @pytest.mark.parametrize("workload", ["stride", "random_walk"])
-def test_every_stored_list_is_a_real_engine_rollout(workload):
+def test_every_stored_list_is_a_real_engine_rollout(workload, distill_model):
     """No blending: each entry (any depth) equals the engine rollout of
     at least one build-trace position whose trailing triples match the
     key."""
     model, pc_vocab, page_vocab, trace = distill_setup(workload, seed=3)
     config = DistillConfig(depths=(3, 2, 1), top_k=TOP_K, table_size=10_000)
-    table = build_table(model, pc_vocab, page_vocab, trace, config)
+    table = distill_model(model, pc_vocab, page_vocab, trace, config)
     rollouts = engine_rollouts(model, pc_vocab, page_vocab, trace, TOP_K)
     triples = encoded_triples(pc_vocab, page_vocab, trace)
 
@@ -219,13 +233,13 @@ def test_every_stored_list_is_a_real_engine_rollout(workload):
             assert cands in seen[depth][key]
 
 
-def test_table_size_caps_each_depth_by_frequency():
+def test_table_size_caps_each_depth_by_frequency(distill_model):
     model, pc_vocab, page_vocab, trace = distill_setup("page_cycle")
-    small = build_table(
+    small = distill_model(
         model, pc_vocab, page_vocab, trace,
         DistillConfig(depths=(2, 1), table_size=3, top_k=2),
     )
-    full = build_table(
+    full = distill_model(
         model, pc_vocab, page_vocab, trace,
         DistillConfig(depths=(2, 1), table_size=100_000, top_k=2),
     )
@@ -317,9 +331,9 @@ def test_lookup_returns_first_configured_depth_that_hits(triples):
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
-def test_save_load_roundtrip(tmp_path):
+def test_save_load_roundtrip(tmp_path, distill_model):
     model, pc_vocab, page_vocab, trace = distill_setup()
-    table = build_table(
+    table = distill_model(
         model, pc_vocab, page_vocab, trace,
         DistillConfig(depths=(2, 1), top_k=3),
     )
@@ -407,7 +421,7 @@ def test_hit_rate_counts_depth_sources_only():
 @pytest.mark.parametrize("fallback", FALLBACKS)
 @pytest.mark.parametrize("workload", ["stride", "random_walk"])
 def test_kernel_and_streaming_paths_are_bit_identical(
-    workload, fallback, protocol_only
+    workload, fallback, protocol_only, distill_model
 ):
     """The candidate-table hook and the per-access protocol give equal
     counters and equal lookup stats."""
@@ -415,7 +429,7 @@ def test_kernel_and_streaming_paths_are_bit_identical(
     config = DistillConfig(
         depths=(3, 1), top_k=TOP_K, table_size=64, fallback=fallback
     )
-    table = build_table(model, pc_vocab, page_vocab, trace, config)
+    table = distill_model(model, pc_vocab, page_vocab, trace, config)
     sim_config = SimConfig(degree=2, distance=3, latency=4)
     pf_hooked = TablePrefetcher(table)
     hooked = simulate(trace, pf_hooked, sim_config)
@@ -456,9 +470,9 @@ def test_overflowing_stride_fallback_replays_the_protocol(protocol_only):
     assert under_cap.issued_prefetches > 0
 
 
-def test_offline_candidates_match_streaming_protocol():
+def test_offline_candidates_match_streaming_protocol(distill_model):
     model, pc_vocab, page_vocab, trace = distill_setup("page_cycle", seed=4)
-    table = build_table(
+    table = distill_model(
         model, pc_vocab, page_vocab, trace,
         DistillConfig(depths=(2, 1), top_k=TOP_K, table_size=128),
     )
@@ -499,28 +513,63 @@ TINY = BenchProfile(
 
 
 def test_bench_table_cell_fields_and_timing_invariant():
-    entry = bench_workload("stride", TINY, seed=0)["table"]
+    entry = bench_workload("stride", TINY, seed=0)[0]["table"]
     assert entry["cpu_s"] == entry["train_s"] + entry["sim_s"]
-    # v10: train_s is the distillation time; no distill_s repeats it.
+    # train_s is the teacher rollout plus the table build; no
+    # distill_s repeats it.
     assert entry["train_s"] > 0.0
     assert "distill_s" not in entry
     assert entry["table_entries"] > 0
     assert 0.0 <= entry["table_hit_rate"] <= 1.0
 
 
-def test_distill_frontier_section_shape_and_consistency():
-    section = run_distill_frontier(
-        TINY, seed=0, table_sizes=(16, 256), depths=(1, 2)
-    )
+@pytest.fixture(scope="module")
+def frontier_report():
+    return run_bench(TINY, seed=0, frontier=True)
+
+
+def test_distill_frontier_section_shape_and_consistency(frontier_report):
+    section = frontier_report["distill"]
     assert validate_report(distill_report(section)) == []
     entry = section["workloads"]["stride"]
-    assert len(entry["cells"]) == 4
+    assert len(entry["cells"]) == len(FRONTIER_TABLE_SIZES) * len(
+        FRONTIER_DEPTHS
+    )
     for cell in entry["cells"]:
         assert cell["coverage_delta"] == pytest.approx(
             entry["neural"]["coverage"] - cell["coverage"]
         )
         assert cell["entries"] <= cell["table_size"] * cell["depth"]
         assert cell["speedup_vs_neural"] > 0
+    # v12: the neural block is the grid's neural cell, and the section's
+    # elapsed_s is its workloads' rollout plus every build and sim.
+    neural = frontier_report["workloads"]["stride"]["neural"]
+    assert entry["neural"] == {
+        key: neural[key] for key in ("coverage", "accuracy", "sim_s", "train_s")
+    }
+    assert section["elapsed_s"] == pytest.approx(
+        entry["rollout_s"]
+        + sum(cell["build_s"] + cell["sim_s"] for cell in entry["cells"])
+    )
+
+
+def test_frontier_point_of_the_grid_config_is_the_grid_table_cell(
+    frontier_report,
+):
+    """Every table of a workload is compiled from one set of teacher
+    rows, so the frontier point at the grid's (table size, depth) is
+    the grid's ``table`` cell."""
+    grid = frontier_report["workloads"]["stride"]["table"]
+    (point,) = [
+        cell
+        for cell in frontier_report["distill"]["workloads"]["stride"]["cells"]
+        if (cell["table_size"], cell["depth"])
+        == (TINY.distill_table_size, TINY.distill_depth)
+    ]
+    assert point["coverage"] == grid["coverage"]
+    assert point["accuracy"] == grid["accuracy"]
+    assert point["entries"] == grid["table_entries"]
+    assert point["hit_rate"] == grid["table_hit_rate"]
 
 
 def distill_report(section):
@@ -589,14 +638,6 @@ def test_bench_write_keeps_serving_and_distill():
     assert fresh["distill"] == {"new": True}
 
 
-def test_parse_int_list():
-    assert parse_int_list("256,1024", "--x") == (256, 1024)
-    with pytest.raises(ValueError, match="--x"):
-        parse_int_list("256,frog", "--x")
-    with pytest.raises(ValueError, match="--x"):
-        parse_int_list("0", "--x")
-
-
 def test_smoke_profile_distill_config_matches_issue_policy():
     config = SMOKE_PROFILE.distill_config()
     assert config.top_k == SMOKE_PROFILE.sim.degree + SMOKE_PROFILE.sim.distance
@@ -606,8 +647,8 @@ def test_smoke_profile_distill_config_matches_issue_policy():
 # ----------------------------------------------------------------------
 # carried state: contexts from the first access, end to end
 # ----------------------------------------------------------------------
-def test_build_table_inference_validation():
-    """build_table takes the reset period from the model: with
+def test_build_table_inference_validation(distill_model):
+    """The teacher rollout takes the reset period from the model: with
     ``seq_len == 1`` every state is one step from zero, so each depth-1
     entry is exactly a fresh prefetcher's rollout after that one
     access."""
@@ -615,7 +656,7 @@ def test_build_table_inference_validation():
     one = HierarchicalModel(dataclasses.replace(model.config, seq_len=1))
     one.params = model.params
     config = DistillConfig(depths=(1,), top_k=TOP_K, table_size=10_000)
-    table = build_table(one, pc_vocab, page_vocab, trace, config)
+    table = distill_model(one, pc_vocab, page_vocab, trace, config)
     assert table.total_entries > 0
     for triple, access in zip(
         encoded_triples(pc_vocab, page_vocab, trace[:60]), trace[:60]
@@ -627,27 +668,27 @@ def test_build_table_inference_validation():
         assert hit == fresh.prefetch(access, TOP_K)
 
 
-def test_stateful_table_covers_pre_window_positions():
+def test_stateful_table_covers_pre_window_positions(distill_model):
     """Distillation records contexts from position 0: a three-access
     trace compiles, and its first access is a depth-1 hit."""
     model, pc_vocab, page_vocab, trace = distill_setup()
     short = trace[:3]
     config = DistillConfig(depths=(1,), top_k=2, table_size=100)
-    table = build_table(model, pc_vocab, page_vocab, short, config)
+    table = distill_model(model, pc_vocab, page_vocab, short, config)
     assert table.total_entries > 0
     triples = encoded_triples(pc_vocab, page_vocab, short)
     hit, depth = table.lookup(triples[:1])
     assert depth == 1 and hit is not None
 
 
-def test_every_stateful_entry_is_a_real_stateful_rollout():
+def test_every_stateful_entry_is_a_real_stateful_rollout(distill_model):
     """No blending against the *streaming* prefetcher either: each
     stored list equals the rollout an online prefetcher (one cell step
     per access, reset every ``seq_len``) makes at some position whose
     context matches."""
     model, pc_vocab, page_vocab, trace = distill_setup("random_walk", seed=3)
     config = DistillConfig(depths=(2, 1), top_k=TOP_K, table_size=10_000)
-    table = build_table(model, pc_vocab, page_vocab, trace, config)
+    table = distill_model(model, pc_vocab, page_vocab, trace, config)
     rollouts = streaming_rollouts(model, pc_vocab, page_vocab, trace, TOP_K)
     triples = encoded_triples(pc_vocab, page_vocab, trace)
 
@@ -667,12 +708,14 @@ def test_every_stateful_entry_is_a_real_stateful_rollout():
             assert cands in seen[depth][key]
 
 
-def test_stateful_table_simulates_with_stateful_neural_coverage():
+def test_stateful_table_simulates_with_stateful_neural_coverage(
+    distill_model,
+):
     """End to end: the table built from the carried-state rollouts
     issues prefetches through the simulator."""
     model, pc_vocab, page_vocab, trace = distill_setup("stride")
     config = DistillConfig(depths=(2, 1), top_k=6, table_size=10_000)
-    table = build_table(model, pc_vocab, page_vocab, trace, config)
+    table = distill_model(model, pc_vocab, page_vocab, trace, config)
     pf = TablePrefetcher(table)
     result = simulate(trace, pf, SimConfig(degree=2, distance=2))
     assert result.prefetcher == "table"

@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 from voyager.baselines import NextLinePrefetcher, StridePrefetcher
-from voyager.distill import FALLBACKS, DistillConfig, TablePrefetcher, build_table
+from voyager.distill import FALLBACKS, DistillConfig, TablePrefetcher
 from voyager.labeling import LabelConfig
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import (
@@ -125,14 +125,16 @@ def test_prefetcher_without_hook_replays_the_protocol():
     assert silent.calls == []
 
 
-def test_offline_candidates_match_streaming_protocol(tiny_neural):
+def test_offline_candidates_match_streaming_protocol(
+    tiny_neural, distill_model
+):
     """Row t of every hook equals ``protocol_candidates`` row t:
     ``update(trace[t])``, then ``prefetch(trace[t], want)[distance:]``."""
     _, model, dataset = tiny_neural
     trace = generate("page_cycle", 300, seed=2)
     degree, distance = 3, 2
     tables = [
-        build_table(
+        distill_model(
             model,
             dataset.pc_vocab,
             dataset.page_vocab,
