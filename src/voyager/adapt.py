@@ -89,12 +89,7 @@ from voyager.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from voyager.serve import (
-    DEFAULT_QOS,
-    PrefetchServer,
-    ServeConfig,
-    drive_open_loop,
-)
+from voyager.serve import PrefetchServer, ServeConfig, drive_open_loop
 from voyager.synthetic import derive_cell_seed, generate, phase_boundaries, resolve
 from voyager.traces import MemoryAccess, open_text
 from voyager.train import build_sequence_dataset, build_vocabs, train
@@ -566,7 +561,6 @@ def _served_hits(
     _, (served,), _, _ = drive_open_loop(
         server,
         ["adapt-eval"],
-        [DEFAULT_QOS],
         [trace],
         np.zeros(n, dtype=np.float64),
         np.zeros(n, dtype=np.int64),

@@ -89,8 +89,9 @@ from voyager.train import build_sequence_dataset, train
 #: pool: per-shard and aggregate req/s, arrival process parameters,
 #: open-loop p50/p95/p99 measured from scheduled arrival,
 #: shed/evicted/spilled/restored counters, ``responses_equal_single``,
-#: optional ``overload`` QoS-shedding histogram); the closed-loop keys
-#: are unchanged and now optional when the open-loop block is present.
+#: optional ``overload`` per-class shedding histogram); the closed-loop
+#: keys are unchanged and now optional when the open-loop block is
+#: present.
 #: v7: the ``serving`` section gains an ``adaptation`` block
 #: (:func:`voyager.adapt.run_adaptation_bench`): per regime-shifting
 #: workload, frozen-vs-adapted serving coverage around each
@@ -131,7 +132,11 @@ from voyager.train import build_sequence_dataset, train
 #: ``cpu_s``; it replaces the neural cell's ``train_phases`` and the
 #: ``phases`` only ``--profile-sim`` (now gone) added.  A one-workload
 #: grid is a valid report.  No non-timing value moves.
-BENCH_SCHEMA_VERSION = 13
+#: v14: one admission rule.  The server's request classes are gone, so
+#: ``serving.open_loop`` drops ``qos_mix`` and the ``overload`` sub-run,
+#: and each run's ``counters`` drop ``shed_by_class``.  No other value
+#: moves.
+BENCH_SCHEMA_VERSION = 14
 
 #: Canonical report filename at the repo root.
 BENCH_FILENAME = "BENCH_voyager.json"

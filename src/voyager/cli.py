@@ -46,8 +46,9 @@ Subcommands:
   bench report: the sharded server pool serves a seeded Poisson,
   ON-OFF or saturating (``--arrival saturate``, every request due at
   t = 0) arrival schedule (``--shards``, ``--shard-sweep``, ``--rate``,
-  ``--qos-mix``, ``--spill-dir``), checks every response against the
-  simulator, and gates p95/p99 SLOs and aggregate throughput
+  ``--max-sessions``, ``--spill-dir``) without shedding, checks every
+  response against the simulator, and gates p95/p99 SLOs and
+  aggregate throughput
   (``--max-p95-ms``/``--max-p99-ms``/``--min-throughput``):
   ``python -m voyager serve-bench --profile smoke --arrival saturate``
 
@@ -82,8 +83,8 @@ from voyager.distill import (
     FALLBACKS,
     DistillConfig,
     DistilledTable,
+    build_table,
     depth_chain,
-    distill_checkpoint,
 )
 from voyager.eval import evaluate
 from voyager.ingest import ON_ERROR_POLICIES, IngestFormat, read_trace
@@ -96,14 +97,16 @@ from voyager.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from voyager.serve import (
-    DEFAULT_QOS,
-    PrefetchServer,
-    ServeConfig,
-    drive_open_loop,
-)
+from voyager.obs import Spans
+from voyager.serve import PrefetchServer, ServeConfig, drive_open_loop
 from voyager.shard import ShardError, latency_summary
-from voyager.sim import CacheConfig, SimConfig, make_prefetcher, simulate
+from voyager.sim import (
+    CacheConfig,
+    NeuralPrefetcher,
+    SimConfig,
+    make_prefetcher,
+    simulate,
+)
 from voyager.traces import TraceParseError, parse_trace, write_trace
 from voyager.train import build_sequence_dataset, train
 
@@ -651,14 +654,24 @@ def run_distill(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         fallback=args.fallback,
     )
-    table, build_s = distill_checkpoint(args.checkpoint, trace, config)
+    model, pc_vocab, page_vocab = load_checkpoint(args.checkpoint)
+    # One teacher rollout over the trace, compiled into the tables.
+    spans = Spans()
+    with spans("rollout"):
+        rows = NeuralPrefetcher(model, pc_vocab, page_vocab).offline_candidates(
+            trace, config.top_k, 0
+        )
+    with spans("build"):
+        table = build_table(rows, pc_vocab, page_vocab, trace, config)
     path = table.save(args.out)
     per_depth = " ".join(
         f"d{depth}={count}" for depth, count in sorted(table.entries.items())
     )
+    rollout_s, build_s = spans.total("rollout"), spans.total("build")
     print(
         f"distilled {len(trace)} accesses into {table.total_entries} "
-        f"entries ({per_depth}) in {build_s:.3f}s"
+        f"entries ({per_depth}) in {rollout_s + build_s:.3f}s "
+        f"(rollout {rollout_s:.3f}s, build {build_s:.3f}s)"
     )
     print(f"wrote {path}")
     return 0
@@ -717,7 +730,6 @@ def run_serve(args: argparse.Namespace) -> int:
     elapsed, _, latency_s, stats = drive_open_loop(
         server,
         [f"s{i}" for i in range(len(traces))],
-        [DEFAULT_QOS] * len(traces),
         traces,
         schedule.arrival_s,
         schedule.stream_of,

@@ -43,7 +43,6 @@ gates, and by the table-size x context-depth frontier in the
 from __future__ import annotations
 
 import json
-import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +58,6 @@ from typing import (
 
 from voyager.baselines import StridePrefetcher, next_line_candidates
 from voyager.ioutil import atomic_write_text
-from voyager.sim import NeuralPrefetcher
 from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
 
@@ -524,28 +522,6 @@ class TablePrefetcher:
         return out
 
 
-def distill_checkpoint(
-    checkpoint_prefix: Union[str, Path],
-    trace: Sequence[MemoryAccess],
-    config: Optional[DistillConfig] = None,
-) -> Tuple[DistilledTable, float]:
-    """Load a checkpoint and compile it over ``trace``.
-
-    Returns ``(table, build_seconds)``, the teacher rollout included —
-    the CLI ``distill`` handler.
-    """
-    from voyager.model import load_checkpoint
-
-    model, pc_vocab, page_vocab = load_checkpoint(checkpoint_prefix)
-    config = config or DistillConfig()
-    start = time.perf_counter()
-    rows = NeuralPrefetcher(model, pc_vocab, page_vocab).offline_candidates(
-        trace, config.top_k, 0
-    )
-    table = build_table(rows, pc_vocab, page_vocab, trace, config)
-    return table, time.perf_counter() - start
-
-
 __all__ = [
     "DistillConfig",
     "DistilledTable",
@@ -555,5 +531,4 @@ __all__ = [
     "build_table",
     "context_key",
     "depth_chain",
-    "distill_checkpoint",
 ]

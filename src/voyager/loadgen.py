@@ -8,9 +8,8 @@ round-robin order — and served by the sharded pool of
 :mod:`voyager.shard` at 1/2/4/... shards through
 :func:`voyager.serve.drive_open_loop`, with latency measured from the
 scheduled arrival so queueing under load is inside every percentile.
-Streams carry QoS classes (``--qos-mix``), sessions can spill/restore
-through ``--spill-dir``, and an optional ``overload`` sub-run pins the
-QoS shedding order under deliberate backlog.
+Sessions can spill/restore through ``--spill-dir``; every shard's
+backlog holds its whole sub-schedule, so a run sheds nothing.
 
 The server and the simulator's prefetcher share all model arithmetic,
 so their candidate lists are bit-identical per stream (both predict
@@ -48,13 +47,6 @@ from voyager.bench import (
     write_report,
 )
 from voyager.model import HierarchicalModel
-from voyager.serve import (
-    DEFAULT_QOS,
-    QOS_CLASSES,
-    PrefetchServer,
-    ServeConfig,
-    drive_open_loop,
-)
 from voyager.shard import ShardConfig, ShardError, run_sharded
 from voyager.sim import NeuralPrefetcher, protocol_candidates
 from voyager.synthetic import derive_cell_seed
@@ -205,37 +197,6 @@ def open_loop_schedule(
     )
 
 
-def parse_qos_mix(spec: Optional[str], streams: int) -> List[str]:
-    """Expand ``"latency=1,throughput=2"`` into per-stream QoS classes.
-
-    The weighted classes form a repeating pattern assigned round-robin
-    over stream indices; ``None``/empty means every stream gets
-    :data:`~voyager.serve.DEFAULT_QOS`.  Unknown class names and
-    non-positive weights raise :class:`ValueError` (CLI surfaces them
-    as exit 1).
-    """
-    if not spec:
-        return [DEFAULT_QOS] * streams
-    pattern: List[str] = []
-    for part in spec.split(","):
-        name, _, weight = part.partition("=")
-        name = name.strip()
-        if name not in QOS_CLASSES:
-            raise ValueError(
-                f"qos class must be one of {QOS_CLASSES}, got {name!r}"
-            )
-        try:
-            count = int(weight) if weight.strip() else 1
-        except ValueError:
-            raise ValueError(
-                f"qos weight must be an integer, got {weight!r}"
-            ) from None
-        if count < 1:
-            raise ValueError(f"qos weight must be >= 1, got {count}")
-        pattern.extend([name] * count)
-    return [pattern[i % len(pattern)] for i in range(streams)]
-
-
 def mixed_training_trace(
     profile: BenchProfile, seed: int
 ) -> List[MemoryAccess]:
@@ -300,84 +261,14 @@ def _sim_candidates(
     ]
 
 
-def _overload_run(
-    model: HierarchicalModel,
-    pc_vocab: Vocab,
-    page_vocab: Vocab,
-    traces: Sequence[Sequence[MemoryAccess]],
-    config: LoadGenConfig,
-) -> Dict[str, Any]:
-    """Deliberate-backlog sub-run pinning the QoS shedding order.
-
-    Every request arrives at t=0 (round-robin across streams cycling
-    latency/throughput/besteffort classes) against a deliberately tiny
-    ``max_pending``, so the server must shed most of the offered load.
-    With preemptive QoS shedding the per-class shed counts must come
-    out ordered ``besteffort >= throughput >= latency`` — the recorded
-    histogram is the behavioural evidence.  Excluded from the
-    bitwise-equality check: shedding depends on cross-stream load, so
-    this run intentionally diverges from the shed-free reference.
-    """
-    streams = len(traces)
-    qos = parse_qos_mix("latency=1,throughput=1,besteffort=1", streams)
-    server = PrefetchServer(
-        model,
-        pc_vocab,
-        page_vocab,
-        ServeConfig(
-            degree=config.degree,
-            max_sessions=max(streams, 1),
-            max_pending=max(2, streams // 2),
-            max_batch=config.max_batch,
-        ),
-    )
-    n = sum(len(t) for t in traces)
-    # Round-robin submit order, so the three classes contend from the
-    # first overflow onward.
-    schedule = saturating_schedule(n, streams)
-    sids = [f"s{i}" for i in range(streams)]
-    elapsed, _, _, stats = drive_open_loop(
-        server, sids, qos, traces, schedule.arrival_s, schedule.stream_of
-    )
-    # Offered per class, so shed *rates* are comparable even when the
-    # class populations differ (streams mod 3 != 0).
-    offered = {
-        cls: sum(
-            len(traces[i]) for i in range(streams) if qos[i] == cls
-        )
-        for cls in QOS_CLASSES
-    }
-    return {
-        "streams": streams,
-        "requests": int(n),
-        "max_pending": server.config.max_pending,
-        "qos_mix": {cls: qos.count(cls) for cls in QOS_CLASSES},
-        "elapsed_s": elapsed,
-        "shed": stats["shed"],
-        "offered_by_class": offered,
-        "shed_by_class": stats["shed_by_class"],
-        "shed_rate_by_class": {
-            cls: (
-                stats["shed_by_class"].get(cls, 0) / offered[cls]
-                if offered[cls]
-                else 0.0
-            )
-            for cls in QOS_CLASSES
-        },
-    }
-
-
 def run_open_loop_bench(
     profile: BenchProfile = SMOKE_PROFILE,
     config: Optional[LoadGenConfig] = None,
     arrival: Optional[ArrivalConfig] = None,
     shard_counts: Sequence[int] = (1, 2, 4),
     seed: int = 0,
-    qos_mix: Optional[str] = None,
     max_sessions: Optional[int] = None,
     spill_dir: Optional[str] = None,
-    replicas: int = 64,
-    overload: bool = False,
 ) -> Dict[str, Any]:
     """Sharded serving bench: one schedule, one model, N pool sizes.
 
@@ -385,14 +276,13 @@ def run_open_loop_bench(
     then serves it at every requested shard count (1 is always included
     as the equality and scaling reference).  ``max_sessions`` below
     ``streams`` plus a ``spill_dir`` exercises evicted-session
-    checkpoint/restore under load.  The backlog is unbounded, so a run
-    sheds nothing.  Returns the ``open_loop`` block for the report's
-    serving section, full precision (the report write rounds timing
-    fields).
+    checkpoint/restore under load.  Each shard's backlog holds its
+    sub-schedule, so a run sheds nothing.  Returns the ``open_loop``
+    block for the report's serving section, full precision (the report
+    write rounds timing fields).
     """
     config = config or LoadGenConfig()
     arrival = arrival or ArrivalConfig()
-    qos = parse_qos_mix(qos_mix, config.streams)
     counts = sorted({int(c) for c in shard_counts} | {1})
     resident = max_sessions if max_sessions is not None else config.streams
     # Built before training: a bad pool shape or serving knob fails
@@ -400,7 +290,6 @@ def run_open_loop_bench(
     shard_configs = [
         ShardConfig(
             shards=shards,
-            replicas=replicas,
             degree=config.degree,
             max_sessions=resident,
             max_batch=config.max_batch,
@@ -428,7 +317,6 @@ def run_open_loop_bench(
             schedule.arrival_s,
             schedule.stream_of,
             config=shard_config,
-            qos=qos,
             seed=seed,
         )
         candidates_by_shards[shard_config.shards] = result.pop("candidates")
@@ -452,14 +340,13 @@ def run_open_loop_bench(
         "max_batch": config.max_batch,
         "max_sessions": resident,
         "spill": spill_dir is not None,
-        "replicas": replicas,
+        "replicas": shard_configs[0].replicas,
         "arrival": {
             "process": arrival.process,
             "rate_per_s": arrival.rate,
             "on_s": arrival.on_s,
             "off_s": arrival.off_s,
         },
-        "qos_mix": {cls: qos.count(cls) for cls in QOS_CLASSES},
         "host_cpus": os.cpu_count(),
         "train_s": train_s,
         "runs": runs,
@@ -468,14 +355,6 @@ def run_open_loop_bench(
             candidates == single for candidates in candidates_by_shards.values()
         ),
     }
-    if overload:
-        section["overload"] = _overload_run(
-            neural.model,
-            neural.pc_vocab,
-            neural.page_vocab,
-            traces,
-            config,
-        )
     return section
 
 
@@ -567,13 +446,6 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
         help="ON-OFF arrivals: mean silence length in ms (default: 80)",
     )
     group.add_argument(
-        "--qos-mix",
-        default=None,
-        help="weighted per-stream QoS classes, e.g. "
-        "'latency=1,throughput=2,besteffort=1' (default: all "
-        f"{DEFAULT_QOS})",
-    )
-    group.add_argument(
         "--max-sessions",
         type=int,
         default=None,
@@ -585,12 +457,6 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="root directory for evicted-session checkpoints "
         "(per shard-count and per shard subdirectories)",
-    )
-    group.add_argument(
-        "--overload",
-        action="store_true",
-        help="add a deliberate-backlog sub-run recording the QoS "
-        "shedding histogram",
     )
     group.add_argument(
         "--max-p95-ms",
@@ -643,10 +509,8 @@ def run_serve_bench(args: argparse.Namespace) -> int:
         arrival,
         shard_counts=sorted(counts),
         seed=args.seed,
-        qos_mix=args.qos_mix,
         max_sessions=args.max_sessions,
         spill_dir=args.spill_dir,
-        overload=args.overload,
     )
     problems: List[str] = []
     gated = next(
@@ -684,8 +548,7 @@ def run_serve_bench(args: argparse.Namespace) -> int:
     rate = "" if arrival.process == "saturate" else f" rate={arrival.rate:.0f}/s"
     print(
         f"arrival={arrival.process}{rate} "
-        f"streams={section['streams']} requests={section['requests']} "
-        f"qos={args.qos_mix or DEFAULT_QOS}"
+        f"streams={section['streams']} requests={section['requests']}"
     )
     for run in section["runs"]:
         lat = run["latency"]
@@ -704,8 +567,6 @@ def run_serve_bench(args: argparse.Namespace) -> int:
         f"equal_sim={section['responses_equal_sim']} "
         f"equal_single={section['responses_equal_single']}"
     )
-    if "overload" in section:
-        print(f"overload shed_by_class={section['overload']['shed_by_class']}")
     return write_report(args.out, {"serving/open_loop": section}, problems)
 
 
@@ -731,7 +592,6 @@ __all__ = [
     "add_serve_bench_args",
     "mixed_training_trace",
     "open_loop_schedule",
-    "parse_qos_mix",
     "run_open_loop_bench",
     "run_serve_bench",
     "saturating_schedule",

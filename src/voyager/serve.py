@@ -45,17 +45,15 @@ under a latency budget — the practicality framing of Hashemi et al.
   Algorithm-R reservoir (:class:`LatencyReservoir`), so percentiles of
   arbitrarily long runs stay unbiased instead of silently dropping the
   oldest tail.
-- **QoS classes**: every request carries one of :data:`QOS_CLASSES`
-  (``latency`` > ``throughput`` > ``besteffort``), defaulting to its
-  stream's class.  The class feeds the ``max_pending`` backpressure
-  twice: under overload an arriving higher-class request *preempts* the
-  oldest queued lower-class one onto the shed/degrade path instead of
-  being shed itself, and the tick scheduler admits queued requests into
-  the batch in priority order (per-stream FIFO order is always
-  preserved, so the recurrence stays exact).
+- **one admission rule**: a tick takes the oldest ``max_batch``
+  pending requests, and a request that arrives while ``max_pending``
+  requests wait for a rollout sheds itself: it still steps its
+  stream's state at its tick but answers with the shed policy's
+  candidates.  The server holds a request only until the tick that
+  answers it.
 - **evicted-session checkpoint/restore**: with ``ServeConfig.spill_dir``
-  set, LRU-evicted sessions serialize their :class:`LSTMState`, access
-  count and QoS class to an atomic ``.npz`` spill file
+  set, LRU-evicted sessions serialize their :class:`LSTMState` and
+  access count to an atomic ``.npz`` spill file
   (:class:`SpillStore`) and are restored transparently on the next
   ``submit`` — total stream count can vastly exceed resident capacity,
   and a restored session is bit-identical to one that was never
@@ -84,7 +82,6 @@ import time
 import zipfile
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
-from itertools import islice
 from pathlib import Path
 from typing import (
     Any,
@@ -117,13 +114,6 @@ SOURCE_ORPHANED = "orphaned"  # session evicted/closed before the tick
 
 SHED_POLICIES = ("next_line", "drop")
 
-#: Request QoS classes, best service first.  ``latency`` requests are
-#: admitted to the batch first and shed last; ``besteffort`` requests
-#: are the first onto the degrade path under overload.
-QOS_CLASSES = ("latency", "throughput", "besteffort")
-QOS_PRIORITY = {qos: rank for rank, qos in enumerate(QOS_CLASSES)}
-DEFAULT_QOS = "throughput"
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -131,7 +121,7 @@ class ServeConfig:
 
     degree: int = 2  # candidates returned per access
     max_sessions: int = 64  # bounded session table (LRU eviction)
-    max_pending: int = 256  # neural-eligible requests queued per tick
+    max_pending: int = 256  # requests waiting for a rollout; more shed
     max_batch: int = 64  # requests coalesced into one tick
     shed_policy: str = "next_line"  # overload response: degrade or drop
     spill_dir: Optional[str] = None  # evicted-session checkpoint store
@@ -175,7 +165,6 @@ class PrefetchResponse(NamedTuple):
     candidates: List[int]  # candidate block addresses, nearest first
     source: str  # one of the SOURCE_* constants
     latency_s: float  # submit -> response, via the injected clock
-    qos: str = DEFAULT_QOS  # QoS class the request was served under
 
 
 class StreamSession:
@@ -188,18 +177,12 @@ class StreamSession:
     can be evicted or closed without touching any other stream's state.
     """
 
-    __slots__ = ("stream_id", "state", "accesses", "qos", "pending")
+    __slots__ = ("stream_id", "state", "accesses", "pending")
 
-    def __init__(
-        self,
-        stream_id: Hashable,
-        engine: InferenceEngine,
-        qos: str = DEFAULT_QOS,
-    ):
+    def __init__(self, stream_id: Hashable, engine: InferenceEngine):
         self.stream_id = stream_id
         self.state = engine.init_state(1)
         self.accesses = 0
-        self.qos = qos  # default class for this stream's requests
         self.pending = 0  # in-flight requests (guards spill eviction)
 
 
@@ -290,7 +273,6 @@ class ServerStats:
         self.restored = 0  # sessions brought back from the spill store
         self.swaps = 0  # successful hot-swaps (swap_checkpoint)
         self.model_version = 0  # bumped once per successful hot-swap
-        self.shed_by_class: Dict[str, int] = {q: 0 for q in QOS_CLASSES}
         self.batch_size_hist: Dict[int, int] = {}
         self._reservoir = LatencyReservoir(max_latency_samples, seed)
 
@@ -299,10 +281,6 @@ class ServerStats:
         self.batch_size_hist[batch_size] = (
             self.batch_size_hist.get(batch_size, 0) + 1
         )
-
-    def observe_shed(self, qos: str) -> None:
-        self.shed += 1
-        self.shed_by_class[qos] = self.shed_by_class.get(qos, 0) + 1
 
     def observe_response(self, response: PrefetchResponse) -> None:
         self.responses += 1
@@ -322,7 +300,6 @@ class ServerStats:
             "responses": self.responses,
             "neural": self.neural,
             "shed": self.shed,
-            "shed_by_class": dict(self.shed_by_class),
             "orphaned": self.orphaned,
             "ticks": self.ticks,
             "opened": self.opened,
@@ -344,12 +321,13 @@ class SpillStore:
     ``repr(stream_id)``, so any hashable id maps to a filesystem-safe
     name), written via :func:`~voyager.ioutil.atomic_savez` so a crash
     mid-evict never leaves a torn checkpoint.  The payload is the
-    session's entire serving state — ``LSTMState`` rows, access count
-    (its position in the current reset segment) and QoS class — at full
-    bit precision, which is what lets
-    ``tests/test_serve.py`` pin a restored session bit-identical to a
-    never-evicted one.  A file is restored only into an engine that can
-    serve its state (same dtype, same hidden size).
+    session's entire serving state — ``LSTMState`` rows and access count
+    (its position in the current reset segment) — at full bit
+    precision, which is what lets ``tests/test_serve.py`` pin a
+    restored session bit-identical to a never-evicted one.  Entries a
+    file holds beyond those three (an older build wrote a request
+    class) are ignored.  A file is restored only into an engine that
+    can serve its state (same dtype, same hidden size).
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -375,7 +353,6 @@ class SpillStore:
             h=session.state.h,
             c=session.state.c,
             accesses=np.int64(session.accesses),
-            qos=np.array(session.qos),
         )
 
     def load(
@@ -391,9 +368,7 @@ class SpillStore:
         path = self._path(stream_id)
         try:
             with np.load(path, allow_pickle=False) as data:
-                session = StreamSession(
-                    stream_id, engine, qos=str(data["qos"])
-                )
+                session = StreamSession(stream_id, engine)
                 h, c = data["h"].copy(), data["c"].copy()
                 session.accesses = int(data["accesses"])
         except (
@@ -438,46 +413,7 @@ class _Pending:
     access: MemoryAccess
     submitted_s: float
     degraded: bool  # shed at submit time: skip the rollout
-    qos: str = DEFAULT_QOS
-    session: Optional[StreamSession] = None  # holds the in-flight pin
-    done: bool = False  # resolved (stale in the admitted-class index)
-
-
-def _admit_by_priority(window: Sequence[_Pending], max_batch: int) -> List[int]:
-    """The QoS admission rule: which window requests one tick admits.
-
-    Admits by QoS priority (latency first), oldest first within a
-    class, *pulling in* any earlier same-stream requests a pick depends
-    on, so every stream's accesses still step its recurrence in submit
-    order — the invariant the wave decomposition (and bitwise equality
-    with serial engines) rests on.  A pick whose stream prefix would
-    overflow ``max_batch`` is skipped.  Returns the admitted window
-    indices in ascending (submit) order.
-    """
-    positions: Dict[Hashable, List[int]] = {}
-    stream_rank = []  # index of window[i] within its stream
-    for i, req in enumerate(window):
-        stream = positions.setdefault(req.stream_id, [])
-        stream_rank.append(len(stream))
-        stream.append(i)
-    taken = {sid: 0 for sid in positions}  # chosen prefix length
-    order = sorted(
-        range(len(window)),
-        key=lambda i: (QOS_PRIORITY.get(window[i].qos, 1), i),
-    )
-    chosen: List[int] = []
-    for i in order:
-        if len(chosen) >= max_batch:
-            break
-        sid = window[i].stream_id
-        if stream_rank[i] < taken[sid]:
-            continue  # already pulled in by a later same-stream pick
-        need = stream_rank[i] - taken[sid] + 1
-        if len(chosen) + need > max_batch:
-            continue  # would split the stream's FIFO prefix
-        chosen.extend(positions[sid][taken[sid] : stream_rank[i] + 1])
-        taken[sid] = stream_rank[i] + 1
-    return sorted(chosen)
+    session: StreamSession  # the session it steps; holds the in-flight pin
 
 
 class PrefetchServer:
@@ -518,7 +454,7 @@ class PrefetchServer:
         self._page_table = page_id_table(page_vocab)
         self._sessions: "OrderedDict[Hashable, StreamSession]" = OrderedDict()
         self._pending: deque = deque()  # of _Pending
-        self._pending_neural = 0
+        self._pending_neural = 0  # queued and not shed; max_pending caps it
         self._seq = 0
         self._auto_stream = 0
         self._undelivered: List[PrefetchResponse] = []
@@ -528,36 +464,21 @@ class PrefetchServer:
             if self.config.spill_dir is not None
             else None
         )
-        # Per-class index into the admitted (non-degraded) queue, used
-        # to find preemption victims in O(1) amortised.  Entries go
-        # stale when resolved (``done``) or preempted (``degraded``)
-        # and are skipped lazily.
-        self._admitted: Dict[str, deque] = {q: deque() for q in QOS_CLASSES}
 
     # ------------------------------------------------------------------
     # session lifecycle
     # ------------------------------------------------------------------
-    def open_stream(
-        self,
-        stream_id: Optional[Hashable] = None,
-        qos: Optional[str] = None,
-    ) -> Hashable:
+    def open_stream(self, stream_id: Optional[Hashable] = None) -> Hashable:
         """Register a new stream session and return its id.
 
-        ``stream_id=None`` auto-assigns ``"s0"``, ``"s1"``, ....
-        ``qos`` sets the stream's default QoS class (requests can
-        override per-submit); ``None`` means :data:`DEFAULT_QOS`.  At
+        ``stream_id=None`` auto-assigns ``"s0"``, ``"s1"``, ....  At
         ``max_sessions`` capacity the least-recently-used session is
         evicted first; without a spill store its still-pending requests
-        resolve as ``orphaned`` at the next tick.  Opening a stream id
-        discards any spilled checkpoint stored under that id.
+        resolve as ``orphaned`` at the next tick.  So do the requests
+        of a closed stream, even once a new stream reopens its id.
+        Opening a stream id discards any spilled checkpoint stored
+        under that id.
         """
-        if qos is None:
-            qos = DEFAULT_QOS
-        elif qos not in QOS_CLASSES:
-            raise ValueError(
-                f"qos must be one of {QOS_CLASSES}, got {qos!r}"
-            )
         if stream_id is None:
             while f"s{self._auto_stream}" in self._sessions:
                 self._auto_stream += 1
@@ -568,7 +489,7 @@ class PrefetchServer:
         if self._spill is not None:
             self._spill.discard(stream_id)  # stale checkpoint, if any
         self._make_room()
-        self._sessions[stream_id] = StreamSession(stream_id, self.engine, qos)
+        self._sessions[stream_id] = StreamSession(stream_id, self.engine)
         self.stats.opened += 1
         return stream_id
 
@@ -635,51 +556,29 @@ class PrefetchServer:
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        stream_id: Hashable,
-        pc: int,
-        address: int,
-        qos: Optional[str] = None,
-    ) -> int:
+    def submit(self, stream_id: Hashable, pc: int, address: int) -> int:
         """Enqueue one access for ``stream_id``; returns its sequence no.
 
         Raises :class:`KeyError` for unknown (closed, or evicted
         without a spill store) streams; a spilled session is restored
-        transparently first.  ``qos`` overrides the stream's default
-        class for this request.  When the neural-eligible backlog is at
-        ``max_pending`` a request is *shed*: it still updates the
-        stream's state at the next tick (so later predictions stay
-        exact) but skips the rollout, answering with the shed policy's
-        candidates instead.  Which request sheds is QoS-aware — an
-        arriving request preempts the oldest queued request of a
-        *strictly lower* class onto the degrade path, and is only shed
-        itself when no such victim exists.
+        transparently first.  A request that arrives while
+        ``max_pending`` requests wait for a rollout is *shed*: it still
+        updates the stream's state at the next tick (so later
+        predictions stay exact) but skips the rollout, answering with
+        the shed policy's candidates instead.  Only the arriving
+        request sheds; a queued one never does.
         """
         session = self._sessions.get(stream_id)
         if session is None:
             session = self._restore(stream_id)
-        if qos is None:
-            qos = session.qos
-        elif qos not in QOS_CLASSES:
-            raise ValueError(
-                f"qos must be one of {QOS_CLASSES}, got {qos!r}"
-            )
         self._sessions.move_to_end(stream_id)  # LRU touch
         seq = self._seq
         self._seq += 1
         self.stats.requests += 1
-        degraded = False
-        if self._pending_neural >= self.config.max_pending:
-            victim = self._shed_victim(qos)
-            if victim is not None:
-                victim.degraded = True
-                self._pending_neural -= 1
-                self.stats.observe_shed(victim.qos)
-            else:
-                degraded = True
-                self.stats.observe_shed(qos)
-        if not degraded:
+        degraded = self._pending_neural >= self.config.max_pending
+        if degraded:
+            self.stats.shed += 1
+        else:
             self._pending_neural += 1
         req = _Pending(
             seq=seq,
@@ -687,35 +586,11 @@ class PrefetchServer:
             access=MemoryAccess.from_pc_address(pc, address),
             submitted_s=self.clock(),
             degraded=degraded,
-            qos=qos,
             session=session,
         )
         session.pending += 1
         self._pending.append(req)
-        if not degraded:
-            self._admitted[qos].append(req)
         return seq
-
-    def _shed_victim(self, qos: str) -> Optional[_Pending]:
-        """Oldest admitted request of a class strictly below ``qos``.
-
-        Scans worst class first so besteffort always sheds before
-        throughput.  Stale index entries (already resolved or already
-        preempted) are dropped as they surface.  Returns ``None`` when
-        nothing outranked is queued — the arriving request then sheds
-        itself, which is also the path every same-class overload takes.
-        """
-        rank = QOS_PRIORITY[qos]
-        for cls in reversed(QOS_CLASSES):  # worst service first
-            if QOS_PRIORITY[cls] <= rank:
-                break
-            queue = self._admitted[cls]
-            while queue:
-                candidate = queue.popleft()
-                if candidate.done or candidate.degraded:
-                    continue  # stale index entry
-                return candidate
-        return None
 
     def access(self, stream_id: Hashable, pc: int, address: int) -> PrefetchResponse:
         """Submit one access and tick until its response is produced.
@@ -817,7 +692,7 @@ class PrefetchServer:
     # micro-batching scheduler
     # ------------------------------------------------------------------
     def tick(self) -> List[PrefetchResponse]:
-        """Coalesce up to ``max_batch`` pending requests into one pass.
+        """Answer the oldest ``max_batch`` pending requests in one pass.
 
         One batched feature embed covers every request; one batched
         cell evaluation per *wave* advances the recurrent state (wave
@@ -827,10 +702,10 @@ class PrefetchServer:
         from the state its own access produced, and one call decodes
         every rollout row.  A stream's state
         restarts from zero every ``seq_len`` accesses, counted from its
-        first access — the segmentation the weights trained on.  When
-        the backlog exceeds ``max_batch``, admission is in QoS-priority
-        order (latency first) with per-stream FIFO order preserved.
-        Responses come back in submit order.
+        first access — the segmentation the weights trained on.  A
+        request whose session is no longer the stream's resident one
+        (closed or evicted since submit, even if the id was reopened)
+        resolves as ``orphaned``.  Responses come back in submit order.
         """
         batch = self._select_batch()
         if not batch:
@@ -839,20 +714,20 @@ class PrefetchServer:
 
         # Split off requests whose session vanished (closed/evicted
         # after submit): they resolve as orphaned, with the degrade
-        # candidates, and touch no model state.
+        # candidates, and touch no model state.  A stream reopened
+        # under the same id is a new session, so the identity check
+        # keeps its predecessor's requests off it.
         live: List[Tuple[_Pending, StreamSession]] = []
         orphaned: Dict[int, _Pending] = {}
         for req in batch:
-            req.done = True
-            if req.session is not None:
-                req.session.pending -= 1
+            session = req.session
+            session.pending -= 1
             if not req.degraded:
                 self._pending_neural -= 1
-            session = self._sessions.get(req.stream_id)
-            if session is None:
-                orphaned[req.seq] = req
-            else:
+            if self._sessions.get(req.stream_id) is session:
                 live.append((req, session))
+            else:
+                orphaned[req.seq] = req
 
         candidates_by_seq: Dict[int, List[int]] = {}
         if live:
@@ -964,7 +839,6 @@ class PrefetchServer:
                 candidates=cands,
                 source=source,
                 latency_s=now - req.submitted_s,
-                qos=req.qos,
             )
             self.stats.observe_response(response)
             responses.append(response)
@@ -976,14 +850,12 @@ class PrefetchServer:
         return responses
 
     def _select_batch(self) -> List[_Pending]:
-        """Pop up to ``max_batch`` pending requests for this tick.
+        """Pop the oldest ``max_batch`` pending requests for this tick.
 
-        Backlog at or under ``max_batch``: take everything, in submit
-        order.  Over it: admit from a bounded window by
-        :func:`_admit_by_priority`.  When every request in the window
-        has one QoS class, priority order is submit order and that rule
-        admits exactly the first ``max_batch`` requests, so they are
-        taken directly.  Unselected requests stay queued, order intact.
+        The rest stay queued in submit order.  Every stream's requests
+        thus step its recurrence in submit order, the invariant the
+        wave decomposition (and bitwise equality with serial engines)
+        rests on.
         """
         max_batch = self.config.max_batch
         pending = self._pending
@@ -991,18 +863,7 @@ class PrefetchServer:
             batch = list(pending)
             pending.clear()
             return batch
-        # Bounded admission window: enough to let latency-class
-        # requests jump a deep backlog without scanning all of it.
-        window_n = min(len(pending), max(4 * max_batch, 256))
-        qos = pending[0].qos
-        if all(req.qos == qos for req in islice(pending, window_n)):
-            return [pending.popleft() for _ in range(max_batch)]
-        window = [pending.popleft() for _ in range(window_n)]
-        chosen = _admit_by_priority(window, max_batch)
-        picked = set(chosen)
-        leftovers = [window[i] for i in range(window_n) if i not in picked]
-        pending.extendleft(reversed(leftovers))
-        return [window[i] for i in chosen]
+        return [pending.popleft() for _ in range(max_batch)]
 
     def _trim_capacity(self) -> None:
         """Evict spill-eligible LRU sessions back down to the cap."""
@@ -1045,7 +906,6 @@ class PrefetchServer:
 def drive_open_loop(
     server: PrefetchServer,
     stream_ids: Sequence[Hashable],
-    qos: Sequence[str],
     traces: Sequence[Sequence[MemoryAccess]],
     arrival_s: np.ndarray,
     stream_of: np.ndarray,
@@ -1081,8 +941,8 @@ def drive_open_loop(
     marks = deque(sorted(set(hook_at)) if hook is not None else ())
     if marks and not 0 <= marks[0] <= marks[-1] <= n:
         raise ValueError(f"hook indices must lie in [0, {n}]")
-    for stream_id, stream_qos in zip(stream_ids, qos):
-        server.open_stream(stream_id, qos=stream_qos)
+    for stream_id in stream_ids:
+        server.open_stream(stream_id)
     index = {sid: i for i, sid in enumerate(stream_ids)}
     # Request j is stream i's k-th access; per-stream FIFO responses
     # mean stream i's k-th response resolves arrival arrival_pos[i][k].
@@ -1134,12 +994,9 @@ def drive_open_loop(
 
 
 __all__ = [
-    "DEFAULT_QOS",
     "LatencyReservoir",
     "PrefetchResponse",
     "PrefetchServer",
-    "QOS_CLASSES",
-    "QOS_PRIORITY",
     "SHED_POLICIES",
     "SOURCE_NEURAL",
     "SOURCE_ORPHANED",

@@ -59,8 +59,6 @@ import numpy as np
 from voyager.adapt import AccessLogger, load_and_swap
 from voyager.model import HierarchicalModel
 from voyager.serve import (
-    DEFAULT_QOS,
-    QOS_CLASSES,
     LatencyReservoir,
     PrefetchServer,
     ServeConfig,
@@ -127,8 +125,9 @@ class HashRing:
 class ShardConfig:
     """Pool shape plus the per-shard :class:`ServeConfig` knobs.
 
-    ``max_sessions``/``max_pending`` are *per shard* — a pool of 4
-    shards with ``max_sessions=64`` holds 256 resident sessions.
+    ``max_sessions`` is *per shard* — a pool of 4 shards with
+    ``max_sessions=64`` holds 256 resident sessions.  Each shard's
+    backlog holds its whole sub-schedule, so the pool never sheds.
     ``spill_dir`` names a root directory; each shard spills under its
     own ``shard-<k>`` subdirectory, so shards can never collide on a
     checkpoint file.  ``log_dir`` works the same way for served-traffic
@@ -142,9 +141,7 @@ class ShardConfig:
     replicas: int = 64  # virtual nodes per shard on the hash ring
     degree: int = 2
     max_sessions: int = 1024
-    max_pending: int = 1 << 20  # effectively unbounded: shed-free default
     max_batch: int = 64
-    shed_policy: str = "next_line"
     spill_dir: Optional[str] = None
     log_dir: Optional[str] = None  # per-shard AccessLogger root, or None
     segment_records: int = 512
@@ -163,7 +160,7 @@ class ShardConfig:
             raise ValueError(
                 f"segment_records must be >= 1, got {self.segment_records}"
             )
-        # Delegate the rest: a bad degree/max_batch/shed_policy fails
+        # Delegate the rest: a bad degree/max_sessions/max_batch fails
         # here, at configuration time, with ServeConfig's message
         # instead of inside a worker process.
         self.serve_config(0)
@@ -174,17 +171,20 @@ class ShardConfig:
             return None
         return Path(self.log_dir) / f"shard-{shard}"
 
-    def serve_config(self, shard: int, stats_seed: int = 0) -> ServeConfig:
-        """The per-shard server config (own spill subdir, own seed)."""
+    def serve_config(
+        self, shard: int, requests: int = 1, stats_seed: int = 0
+    ) -> ServeConfig:
+        """The per-shard server config: own spill subdir, own seed, and
+        a backlog that holds the shard's ``requests``, so it sheds
+        none of them."""
         spill = None
         if self.spill_dir is not None:
             spill = str(Path(self.spill_dir) / f"shard-{shard}")
         return ServeConfig(
             degree=self.degree,
             max_sessions=self.max_sessions,
-            max_pending=self.max_pending,
+            max_pending=max(1, requests),
             max_batch=self.max_batch,
-            shed_policy=self.shed_policy,
             spill_dir=spill,
             stats_seed=stats_seed,
         )
@@ -216,7 +216,6 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     elapsed, candidates, latency_s, stats = drive_open_loop(
         server,
         payload["stream_ids"],
-        payload["qos"],
         payload["traces"],
         payload["arrival_s"],
         payload["stream_of"],
@@ -281,8 +280,6 @@ def run_sharded(
     arrival_s: np.ndarray,
     stream_of: np.ndarray,
     config: Optional[ShardConfig] = None,
-    stream_ids: Optional[Sequence[Hashable]] = None,
-    qos: Optional[Sequence[str]] = None,
     seed: int = 0,
     inline: Optional[bool] = None,
     swap_at: Optional[int] = None,
@@ -290,7 +287,8 @@ def run_sharded(
 ) -> Dict[str, Any]:
     """Partition streams over the ring and serve the open-loop schedule.
 
-    Each shard gets the sub-schedule of its streams (original arrival
+    Stream ``i`` is named ``s<i>`` on the ring and on its server.  Each
+    shard gets the sub-schedule of its streams (original arrival
     times — all shards replay the same global clock) and runs
     :func:`_shard_worker` in its own process; ``inline`` forces
     in-process execution (defaults to true for 1-shard pools, where a
@@ -317,15 +315,7 @@ def run_sharded(
         raise ValueError("swap_at and swap_prefix must be given together")
     if swap_at is not None and swap_at < 0:
         raise ValueError(f"swap_at must be >= 0, got {swap_at}")
-    if stream_ids is None:
-        stream_ids = [f"s{i}" for i in range(len(traces))]
-    if qos is None:
-        qos = [DEFAULT_QOS] * len(traces)
-    for stream_qos in qos:
-        if stream_qos not in QOS_CLASSES:
-            raise ValueError(
-                f"qos must be one of {QOS_CLASSES}, got {stream_qos!r}"
-            )
+    stream_ids = [f"s{i}" for i in range(len(traces))]
     if inline is None:
         inline = config.shards == 1
     arrival_s = np.asarray(arrival_s, dtype=np.float64)
@@ -353,10 +343,11 @@ def run_sharded(
                     "pc_vocab": pc_vocab,
                     "page_vocab": page_vocab,
                     "serve_config": config.serve_config(
-                        shard, derive_cell_seed(seed, f"shard{shard}")
+                        shard,
+                        int(np.count_nonzero(mask)),
+                        derive_cell_seed(seed, f"shard{shard}"),
                     ),
                     "stream_ids": [stream_ids[g] for g in members],
-                    "qos": [qos[g] for g in members],
                     "traces": [traces[g] for g in members],
                     "arrival_s": arrival_s[mask],
                     "stream_of": np.array(
@@ -405,7 +396,6 @@ def run_sharded(
     candidates: List[List[List[int]]] = [[] for _ in traces]
     all_latencies: List[np.ndarray] = []
     counters = {key: 0 for key in _MERGED_COUNTERS}
-    shed_by_class = {cls: 0 for cls in QOS_CLASSES}
     per_shard = []
     model_version = 0
     logging_totals = {"logged": 0, "flushed": 0, "dropped": 0, "segments": 0}
@@ -416,8 +406,6 @@ def run_sharded(
         all_latencies.append(result["latency_s"])
         for key in _MERGED_COUNTERS:
             counters[key] += int(result["stats"].get(key, 0))
-        for cls, count in result["stats"].get("shed_by_class", {}).items():
-            shed_by_class[cls] = shed_by_class.get(cls, 0) + int(count)
         model_version = max(
             model_version, int(result["stats"].get("model_version", 0))
         )
@@ -440,7 +428,6 @@ def run_sharded(
         if all_latencies
         else np.zeros(0, dtype=np.float64)
     )
-    counters["shed_by_class"] = shed_by_class
     report = {
         "shards": config.shards,
         "inline": bool(inline),

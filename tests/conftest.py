@@ -138,8 +138,8 @@ def distill_model():
     """``distill_model(model, pc_vocab, page_vocab, trace, config)``
     distils ``model`` over ``trace``: one teacher rollout
     (``NeuralPrefetcher.offline_candidates(trace, config.top_k, 0)``)
-    compiled by :func:`voyager.distill.build_table`, as
-    ``distill_checkpoint`` does for a saved model."""
+    compiled by :func:`voyager.distill.build_table`, as the ``distill``
+    command does for a saved model."""
     return _distill_model
 
 

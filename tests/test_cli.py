@@ -517,6 +517,9 @@ def test_distill_then_simulate_table(
     assert rc == 0
     out = capsys.readouterr().out
     assert "distilled" in out and "wrote" in out
+    # the teacher rollout and the table build are timed apart
+    times = r"in \d+\.\d{3}s \(rollout \d+\.\d{3}s, build \d+\.\d{3}s\)"
+    assert re.search(times, out)
     assert table_path.exists()
 
     rc = main(

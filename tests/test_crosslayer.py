@@ -35,7 +35,6 @@ import voyager.sim as sim_mod
 from voyager.infer import LSTMState
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.serve import (
-    DEFAULT_QOS,
     SOURCE_NEURAL,
     PrefetchServer,
     ServeConfig,
@@ -203,7 +202,6 @@ def test_every_layer_answers_with_the_simulator_candidates(
     _, got, _, stats = drive_open_loop(
         server,
         [f"s{i}" for i in range(len(traces))],
-        [DEFAULT_QOS] * len(traces),
         traces,
         np.zeros(n),
         stream_of,

@@ -22,13 +22,12 @@ from voyager.loadgen import (
     LoadGenConfig,
     mixed_training_trace,
     open_loop_schedule,
-    parse_qos_mix,
     run_open_loop_bench,
     saturating_schedule,
     serve_trace,
     stream_traces,
 )
-from voyager.serve import DEFAULT_QOS, PrefetchServer, drive_open_loop
+from voyager.serve import PrefetchServer, drive_open_loop
 from voyager.sim import SimConfig
 from voyager.synthetic import page_cycle_trace
 
@@ -111,6 +110,9 @@ def test_serving_section_shape_and_equivalence(serving):
     assert serving["requests"] == 120
     assert serving["arrival"]["process"] == "saturate"
     assert "max_pending" not in serving  # v11: the backlog is unbounded
+    # v14: one admission rule, so no class mix and no overload sub-run
+    assert not {"qos_mix", "overload"} & set(serving)
+    assert serving["replicas"] == 64
     (run,) = serving["runs"]
     assert run["aggregate_throughput_per_s"] > 0
     counters = run["counters"]
@@ -118,6 +120,7 @@ def test_serving_section_shape_and_equivalence(serving):
     assert counters["neural"] == 120
     assert counters["shed"] == 0
     assert "table" not in counters
+    assert "shed_by_class" not in counters
 
 
 def test_validator_flags_serving_problems(serving):
@@ -203,7 +206,6 @@ def test_serve_trace_round_robin():
     elapsed, candidates, latency_s, stats = drive_open_loop(
         server,
         ["s0", "s1", "s2", "s3"],
-        [DEFAULT_QOS] * 4,
         traces,
         schedule.arrival_s,
         schedule.stream_of,
@@ -327,7 +329,7 @@ def test_serve_bench_failed_shard_worker_prints_one_error_line(
 
 
 # ----------------------------------------------------------------------
-# open-loop arrivals, QoS mixes, and the sharded bench section
+# open-loop arrivals and the sharded bench section
 # ----------------------------------------------------------------------
 def test_arrival_config_validation():
     with pytest.raises(ValueError, match="process"):
@@ -375,20 +377,6 @@ def test_onoff_schedule_is_burstier_than_poisson():
     assert gap_cv(onoff) > 1.5 * gap_cv(poisson)
 
 
-def test_parse_qos_mix():
-    assert parse_qos_mix(None, 3) == ["throughput"] * 3
-    assert parse_qos_mix("latency=1,besteffort=2", 5) == [
-        "latency", "besteffort", "besteffort", "latency", "besteffort",
-    ]
-    assert parse_qos_mix("latency", 2) == ["latency", "latency"]
-    with pytest.raises(ValueError, match="qos class"):
-        parse_qos_mix("platinum=1", 2)
-    with pytest.raises(ValueError, match="weight"):
-        parse_qos_mix("latency=0", 2)
-    with pytest.raises(ValueError, match="weight"):
-        parse_qos_mix("latency=x", 2)
-
-
 @pytest.fixture(scope="module")
 def open_loop_section():
     return run_open_loop_bench(
@@ -397,7 +385,6 @@ def open_loop_section():
         ArrivalConfig(process="poisson", rate=20_000.0),
         shard_counts=(1, 2),
         seed=0,
-        overload=True,
     )
 
 
@@ -410,21 +397,12 @@ def test_open_loop_section_shape_and_equality(open_loop_section):
     for run in section["runs"]:
         assert run["aggregate_throughput_per_s"] > 0
         assert run["counters"]["responses"] == 100
-        assert run["counters"]["shed"] == 0  # shed-free defaults
+        assert run["counters"]["shed"] == 0  # each backlog holds its shard
         latency = run["latency"]
         assert latency["count"] == 100
         assert latency["p50_s"] <= latency["p95_s"] <= latency["p99_s"]
         assert latency["p99_s"] <= latency["max_s"]
     assert section["runs"][0]["scaling_vs_single"] == 1.0
-
-
-def test_open_loop_overload_sheds_by_qos_priority(open_loop_section):
-    overload = open_loop_section["overload"]
-    assert overload["shed"] > 0
-    rates = overload["shed_rate_by_class"]
-    # Preemptive shedding: the better the class, the lower its shed rate.
-    assert rates["latency"] <= rates["throughput"] <= rates["besteffort"]
-    assert rates["besteffort"] > 0
 
 
 def test_open_loop_validation_flags_problems(open_loop_section):
@@ -492,9 +470,9 @@ def test_open_loop_cli_runs_gates_and_fails_cleanly(
     assert out.read_bytes() == before
 
     # config errors exit 1 with a clean message, not a traceback
-    rc = loadgen_mod.main(base + ["--qos-mix", "platinum=1"])
+    rc = loadgen_mod.main(base + ["--shards", "0"])
     assert rc == 1
-    assert "qos class" in capsys.readouterr().err
+    assert "error: --shards must be >= 1" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ and zoo traces.
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -24,8 +26,6 @@ from voyager.infer import InferenceEngine
 from voyager.ioutil import atomic_savez
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.serve import (
-    DEFAULT_QOS,
-    QOS_CLASSES,
     SOURCE_NEURAL,
     SOURCE_ORPHANED,
     SOURCE_SHED,
@@ -35,7 +35,7 @@ from voyager.serve import (
     ServeConfig,
     ServerStats,
     SpillStore,
-    _admit_by_priority,
+    StreamSession,
     drive_open_loop,
 )
 from voyager.sim import NeuralPrefetcher
@@ -418,9 +418,6 @@ def test_empty_server_stats_are_all_zero_and_json_safe():
         "count": 0, "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0,
         "max_s": 0.0, "mean_s": 0.0,
     }
-    assert snapshot["shed_by_class"] == {
-        "latency": 0, "throughput": 0, "besteffort": 0,
-    }
     assert snapshot["spilled"] == 0
     assert snapshot["restored"] == 0
 
@@ -456,6 +453,41 @@ def test_eviction_mid_flight_counts_orphans_in_histogram():
     assert server.stats.evicted == 1
     assert server.stats.orphaned == 1
     assert server.stats.batch_size_hist == {1: 1}
+
+
+@pytest.mark.parametrize("gone", ["close", "evict"])
+def test_reopened_stream_never_serves_its_predecessors_requests(gone):
+    """A request whose session was closed or evicted resolves as
+    orphaned even when a new stream reopens its id before the tick; the
+    new stream starts from a fresh state and answers like the
+    simulator's prefetcher replaying its own accesses."""
+    model, pc_vocab, page_vocab = serving_setup()
+    server = PrefetchServer(
+        model, pc_vocab, page_vocab, ServeConfig(degree=DEGREE, max_sessions=1)
+    )
+    rng = np.random.default_rng(23)
+    server.open_stream("a")
+    old = random_access(rng)
+    seq = server.submit("a", old.pc, old.address)
+    if gone == "close":
+        server.close_stream("a")
+    else:
+        server.open_stream("b")  # evicts "a" with its request in flight
+    server.open_stream("a")
+    (response,) = server.tick()
+    assert (response.seq, response.source) == (seq, SOURCE_ORPHANED)
+    assert response.candidates == next_line_candidates(old.block, DEGREE)
+    assert server.stats.orphaned == 1
+    fresh = InferenceEngine(model).init_state(1)
+    state = server.session_state("a")
+    np.testing.assert_array_equal(state.h, fresh.h)
+    np.testing.assert_array_equal(state.c, fresh.c)
+    serial = SerialStream(model, pc_vocab, page_vocab)
+    for _ in range(2 * SEQ_LEN):  # across a reset boundary
+        access = random_access(rng)
+        got = server.access("a", access.pc, access.address)
+        assert got.source == SOURCE_NEURAL
+        assert got.candidates == serial.access(access)
 
 
 def test_latency_samples_are_bounded():
@@ -522,137 +554,19 @@ def test_latency_reservoir_rejects_bad_capacity():
 
 
 # ----------------------------------------------------------------------
-# QoS classes: preemptive shedding order and priority admission
+# one admission rule: the FIFO prefix, and nothing kept once answered
 # ----------------------------------------------------------------------
-def test_qos_preemption_sheds_besteffort_before_throughput():
-    """A latency request preempts the oldest strictly-lower-class one."""
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(max_pending=2)
-    )
-    server.open_stream("be", qos="besteffort")
-    server.open_stream("tp", qos="throughput")
-    server.open_stream("lat", qos="latency")
-    rng = np.random.default_rng(31)
-    a1, a2, a3 = (random_access(rng) for _ in range(3))
-    seq_be = server.submit("be", a1.pc, a1.address)
-    seq_tp = server.submit("tp", a2.pc, a2.address)
-    # Backlog at max_pending=2: the arriving latency request preempts
-    # the besteffort one (worst class first), not the throughput one.
-    seq_lat = server.submit("lat", a3.pc, a3.address)
-    by_seq = {r.seq: r for r in server.tick()}
-    assert by_seq[seq_be].source == SOURCE_SHED
-    assert by_seq[seq_tp].source != SOURCE_SHED
-    assert by_seq[seq_lat].source != SOURCE_SHED
-    assert server.stats.shed_by_class == {
-        "latency": 0, "throughput": 0, "besteffort": 1,
-    }
-    assert by_seq[seq_be].qos == "besteffort"
-    assert by_seq[seq_lat].qos == "latency"
-
-
-def test_qos_same_class_overload_sheds_the_arrival():
-    """With no lower class queued, the arriving request sheds itself."""
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(max_pending=1)
-    )
-    server.open_stream("a", qos="latency")
-    rng = np.random.default_rng(32)
-    a1, a2 = random_access(rng), random_access(rng)
-    seq1 = server.submit("a", a1.pc, a1.address)
-    seq2 = server.submit("a", a2.pc, a2.address)
-    by_seq = {r.seq: r for r in server.tick()}
-    assert by_seq[seq1].source != SOURCE_SHED
-    assert by_seq[seq2].source == SOURCE_SHED
-    assert server.stats.shed_by_class["latency"] == 1
-
-
-def test_qos_lower_class_cannot_preempt_higher():
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(max_pending=1)
-    )
-    server.open_stream("lat", qos="latency")
-    server.open_stream("be", qos="besteffort")
-    rng = np.random.default_rng(33)
-    a1, a2 = random_access(rng), random_access(rng)
-    seq_lat = server.submit("lat", a1.pc, a1.address)
-    seq_be = server.submit("be", a2.pc, a2.address)
-    by_seq = {r.seq: r for r in server.tick()}
-    assert by_seq[seq_lat].source != SOURCE_SHED
-    assert by_seq[seq_be].source == SOURCE_SHED
-
-
-def test_qos_per_request_override_beats_stream_default():
-    """submit(qos=...) overrides the stream's class for that request."""
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(max_pending=1)
-    )
-    server.open_stream("a", qos="besteffort")
-    server.open_stream("b", qos="besteffort")
-    rng = np.random.default_rng(34)
-    a1, a2 = random_access(rng), random_access(rng)
-    seq1 = server.submit("a", a1.pc, a1.address)  # besteffort, admitted
-    seq2 = server.submit("b", a2.pc, a2.address, qos="latency")
-    by_seq = {r.seq: r for r in server.tick()}
-    assert by_seq[seq1].source == SOURCE_SHED  # preempted by override
-    assert by_seq[seq2].source != SOURCE_SHED
-    assert by_seq[seq2].qos == "latency"
-
-
-def test_qos_validation_rejects_unknown_class():
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(model, pc_vocab, page_vocab)
-    with pytest.raises(ValueError, match="qos"):
-        server.open_stream("a", qos="platinum")
-    server.open_stream("a")
-    with pytest.raises(ValueError, match="qos"):
-        server.submit("a", PCS[0], 0, qos="platinum")
-    assert list(QOS_CLASSES) == ["latency", "throughput", "besteffort"]
-
-
-def test_qos_priority_batch_admission_over_max_batch():
-    """Backlog > max_batch: latency-class requests are admitted first,
-    but per-stream submit order is never split."""
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab,
-        ServeConfig(max_batch=2, max_pending=64),
-    )
-    server.open_stream("be", qos="besteffort")
-    server.open_stream("lat", qos="latency")
-    rng = np.random.default_rng(35)
-    seqs = []
-    for _ in range(3):
-        a = random_access(rng)
-        seqs.append(server.submit("be", a.pc, a.address))
-    a = random_access(rng)
-    lat_seq = server.submit("lat", a.pc, a.address)
-    first = server.tick()
-    # The latency request jumps the three older besteffort ones; the
-    # leftover slot goes to the oldest besteffort request (FIFO).
-    assert sorted(r.seq for r in first) == sorted([lat_seq, seqs[0]])
-    rest = server.tick()
-    assert [r.seq for r in rest] == seqs[1:]
-
-
 @settings(max_examples=40)
 @given(
     max_batch=st.integers(min_value=1, max_value=8),
-    qos=st.sampled_from(QOS_CLASSES),
     stream_of=st.lists(
         st.integers(min_value=0, max_value=5), min_size=2, max_size=300
     ),
 )
-def test_single_class_admission_takes_the_fifo_prefix(
-    max_batch, qos, stream_of
-):
-    """Backlog > max_batch, one QoS class: the general admission rule
-    admits exactly the first ``max_batch`` requests, and the server's
-    shortcut for that case admits the same requests, in the same order,
-    and leaves the same queue behind."""
+def test_single_class_admission_takes_the_fifo_prefix(max_batch, stream_of):
+    """Backlog > max_batch over several streams: a tick admits exactly
+    the first ``max_batch`` requests, in submit order, and leaves the
+    rest queued in the same order."""
     assume(len(stream_of) > max_batch)
     model, pc_vocab, page_vocab = serving_setup()
     server = PrefetchServer(
@@ -660,19 +574,47 @@ def test_single_class_admission_takes_the_fifo_prefix(
         ServeConfig(max_batch=max_batch, max_pending=1024),
     )
     for stream in sorted(set(stream_of)):
-        server.open_stream(stream, qos=qos)
+        server.open_stream(stream)
     rng = np.random.default_rng(len(stream_of))
     for stream in stream_of:
         a = random_access(rng)
         server.submit(stream, a.pc, a.address)
     queued = list(server._pending)
-    assert _admit_by_priority(queued, max_batch) == list(range(max_batch))
     batch = server._select_batch()
     assert len(batch) == max_batch
     assert all(got is want for got, want in zip(batch, queued))
     left = list(server._pending)
     assert len(left) == len(queued) - max_batch
     assert all(got is want for got, want in zip(left, queued[max_batch:]))
+
+
+def test_answered_requests_are_not_kept():
+    """Once a tick answers a request the server keeps no reference to
+    it, served or shed, so memory does not grow with the number of
+    requests answered; a request still queued stays."""
+    model, pc_vocab, page_vocab = serving_setup()
+    server = PrefetchServer(
+        model,
+        pc_vocab,
+        page_vocab,
+        ServeConfig(degree=DEGREE, max_batch=2, max_pending=3),
+    )
+    server.open_stream("a")
+    server.open_stream("b")
+    rng = np.random.default_rng(24)
+    refs = []
+    for stream in ["a", "b", "a", "b", "a"]:
+        access = random_access(rng)
+        server.submit(stream, access.pc, access.address)
+        refs.append(weakref.ref(server._pending[-1]))
+    sources = [r.source for r in server.tick()]
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, False, False, False]
+    while server.pending:
+        sources += [r.source for r in server.tick()]
+    gc.collect()
+    assert sources == [SOURCE_NEURAL] * 3 + [SOURCE_SHED] * 2
+    assert all(ref() is None for ref in refs)
 
 
 # ----------------------------------------------------------------------
@@ -820,8 +762,40 @@ def _float64_spill(path):
         h=fields["h"].astype(np.float64),
         c=fields["c"].astype(np.float64),
         accesses=fields["accesses"],
-        qos=fields["qos"],
     )
+
+
+def test_spill_file_with_the_old_class_entry_restores_bit_identically(
+    tmp_path,
+):
+    """Older builds also saved the stream's request class in its spill
+    file.  Such a file restores to the session it saved: its h, c and
+    access count are the session's whole serving state."""
+    model, pc_vocab, page_vocab = serving_setup()
+    spilling = PrefetchServer(
+        model, pc_vocab, page_vocab,
+        ServeConfig(max_sessions=1, spill_dir=str(tmp_path / "spill")),
+    )
+    roomy = PrefetchServer(model, pc_vocab, page_vocab)
+    for server in (spilling, roomy):
+        server.open_stream("a")
+    assert [r.candidates for r in drive_interleaved(spilling, ["a"] * 4)] == [
+        r.candidates for r in drive_interleaved(roomy, ["a"] * 4)
+    ]
+    spilling.open_stream("b")  # spills "a"
+    (path,) = (tmp_path / "spill").iterdir()
+    with np.load(path) as data:
+        fields = {k: data[k] for k in data.files}
+    atomic_savez(path, qos=np.array("latency"), **fields)
+    plan = ["a"] * (2 * SEQ_LEN)
+    got = drive_interleaved(spilling, plan, rng_seed=44)
+    want = drive_interleaved(roomy, plan, rng_seed=44)
+    assert spilling.stats.restored == 1
+    assert [r.candidates for r in got] == [r.candidates for r in want]
+    assert all(r.source == SOURCE_NEURAL for r in got)
+    state, reference = spilling.session_state("a"), roomy.session_state("a")
+    np.testing.assert_array_equal(state.h, reference.h)
+    np.testing.assert_array_equal(state.c, reference.c)
 
 
 @pytest.mark.parametrize("mismatch", ["hidden_size", "float64"])
@@ -872,9 +846,7 @@ def test_spill_store_roundtrips_any_hashable_stream_id(tmp_path):
     model, pc_vocab, page_vocab = serving_setup()
     engine = InferenceEngine(model)
     store = SpillStore(tmp_path / "spill")
-    from voyager.serve import StreamSession
-
-    session = StreamSession(("tenant", 7), engine, qos="latency")
+    session = StreamSession(("tenant", 7), engine)
     session.state = engine.step(
         session.state, np.array([1]), np.array([2]), np.array([3])
     )
@@ -882,7 +854,6 @@ def test_spill_store_roundtrips_any_hashable_stream_id(tmp_path):
     store.save(session)
     assert ("tenant", 7) in store
     back = store.load(("tenant", 7), engine)
-    assert back.qos == "latency"
     assert back.accesses == 5
     assert np.array_equal(back.state.h, session.state.h)
     assert np.array_equal(back.state.c, session.state.c)
@@ -930,7 +901,6 @@ def test_driver_hook_runs_once_per_index_with_nothing_in_flight():
         return drive_open_loop(
             server,
             ["a", "b", "c"],
-            [DEFAULT_QOS] * 3,
             traces,
             arrival_s,
             stream_of,

@@ -16,7 +16,7 @@ import pytest
 
 import voyager.shard as shard_mod
 from voyager.model import HierarchicalModel, ModelConfig
-from voyager.serve import DEFAULT_QOS, PrefetchServer, drive_open_loop
+from voyager.serve import PrefetchServer, drive_open_loop
 from voyager.shard import (
     HashRing,
     ShardConfig,
@@ -92,8 +92,6 @@ def test_shard_config_validation():
     # the rest is delegated to ServeConfig at construction time
     with pytest.raises(ValueError, match="degree"):
         ShardConfig(degree=0)
-    with pytest.raises(ValueError, match="shed_policy"):
-        ShardConfig(shed_policy="drop_everything")
     with pytest.raises(ValueError, match="spill_dir"):
         ShardConfig(spill_dir="")
 
@@ -104,6 +102,8 @@ def test_shard_config_spill_subdirs_never_collide(tmp_path):
     assert len(dirs) == 2
     assert all(d.endswith(f"shard-{k}") for k, d in enumerate(sorted(dirs)))
     assert ShardConfig().serve_config(0).spill_dir is None
+    # each shard's backlog holds its whole sub-schedule: it never sheds
+    assert ShardConfig().serve_config(0, requests=500).max_pending == 500
 
 
 def test_latency_summary_nearest_rank():
@@ -215,39 +215,6 @@ def test_any_partition_matches_single_process(shard_setup, shards, replicas):
     assert pooled["counters"]["shed"] == 0
 
 
-def test_qos_mix_does_not_change_candidates_when_shed_free(shard_setup):
-    model, pc_vocab, page_vocab, traces, arrival_s, stream_of, single = (
-        shard_setup
-    )
-    qos = ["latency", "besteffort"] * 3
-    mixed = run_sharded(
-        model,
-        pc_vocab,
-        page_vocab,
-        traces,
-        arrival_s,
-        stream_of,
-        config=ShardConfig(shards=2),
-        qos=qos,
-        inline=True,
-    )
-    assert mixed["candidates"] == single["candidates"]
-
-
-def test_run_sharded_rejects_bad_qos(shard_setup):
-    model, pc_vocab, page_vocab, traces, arrival_s, stream_of, _ = shard_setup
-    with pytest.raises(ValueError, match="qos"):
-        run_sharded(
-            model,
-            pc_vocab,
-            page_vocab,
-            traces,
-            arrival_s,
-            stream_of,
-            qos=["platinum"] * len(traces),
-        )
-
-
 def test_sharded_seed_changes_reservoir_not_candidates(shard_setup):
     model, pc_vocab, page_vocab, traces, arrival_s, stream_of, single = (
         shard_setup
@@ -351,7 +318,6 @@ def test_drive_open_loop_latency_is_from_arrival():
     elapsed, candidates, latency_s, stats = drive_open_loop(
         server,
         ["s0", "s1"],
-        [DEFAULT_QOS, DEFAULT_QOS],
         traces,
         arrival_s,
         stream_of,
