@@ -136,7 +136,13 @@ from voyager.train import build_sequence_dataset, train
 #: ``serving.open_loop`` drops ``qos_mix`` and the ``overload`` sub-run,
 #: and each run's ``counters`` drop ``shed_by_class``.  No other value
 #: moves.
-BENCH_SCHEMA_VERSION = 14
+#: v15: one-shot shard pool.  Streams split round-robin over the shards
+#: instead of over a hash ring, and the pool neither logs nor swaps, so
+#: ``serving.open_loop`` drops ``replicas``, ``arrival.on_s`` and
+#: ``arrival.off_s`` (the ON-OFF process is gone) and each run drops
+#: ``model_version``; ``runs[].counters`` are still the servers'
+#: merged counters, now with ``closed == opened``.
+BENCH_SCHEMA_VERSION = 15
 
 #: Canonical report filename at the repo root.
 BENCH_FILENAME = "BENCH_voyager.json"

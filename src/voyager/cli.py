@@ -43,13 +43,13 @@ Subcommands:
   ``--min-adapted-coverage-gain`` / ``--max-adapt-lag``
 - ``serve-bench`` — benchmark the serving layer under synthetic
   multi-stream load and write the ``serving.open_loop`` block of the
-  bench report: the sharded server pool serves a seeded Poisson,
-  ON-OFF or saturating (``--arrival saturate``, every request due at
-  t = 0) arrival schedule (``--shards``, ``--shard-sweep``, ``--rate``,
-  ``--max-sessions``, ``--spill-dir``) without shedding, checks every
-  response against the simulator, and gates p95/p99 SLOs and
-  aggregate throughput
-  (``--max-p95-ms``/``--max-p99-ms``/``--min-throughput``):
+  bench report: the shard pool (streams split round-robin over
+  ``--shards`` processes) serves a seeded Poisson or saturating
+  (``--arrival saturate``, every request due at t = 0) arrival
+  schedule (``--shard-sweep``, ``--rate``, ``--max-sessions``,
+  ``--spill-dir``) without shedding, checks every response against
+  the simulator, and gates p99 latency and aggregate throughput
+  (``--max-p99-ms``/``--min-throughput``):
   ``python -m voyager serve-bench --profile smoke --arrival saturate``
 
 All randomness is seeded, so repeated runs with the same arguments

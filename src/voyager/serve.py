@@ -61,11 +61,13 @@ under a latency budget — the practicality framing of Hashemi et al.
   requests (deferring to end-of-tick), so checkpointing never orphans
   a pending request.
 - :func:`drive_open_loop` — the one driver every caller serves through
-  (``serve``, ``serve-bench``, the shard pool and the adaptation
-  bench): requests are submitted at pre-scheduled arrival times and
-  one ``hook(server, j)`` runs at chosen request indices with nothing
-  in flight, which is where log rotation, fine-tune polls and
-  hot-swaps happen.
+  (``serve``, ``serve-bench`` through the shard pool, and the
+  adaptation bench): it opens the streams, submits requests at
+  pre-scheduled arrival times, runs one ``hook(server, j)`` at chosen
+  request indices with nothing in flight — where ``serve --adapt`` and
+  the adaptation bench rotate logs, poll the fine-tune loop and
+  hot-swap; the shard pool sets no hook — and closes the streams once
+  the last response is out.
 
 Every response is a neural rollout from the stream's carried state, or
 the shed/orphan degrade.  The server is deterministic given a
@@ -933,6 +935,11 @@ def drive_open_loop(
     draws a clean version boundary in arrival order: requests ``< j``
     are answered by the old checkpoint and ``>= j`` by the new one.
 
+    The driver opens every stream it serves and, after the last
+    response and the ``j == n`` hook, closes every one of them, which
+    also discards any spill file a stream left: ``stats`` reads
+    ``closed == opened``.
+
     Returns ``(elapsed_s, per-stream candidates, latency_s, stats)``
     where ``latency_s[j]`` is completion minus *scheduled arrival* of
     request ``j`` — queueing included, the honest open-loop number.
@@ -990,6 +997,8 @@ def drive_open_loop(
     while marks:  # j == n: after the last response
         run_hook()
     elapsed = clock() - start
+    for stream_id in stream_ids:
+        server.close_stream(stream_id)
     return elapsed, candidates, latency_s, server.stats.snapshot()
 
 

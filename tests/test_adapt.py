@@ -16,8 +16,6 @@ The contracts this file pins:
   checkpoint holding the same session states.
 - :func:`~voyager.adapt.load_and_swap` raises on a torn ``.npz``
   *before* the server is touched — the old weights keep serving.
-- The sharded pool installs a coordinated swap at an exact global
-  arrival-index cutoff, and per-shard logs capture all served traffic.
 """
 
 import copy
@@ -672,75 +670,3 @@ def test_adapt_bench_config_validation():
         AdaptBenchConfig(recovery_frac=1.5)
     with pytest.raises(ValueError):
         AdaptBenchConfig(n=2)
-
-
-# ----------------------------------------------------------------------
-# sharded pool: per-shard logs + coordinated swap
-# ----------------------------------------------------------------------
-def test_sharded_coordinated_swap_and_logs(tmp_path):
-    from voyager.loadgen import ArrivalConfig, LoadGenConfig, open_loop_schedule
-    from voyager.shard import ShardConfig, run_sharded
-
-    model, pc_vocab, page_vocab = tiny_setup(model_seed=1)
-    new_model, _, _ = tiny_setup(model_seed=2)
-    prefix = tmp_path / "next"
-    save_checkpoint(prefix, new_model, pc_vocab, page_vocab)
-    rng = np.random.default_rng(5)
-    traces = [[random_access(rng) for _ in range(30)] for _ in range(4)]
-    schedule = open_loop_schedule(
-        LoadGenConfig(streams=4, accesses_per_stream=30),
-        ArrivalConfig(rate=200000.0),
-        seed=2,
-    )
-    swap_at = 60
-    config = ShardConfig(
-        shards=2, log_dir=str(tmp_path / "logs"), segment_records=16
-    )
-    swapped = run_sharded(
-        model, pc_vocab, page_vocab, traces,
-        schedule.arrival_s, schedule.stream_of,
-        config=config, inline=True,
-        swap_at=swap_at, swap_prefix=prefix,
-    )
-    plain = run_sharded(
-        model, pc_vocab, page_vocab, traces,
-        schedule.arrival_s, schedule.stream_of,
-        config=ShardConfig(shards=2), inline=True,
-    )
-    assert swapped["model_version"] == 1
-    assert swapped["counters"]["swaps"] == 2  # every shard installed it
-    assert swapped["logging"]["logged"] == 120
-    assert swapped["logging"]["dropped"] == 0
-    # Version boundary in global arrival order: identical before the
-    # cutoff, the new weights take over at it.
-    pre = [0] * 4
-    for j in range(swap_at):
-        pre[int(schedule.stream_of[j])] += 1
-    for i in range(4):
-        assert (
-            swapped["candidates"][i][: pre[i]]
-            == plain["candidates"][i][: pre[i]]
-        )
-    assert any(
-        swapped["candidates"][i][pre[i]:] != plain["candidates"][i][pre[i]:]
-        for i in range(4)
-    )
-    # Both shards logged into their own subdirectories.
-    for shard in range(2):
-        assert list((tmp_path / "logs" / f"shard-{shard}").glob("segment-*"))
-
-
-def test_shard_config_swap_validation():
-    from voyager.shard import ShardConfig, run_sharded
-
-    model, pc_vocab, page_vocab = tiny_setup()
-    with pytest.raises(ValueError, match="together"):
-        run_sharded(
-            model, pc_vocab, page_vocab, [[]],
-            np.zeros(0), np.zeros(0, dtype=np.int64),
-            config=ShardConfig(shards=1), swap_at=3,
-        )
-    with pytest.raises(ValueError, match="log_dir"):
-        ShardConfig(log_dir="")
-    with pytest.raises(ValueError, match="segment_records"):
-        ShardConfig(segment_records=0)

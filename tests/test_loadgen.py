@@ -108,17 +108,19 @@ def test_serving_section_shape_and_equivalence(serving):
     assert serving["responses_equal_single"] is True
     assert serving["streams"] == 3
     assert serving["requests"] == 120
-    assert serving["arrival"]["process"] == "saturate"
+    assert serving["arrival"] == {"process": "saturate", "rate_per_s": 2000.0}
     assert "max_pending" not in serving  # v11: the backlog is unbounded
-    # v14: one admission rule, so no class mix and no overload sub-run
-    assert not {"qos_mix", "overload"} & set(serving)
-    assert serving["replicas"] == 64
+    # v14: one admission rule, so no class mix and no overload sub-run;
+    # v15: streams split round-robin, so there are no ring replicas
+    assert not {"qos_mix", "overload", "replicas"} & set(serving)
     (run,) = serving["runs"]
+    assert "model_version" not in run  # v15: the pool never swaps
     assert run["aggregate_throughput_per_s"] > 0
     counters = run["counters"]
     assert counters["requests"] == counters["responses"] == 120
     assert counters["neural"] == 120
     assert counters["shed"] == 0
+    assert counters["closed"] == counters["opened"] == 3
     assert "table" not in counters
     assert "shed_by_class" not in counters
 
@@ -336,13 +338,9 @@ def test_arrival_config_validation():
         ArrivalConfig(process="uniform")
     with pytest.raises(ValueError, match="rate"):
         ArrivalConfig(rate=0.0)
-    with pytest.raises(ValueError, match="on_s"):
-        ArrivalConfig(process="onoff", on_s=0.0)
-    with pytest.raises(ValueError, match="off_s"):
-        ArrivalConfig(process="onoff", off_s=-1.0)
 
 
-@pytest.mark.parametrize("process", ["poisson", "onoff"])
+@pytest.mark.parametrize("process", ["poisson"])
 def test_open_loop_schedule_is_sorted_seeded_and_complete(process):
     config = LoadGenConfig(streams=5, accesses_per_stream=50)
     arrival = ArrivalConfig(process=process, rate=10_000.0)
@@ -358,23 +356,6 @@ def test_open_loop_schedule_is_sorted_seeded_and_complete(process):
     np.testing.assert_array_equal(schedule.stream_of, again.stream_of)
     other = open_loop_schedule(config, arrival, seed=4)
     assert not np.array_equal(schedule.arrival_s, other.arrival_s)
-
-
-def test_onoff_schedule_is_burstier_than_poisson():
-    """ON-OFF gaps show higher dispersion than Poisson at equal rate."""
-    config = LoadGenConfig(streams=1, accesses_per_stream=2000)
-    poisson = open_loop_schedule(
-        config, ArrivalConfig(process="poisson", rate=1000.0), seed=0
-    )
-    onoff = open_loop_schedule(
-        config,
-        ArrivalConfig(process="onoff", rate=1000.0, on_s=0.01, off_s=0.09),
-        seed=0,
-    )
-    gap_cv = lambda s: (  # noqa: E731 - tiny local helper
-        np.std(np.diff(s.arrival_s)) / np.mean(np.diff(s.arrival_s))
-    )
-    assert gap_cv(onoff) > 1.5 * gap_cv(poisson)
 
 
 @pytest.fixture(scope="module")
