@@ -46,8 +46,8 @@ Subcommands:
   bench report: the shard pool (streams split round-robin over
   ``--shards`` processes) serves a seeded Poisson or saturating
   (``--arrival saturate``, every request due at t = 0) arrival
-  schedule (``--shard-sweep``, ``--rate``, ``--max-sessions``,
-  ``--spill-dir``) without shedding, checks every response against
+  schedule (``--shard-sweep``, ``--rate``) with every session
+  resident and without shedding, checks every response against
   the simulator, and gates p99 latency and aggregate throughput
   (``--max-p99-ms``/``--min-throughput``):
   ``python -m voyager serve-bench --profile smoke --arrival saturate``

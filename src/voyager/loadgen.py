@@ -7,11 +7,10 @@ stream (:class:`ArrivalConfig` / :func:`open_loop_schedule`), or
 order — and served by the one-shot pool of :mod:`voyager.shard` at
 1/2/4/... shards through :func:`voyager.serve.drive_open_loop`, with
 latency measured from the scheduled arrival so queueing under load is
-inside every percentile.  Sessions can spill/restore through
-``--spill-dir``, and every stream is closed when the run ends, so no
-spill file outlives it; every shard's backlog holds its whole
-sub-schedule, so a run sheds nothing.  The gates are
-``--max-p99-ms`` and ``--min-throughput`` on the ``--shards`` run.
+inside every percentile.  Each shard's server holds all of its streams
+resident and a backlog of its whole sub-schedule, so a run sheds
+nothing.  The gates are ``--max-p99-ms`` and ``--min-throughput`` on
+the ``--shards`` run.
 
 The server and the simulator's prefetcher share all model arithmetic,
 so their candidate lists are bit-identical per stream (both predict
@@ -230,37 +229,24 @@ def run_open_loop_bench(
     arrival: Optional[ArrivalConfig] = None,
     shard_counts: Sequence[int] = (1, 2, 4),
     seed: int = 0,
-    max_sessions: Optional[int] = None,
-    spill_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Sharded serving bench: one schedule, one model, N pool sizes.
 
     Checks every pool shape, trains once, draws one arrival schedule,
     then serves it at every requested shard count (1 is always included
-    as the equality and scaling reference).  ``max_sessions`` below
-    ``streams`` plus a ``spill_dir`` exercises evicted-session
-    checkpoint/restore under load.  Each shard's backlog holds its
-    sub-schedule, so a run sheds nothing.  Returns the ``open_loop``
-    block for the report's serving section, full precision (the report
-    write rounds timing fields).
+    as the equality reference).  Each shard's server admits its streams
+    and its backlog holds its sub-schedule, so a run sheds nothing.
+    Returns the ``open_loop`` block for the report's serving section,
+    full precision (the report write rounds timing fields).
     """
     config = config or LoadGenConfig()
     arrival = arrival or ArrivalConfig()
     counts = sorted({int(c) for c in shard_counts} | {1})
-    resident = max_sessions if max_sessions is not None else config.streams
     # Built before training: a bad pool shape or serving knob fails
     # here, not after the model has trained.
     shard_configs = [
         ShardConfig(
-            shards=shards,
-            degree=config.degree,
-            max_sessions=resident,
-            max_batch=config.max_batch,
-            spill_dir=(
-                os.path.join(spill_dir, f"shards-{shards}")
-                if spill_dir is not None
-                else None
-            ),
+            shards=shards, degree=config.degree, max_batch=config.max_batch
         )
         for shards in counts
     ]
@@ -288,11 +274,6 @@ def run_open_loop_bench(
     sim = _sim_candidates(
         neural.model, neural.pc_vocab, neural.page_vocab, traces, config
     )
-    base = runs[0]["aggregate_throughput_per_s"]
-    for run in runs:
-        run["scaling_vs_single"] = (
-            run["aggregate_throughput_per_s"] / base if base > 0 else 0.0
-        )
     section: Dict[str, Any] = {
         "profile": profile.name,
         "seed": seed,
@@ -301,8 +282,6 @@ def run_open_loop_bench(
         "requests": schedule.requests,
         "degree": config.degree,
         "max_batch": config.max_batch,
-        "max_sessions": resident,
-        "spill": spill_dir is not None,
         "arrival": {"process": arrival.process, "rate_per_s": arrival.rate},
         "host_cpus": os.cpu_count(),
         "train_s": train_s,
@@ -391,19 +370,6 @@ def add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
         "(default: 2000)",
     )
     group.add_argument(
-        "--max-sessions",
-        type=int,
-        default=None,
-        help="resident sessions per shard; below streams-per-shard "
-        "this exercises spill/restore (default: no eviction)",
-    )
-    group.add_argument(
-        "--spill-dir",
-        default=None,
-        help="root directory for evicted-session checkpoints "
-        "(per shard-count and per shard subdirectories)",
-    )
-    group.add_argument(
         "--max-p99-ms",
         type=float,
         default=None,
@@ -436,8 +402,6 @@ def run_serve_bench(args: argparse.Namespace) -> int:
         arrival,
         shard_counts=sorted(counts),
         seed=args.seed,
-        max_sessions=args.max_sessions,
-        spill_dir=args.spill_dir,
     )
     problems: List[str] = []
     gated = next(
@@ -465,16 +429,13 @@ def run_serve_bench(args: argparse.Namespace) -> int:
     )
     for run in section["runs"]:
         lat = run["latency"]
-        counters = run["counters"]
         print(
             f"shards={run['shards']} "
             f"agg={run['aggregate_throughput_per_s']:.1f}/s "
-            f"scaling={run['scaling_vs_single']:.2f}x "
             f"p50={lat['p50_s'] * 1000.0:.2f}ms "
             f"p95={lat['p95_s'] * 1000.0:.2f}ms "
             f"p99={lat['p99_s'] * 1000.0:.2f}ms "
-            f"shed={counters['shed']} spilled={counters['spilled']} "
-            f"restored={counters['restored']}"
+            f"shed={run['counters']['shed']}"
         )
     print(
         f"equal_sim={section['responses_equal_sim']} "

@@ -12,10 +12,11 @@ under a latency budget — the practicality framing of Hashemi et al.
   trained on, counted from the stream's first access), plus the access
   count that drives the reset.
 - :class:`PrefetchServer` — the façade: ``open_stream`` / ``access`` /
-  ``close_stream``, a bounded session table with LRU eviction, and a
-  queue-depth cap with an explicit shed policy (degrade to next-line
-  candidates, or drop) so overload degrades instead of queueing
-  unboundedly.
+  ``close_stream``, a session table that admits at most
+  ``max_sessions`` open streams and keeps each one resident until it
+  is closed, and a queue-depth cap with an explicit shed policy
+  (degrade to next-line candidates, or drop) so overload degrades
+  instead of queueing unboundedly.
 - the micro-batching scheduler inside :meth:`PrefetchServer.tick`: all
   pending requests across streams are coalesced into **one** batched
   feature embed, one batched LSTM cell evaluation per wave (wave ``k``
@@ -51,15 +52,6 @@ under a latency budget — the practicality framing of Hashemi et al.
   stream's state at its tick but answers with the shed policy's
   candidates.  The server holds a request only until the tick that
   answers it.
-- **evicted-session checkpoint/restore**: with ``ServeConfig.spill_dir``
-  set, LRU-evicted sessions serialize their :class:`LSTMState` and
-  access count to an atomic ``.npz`` spill file
-  (:class:`SpillStore`) and are restored transparently on the next
-  ``submit`` — total stream count can vastly exceed resident capacity,
-  and a restored session is bit-identical to one that was never
-  evicted.  In spill mode eviction skips sessions with in-flight
-  requests (deferring to end-of-tick), so checkpointing never orphans
-  a pending request.
 - :func:`drive_open_loop` — the one driver every caller serves through
   (``serve``, ``serve-bench`` through the shard pool, and the
   adaptation bench): it opens the streams, submits requests at
@@ -78,13 +70,10 @@ assert reproducible throughput runs.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
-import zipfile
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -96,14 +85,12 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
 from voyager.baselines import next_line_candidates
 from voyager.infer import InferenceEngine, LSTMState
-from voyager.ioutil import atomic_savez
 from voyager.model import HierarchicalModel, vocab_fingerprint
 from voyager.sim import decode_block_candidates, page_id_table
 from voyager.traces import MemoryAccess
@@ -112,7 +99,7 @@ from voyager.vocab import Vocab
 #: ``PrefetchResponse.source`` values.
 SOURCE_NEURAL = "neural"  # batched rollout from the stream's state
 SOURCE_SHED = "shed"  # backpressure: degraded or dropped at submit
-SOURCE_ORPHANED = "orphaned"  # session evicted/closed before the tick
+SOURCE_ORPHANED = "orphaned"  # stream closed before the tick
 
 SHED_POLICIES = ("next_line", "drop")
 
@@ -122,11 +109,11 @@ class ServeConfig:
     """Capacity, batching and degrade knobs for :class:`PrefetchServer`."""
 
     degree: int = 2  # candidates returned per access
-    max_sessions: int = 64  # bounded session table (LRU eviction)
+    max_sessions: int = 64  # open streams; opening one more raises
     max_pending: int = 256  # requests waiting for a rollout; more shed
     max_batch: int = 64  # requests coalesced into one tick
     shed_policy: str = "next_line"  # overload response: degrade or drop
-    spill_dir: Optional[str] = None  # evicted-session checkpoint store
+    spill_dir: Optional[str] = None  # must be None: sessions stay resident
     stats_seed: int = 0  # seeds the latency reservoir's RNG
 
     def __post_init__(self) -> None:
@@ -147,8 +134,11 @@ class ServeConfig:
                 f"shed_policy must be one of {SHED_POLICIES}, "
                 f"got {self.shed_policy!r}"
             )
-        if self.spill_dir is not None and not str(self.spill_dir).strip():
-            raise ValueError("spill_dir must be a non-empty path or None")
+        if self.spill_dir is not None:
+            raise ValueError(
+                "spill_dir must be None (sessions stay resident), "
+                f"got {self.spill_dir!r}"
+            )
         if self.stats_seed < 0:
             raise ValueError(
                 f"stats_seed must be >= 0, got {self.stats_seed}"
@@ -176,16 +166,15 @@ class StreamSession:
     (advanced by the batched cell step each tick, and the start of that
     access's rollout) and the access count that places the stream in
     its current ``seq_len`` segment.  Everything lives here so a stream
-    can be evicted or closed without touching any other stream's state.
+    can be closed without touching any other stream's state.
     """
 
-    __slots__ = ("stream_id", "state", "accesses", "pending")
+    __slots__ = ("stream_id", "state", "accesses")
 
     def __init__(self, stream_id: Hashable, engine: InferenceEngine):
         self.stream_id = stream_id
         self.state = engine.init_state(1)
         self.accesses = 0
-        self.pending = 0  # in-flight requests (guards spill eviction)
 
 
 class LatencyReservoir:
@@ -270,9 +259,6 @@ class ServerStats:
         self.ticks = 0
         self.opened = 0
         self.closed = 0
-        self.evicted = 0
-        self.spilled = 0  # evictions checkpointed to the spill store
-        self.restored = 0  # sessions brought back from the spill store
         self.swaps = 0  # successful hot-swaps (swap_checkpoint)
         self.model_version = 0  # bumped once per successful hot-swap
         self.batch_size_hist: Dict[int, int] = {}
@@ -306,104 +292,11 @@ class ServerStats:
             "ticks": self.ticks,
             "opened": self.opened,
             "closed": self.closed,
-            "evicted": self.evicted,
-            "spilled": self.spilled,
-            "restored": self.restored,
             "swaps": self.swaps,
             "model_version": self.model_version,
             "batch_size_hist": dict(sorted(self.batch_size_hist.items())),
             "latency": self.latency_percentiles(),
         }
-
-
-class SpillStore:
-    """Atomic on-disk checkpoints for evicted :class:`StreamSession`s.
-
-    One ``.npz`` file per stream (named by a stable blake2s digest of
-    ``repr(stream_id)``, so any hashable id maps to a filesystem-safe
-    name), written via :func:`~voyager.ioutil.atomic_savez` so a crash
-    mid-evict never leaves a torn checkpoint.  The payload is the
-    session's entire serving state — ``LSTMState`` rows and access count
-    (its position in the current reset segment) — at full bit
-    precision, which is what lets ``tests/test_serve.py`` pin a
-    restored session bit-identical to a never-evicted one.  Entries a
-    file holds beyond those three (an older build wrote a request
-    class) are ignored.  A file is restored only into an engine that
-    can serve its state (same dtype, same hidden size).
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise ValueError(
-                f"spill_dir {str(self.root)!r} exists and is not a directory"
-            )
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, stream_id: Hashable) -> Path:
-        digest = hashlib.blake2s(
-            repr(stream_id).encode("utf-8"), digest_size=16
-        ).hexdigest()
-        return self.root / f"session-{digest}.npz"
-
-    def __contains__(self, stream_id: Hashable) -> bool:
-        return self._path(stream_id).exists()
-
-    def save(self, session: StreamSession) -> Path:
-        return atomic_savez(
-            self._path(session.stream_id),
-            h=session.state.h,
-            c=session.state.c,
-            accesses=np.int64(session.accesses),
-        )
-
-    def load(
-        self, stream_id: Hashable, engine: InferenceEngine
-    ) -> StreamSession:
-        """Rebuild the checkpointed session; raises if never spilled.
-
-        A file that cannot be read back, or whose state ``engine``
-        cannot serve (another dtype or hidden size: a spill of an older
-        build or another model in a shared spill directory), raises one
-        :class:`ValueError` naming it and leaves the file in place.
-        """
-        path = self._path(stream_id)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                session = StreamSession(stream_id, engine)
-                h, c = data["h"].copy(), data["c"].copy()
-                session.accesses = int(data["accesses"])
-        except (
-            EOFError,
-            IndexError,
-            KeyError,
-            TypeError,
-            ValueError,
-            zipfile.BadZipFile,
-        ) as exc:
-            # np.load raises a misleading pickle-related ValueError on
-            # non-npz bytes and zipfile.BadZipFile on a truncated
-            # archive, and a missing field raises KeyError, which
-            # ``submit`` documents as an unknown stream.
-            raise ValueError(
-                f"spill file {path} is corrupt or incomplete: {exc!r}"
-            ) from exc
-        try:
-            session.state = engine.load_state(h, c)
-        except ValueError as exc:
-            raise ValueError(
-                f"spill file {path} holds a state this server cannot "
-                f"serve: {exc}"
-            ) from exc
-        return session
-
-    def discard(self, stream_id: Hashable) -> bool:
-        """Delete a stream's checkpoint; False if none existed."""
-        try:
-            self._path(stream_id).unlink()
-            return True
-        except FileNotFoundError:
-            return False
 
 
 @dataclass
@@ -415,14 +308,14 @@ class _Pending:
     access: MemoryAccess
     submitted_s: float
     degraded: bool  # shed at submit time: skip the rollout
-    session: StreamSession  # the session it steps; holds the in-flight pin
+    session: StreamSession  # the session it steps, if still open at its tick
 
 
 class PrefetchServer:
     """Online serving façade over one trained hierarchical model.
 
-    ``open_stream`` registers a session (evicting the least-recently-
-    used one at capacity), ``submit`` enqueues an access, ``tick``
+    ``open_stream`` registers a session (at most ``max_sessions`` are
+    open at once), ``submit`` enqueues an access, ``tick``
     coalesces everything pending into one batched pass and returns the
     responses, and ``access`` is the submit-and-tick convenience for
     serial callers.  All model arithmetic goes through one shared
@@ -454,18 +347,12 @@ class PrefetchServer:
         self.clock = clock
         self.stats = ServerStats(seed=self.config.stats_seed)
         self._page_table = page_id_table(page_vocab)
-        self._sessions: "OrderedDict[Hashable, StreamSession]" = OrderedDict()
+        self._sessions: Dict[Hashable, StreamSession] = {}
         self._pending: deque = deque()  # of _Pending
         self._pending_neural = 0  # queued and not shed; max_pending caps it
         self._seq = 0
         self._auto_stream = 0
         self._undelivered: List[PrefetchResponse] = []
-        # Evicted-session checkpoint store (None: hard LRU eviction).
-        self._spill: Optional[SpillStore] = (
-            SpillStore(self.config.spill_dir)
-            if self.config.spill_dir is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -473,81 +360,37 @@ class PrefetchServer:
     def open_stream(self, stream_id: Optional[Hashable] = None) -> Hashable:
         """Register a new stream session and return its id.
 
-        ``stream_id=None`` auto-assigns ``"s0"``, ``"s1"``, ....  At
-        ``max_sessions`` capacity the least-recently-used session is
-        evicted first; without a spill store its still-pending requests
-        resolve as ``orphaned`` at the next tick.  So do the requests
-        of a closed stream, even once a new stream reopens its id.
-        Opening a stream id discards any spilled checkpoint stored
-        under that id.
+        ``stream_id=None`` auto-assigns ``"s0"``, ``"s1"``, ....  With
+        ``max_sessions`` streams already open it raises one
+        :class:`ValueError` naming the cap and changes nothing: the
+        server never drops or moves a session it holds.  The requests
+        of a closed stream resolve as ``orphaned`` at the next tick,
+        even once a new stream reopens its id.
         """
+        if stream_id is not None and stream_id in self._sessions:
+            raise ValueError(f"stream {stream_id!r} is already open")
+        if len(self._sessions) >= self.config.max_sessions:
+            raise ValueError(
+                f"max_sessions={self.config.max_sessions} streams are "
+                "open; close one before opening another"
+            )
         if stream_id is None:
             while f"s{self._auto_stream}" in self._sessions:
                 self._auto_stream += 1
             stream_id = f"s{self._auto_stream}"
             self._auto_stream += 1
-        elif stream_id in self._sessions:
-            raise ValueError(f"stream {stream_id!r} is already open")
-        if self._spill is not None:
-            self._spill.discard(stream_id)  # stale checkpoint, if any
-        self._make_room()
         self._sessions[stream_id] = StreamSession(stream_id, self.engine)
         self.stats.opened += 1
         return stream_id
 
     def close_stream(self, stream_id: Hashable) -> None:
-        """Drop a session (resident or spilled); KeyError if unknown."""
-        if stream_id in self._sessions:
-            del self._sessions[stream_id]
-        elif self._spill is None or not self._spill.discard(stream_id):
-            raise KeyError(stream_id)
+        """Drop an open session; KeyError if the stream is not open."""
+        del self._sessions[stream_id]
         self.stats.closed += 1
-
-    def _make_room(self) -> None:
-        """Free a session slot before an insert, evicting LRU first.
-
-        Without a spill store this is the original hard LRU eviction
-        (in-flight requests orphan).  With one, only sessions with no
-        in-flight requests are eligible — checkpointing a session whose
-        requests are still queued would orphan them and break the
-        restore-is-bit-identical guarantee — so the table may
-        transiently exceed ``max_sessions`` (a *soft* cap); ``tick``
-        trims it back once requests resolve.
-        """
-        while len(self._sessions) >= self.config.max_sessions:
-            victim = None
-            if self._spill is None:
-                victim = next(iter(self._sessions))
-            else:
-                for sid, session in self._sessions.items():
-                    if session.pending == 0:
-                        victim = sid
-                        break
-            if victim is None:
-                break  # soft cap: every resident has in-flight work
-            self._evict(victim)
-
-    def _evict(self, stream_id: Hashable) -> None:
-        session = self._sessions.pop(stream_id)
-        if self._spill is not None:
-            self._spill.save(session)
-            self.stats.spilled += 1
-        self.stats.evicted += 1
-
-    def _restore(self, stream_id: Hashable) -> StreamSession:
-        """Bring a spilled session back as the MRU resident."""
-        if self._spill is None or stream_id not in self._spill:
-            raise KeyError(stream_id)
-        session = self._spill.load(stream_id, self.engine)
-        self._spill.discard(stream_id)
-        self._make_room()
-        self._sessions[stream_id] = session
-        self.stats.restored += 1
-        return session
 
     @property
     def open_streams(self) -> List[Hashable]:
-        """Open stream ids, least-recently-used first."""
+        """Open stream ids, in the order they were opened."""
         return list(self._sessions)
 
     @property
@@ -561,19 +404,14 @@ class PrefetchServer:
     def submit(self, stream_id: Hashable, pc: int, address: int) -> int:
         """Enqueue one access for ``stream_id``; returns its sequence no.
 
-        Raises :class:`KeyError` for unknown (closed, or evicted
-        without a spill store) streams; a spilled session is restored
-        transparently first.  A request that arrives while
-        ``max_pending`` requests wait for a rollout is *shed*: it still
-        updates the stream's state at the next tick (so later
-        predictions stay exact) but skips the rollout, answering with
-        the shed policy's candidates instead.  Only the arriving
-        request sheds; a queued one never does.
+        Raises :class:`KeyError` for a stream that is not open.  A
+        request that arrives while ``max_pending`` requests wait for a
+        rollout is *shed*: it still updates the stream's state at the
+        next tick (so later predictions stay exact) but skips the
+        rollout, answering with the shed policy's candidates instead.
+        Only the arriving request sheds; a queued one never does.
         """
-        session = self._sessions.get(stream_id)
-        if session is None:
-            session = self._restore(stream_id)
-        self._sessions.move_to_end(stream_id)  # LRU touch
+        session = self._sessions[stream_id]
         seq = self._seq
         self._seq += 1
         self.stats.requests += 1
@@ -590,7 +428,6 @@ class PrefetchServer:
             degraded=degraded,
             session=session,
         )
-        session.pending += 1
         self._pending.append(req)
         return seq
 
@@ -705,25 +542,24 @@ class PrefetchServer:
         every rollout row.  A stream's state
         restarts from zero every ``seq_len`` accesses, counted from its
         first access — the segmentation the weights trained on.  A
-        request whose session is no longer the stream's resident one
-        (closed or evicted since submit, even if the id was reopened)
-        resolves as ``orphaned``.  Responses come back in submit order.
+        request whose session is no longer the stream's open one (closed
+        since submit, even if the id was reopened) resolves as
+        ``orphaned``.  Responses come back in submit order.
         """
         batch = self._select_batch()
         if not batch:
             return []
         self.stats.observe_tick(len(batch))
 
-        # Split off requests whose session vanished (closed/evicted
-        # after submit): they resolve as orphaned, with the degrade
-        # candidates, and touch no model state.  A stream reopened
-        # under the same id is a new session, so the identity check
-        # keeps its predecessor's requests off it.
+        # Split off requests whose session was closed after submit:
+        # they resolve as orphaned, with the degrade candidates, and
+        # touch no model state.  A stream reopened under the same id is
+        # a new session, so the identity check keeps its predecessor's
+        # requests off it.
         live: List[Tuple[_Pending, StreamSession]] = []
         orphaned: Dict[int, _Pending] = {}
         for req in batch:
             session = req.session
-            session.pending -= 1
             if not req.degraded:
                 self._pending_neural -= 1
             if self._sessions.get(req.stream_id) is session:
@@ -844,11 +680,6 @@ class PrefetchServer:
             )
             self.stats.observe_response(response)
             responses.append(response)
-
-        # Soft-cap cleanup: sessions whose eviction was deferred while
-        # they had in-flight requests become evictable as those resolve.
-        if self._spill is not None:
-            self._trim_capacity()
         return responses
 
     def _select_batch(self) -> List[_Pending]:
@@ -866,18 +697,6 @@ class PrefetchServer:
             pending.clear()
             return batch
         return [pending.popleft() for _ in range(max_batch)]
-
-    def _trim_capacity(self) -> None:
-        """Evict spill-eligible LRU sessions back down to the cap."""
-        while len(self._sessions) > self.config.max_sessions:
-            victim = None
-            for sid, session in self._sessions.items():
-                if session.pending == 0:
-                    victim = sid
-                    break
-            if victim is None:
-                break
-            self._evict(victim)
 
     def _degrade_candidates(self, req: _Pending) -> List[int]:
         if self.config.shed_policy == "next_line":
@@ -935,10 +754,10 @@ def drive_open_loop(
     draws a clean version boundary in arrival order: requests ``< j``
     are answered by the old checkpoint and ``>= j`` by the new one.
 
-    The driver opens every stream it serves and, after the last
-    response and the ``j == n`` hook, closes every one of them, which
-    also discards any spill file a stream left: ``stats`` reads
-    ``closed == opened``.
+    The driver opens every stream it serves before the first request,
+    so the server's ``max_sessions`` must admit them all, and, after
+    the last response and the ``j == n`` hook, closes every one of
+    them: ``stats`` reads ``closed == opened``.
 
     Returns ``(elapsed_s, per-stream candidates, latency_s, stats)``
     where ``latency_s[j]`` is completion minus *scheduled arrival* of
@@ -1012,7 +831,6 @@ __all__ = [
     "SOURCE_SHED",
     "ServeConfig",
     "ServerStats",
-    "SpillStore",
     "StreamSession",
     "drive_open_loop",
 ]

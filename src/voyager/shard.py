@@ -16,6 +16,9 @@ runs on one server, through the driver's hook (``serve --adapt``,
   and serves it through :func:`~voyager.serve.drive_open_loop`, the
   driver every serving caller uses, so latency is measured from the
   *scheduled* arrival and queueing under load is in every percentile.
+  Each shard's server admits exactly its streams and its backlog holds
+  its whole sub-schedule, so every session stays resident and the
+  pool sheds nothing.
   Workers run on a :class:`~concurrent.futures.ProcessPoolExecutor`
   and derive their latency-reservoir seeds with
   :func:`~voyager.synthetic.derive_cell_seed` (the ``bench --jobs``
@@ -39,7 +42,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -62,48 +64,36 @@ class ShardError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Pool shape plus the per-shard :class:`ServeConfig` knobs.
+    """Pool shape plus the :class:`ServeConfig` knobs every shard shares.
 
-    ``max_sessions`` is *per shard* — a pool of 4 shards with
-    ``max_sessions=64`` holds 256 resident sessions.  Each shard's
-    backlog holds its whole sub-schedule, so the pool never sheds.
-    ``spill_dir`` names a root directory; each shard spills under its
-    own ``shard-<k>`` subdirectory, so shards can never collide on a
-    checkpoint file.
+    Each shard's server is sized to its own share of the run (see
+    :meth:`serve_config`), so no pool shape can outgrow its servers.
     """
 
     shards: int = 2
     degree: int = 2
-    max_sessions: int = 1024
     max_batch: int = 64
-    spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.spill_dir is not None and not self.spill_dir:
-            raise ValueError("spill_dir must be a non-empty path or None")
-        # Delegate the rest: a bad degree/max_sessions/max_batch fails
-        # here, at configuration time, with ServeConfig's message
-        # instead of inside a worker process.
+        # Delegate the rest: a bad degree/max_batch fails here, at
+        # configuration time, with ServeConfig's message instead of
+        # inside a worker process.
         self.serve_config(0)
 
     def serve_config(
-        self, shard: int, requests: int = 1, stats_seed: int = 0
+        self, shard: int, streams: int = 1, requests: int = 1, seed: int = 0
     ) -> ServeConfig:
-        """The per-shard server config: own spill subdir, own seed, and
-        a backlog that holds the shard's ``requests``, so it sheds
-        none of them."""
-        spill = None
-        if self.spill_dir is not None:
-            spill = str(Path(self.spill_dir) / f"shard-{shard}")
+        """Shard ``shard``'s server config: it admits its ``streams``,
+        its backlog holds its ``requests`` (so it sheds none of them),
+        and its latency-reservoir seed derives from the pool's ``seed``."""
         return ServeConfig(
             degree=self.degree,
-            max_sessions=self.max_sessions,
+            max_sessions=max(1, streams),
             max_pending=max(1, requests),
             max_batch=self.max_batch,
-            spill_dir=spill,
-            stats_seed=stats_seed,
+            stats_seed=derive_cell_seed(seed, f"shard{shard}"),
         )
 
 
@@ -155,9 +145,6 @@ _MERGED_COUNTERS = (
     "orphaned",
     "opened",
     "closed",
-    "evicted",
-    "spilled",
-    "restored",
     "ticks",
     "swaps",
 )
@@ -211,8 +198,9 @@ def run_sharded(
                     "page_vocab": page_vocab,
                     "serve_config": config.serve_config(
                         shard,
-                        int(np.count_nonzero(mask)),
-                        derive_cell_seed(seed, f"shard{shard}"),
+                        streams=len(members),
+                        requests=int(np.count_nonzero(mask)),
+                        seed=seed,
                     ),
                     "stream_ids": [f"s{g}" for g in members],
                     "traces": [traces[g] for g in members],

@@ -9,8 +9,6 @@ with exactly its candidates:
 - a single-stream :class:`~voyager.serve.PrefetchServer`;
 - a multi-stream server under random submit/tick interleavings, with
   several accesses of one stream in a tick;
-- the same server evicting to a spill store and restoring streams
-  across reset boundaries;
 - :func:`~voyager.serve.drive_open_loop`, the driver every serving
   caller uses, with the whole schedule due at t = 0 and a hook that
   hot-swaps the serving weights back in mid-run;
@@ -25,8 +23,6 @@ shapes: the simulator's whole-trace scan and its block rollouts, the
 streaming prefetcher and the server's sessions carry the same bits,
 because every layer predicts with one row-exact engine.
 """
-
-import tempfile
 
 import numpy as np
 import pytest
@@ -177,19 +173,6 @@ def test_every_layer_answers_with_the_simulator_candidates(
     got, sources = serve_schedule(server, traces, ticks)
     assert got == want
     assert all(s == SOURCE_NEURAL for per in sources for s in per)
-
-    # one resident session: streams spill and restore across resets
-    with tempfile.TemporaryDirectory() as spill:
-        server = PrefetchServer(
-            model,
-            pc_vocab,
-            page_vocab,
-            ServeConfig(degree=DEGREE, max_sessions=1, spill_dir=spill),
-        )
-        got, _ = serve_schedule(server, traces, ticks)
-        assert got == want
-        if len(traces) > 1:
-            assert server.stats.restored > 0
 
     # the driver, everything due at t = 0, swapping the same weights
     # back in at a random request: a hot-swap moves no answer

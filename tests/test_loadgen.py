@@ -112,9 +112,12 @@ def test_serving_section_shape_and_equivalence(serving):
     assert "max_pending" not in serving  # v11: the backlog is unbounded
     # v14: one admission rule, so no class mix and no overload sub-run;
     # v15: streams split round-robin, so there are no ring replicas
-    assert not {"qos_mix", "overload", "replicas"} & set(serving)
+    # v16: sessions stay resident, so the block echoes no cap or spill
+    gone = {"qos_mix", "overload", "replicas", "max_sessions", "spill"}
+    assert not gone & set(serving)
     (run,) = serving["runs"]
     assert "model_version" not in run  # v15: the pool never swaps
+    assert "scaling_vs_single" not in run  # v16: both inputs stay
     assert run["aggregate_throughput_per_s"] > 0
     counters = run["counters"]
     assert counters["requests"] == counters["responses"] == 120
@@ -122,7 +125,7 @@ def test_serving_section_shape_and_equivalence(serving):
     assert counters["shed"] == 0
     assert counters["closed"] == counters["opened"] == 3
     assert "table" not in counters
-    assert "shed_by_class" not in counters
+    assert not {"shed_by_class", "evicted", "spilled", "restored"} & set(counters)
 
 
 def test_validator_flags_serving_problems(serving):
@@ -276,7 +279,6 @@ def test_float32_run_also_matches_serial():
     [
         ("--degree", "0", "degree must be >= 1"),
         ("--max-batch", "0", "max_batch must be >= 1"),
-        ("--max-sessions", "0", "max_sessions must be >= 1"),
         ("--shard-sweep", "0", "shards must be >= 1"),
     ],
 )
@@ -383,7 +385,6 @@ def test_open_loop_section_shape_and_equality(open_loop_section):
         assert latency["count"] == 100
         assert latency["p50_s"] <= latency["p95_s"] <= latency["p99_s"]
         assert latency["p99_s"] <= latency["max_s"]
-    assert section["runs"][0]["scaling_vs_single"] == 1.0
 
 
 def test_open_loop_validation_flags_problems(open_loop_section):
@@ -393,9 +394,9 @@ def test_open_loop_validation_flags_problems(open_loop_section):
         "serving/open_loop: responses_equal_single=False is not true"
     ]
     broken = json.loads(json.dumps(open_loop_section))
-    del broken["runs"][0]["counters"]["spilled"]
+    del broken["runs"][0]["counters"]["shed"]
     assert validate_report(serving_report(open_loop=broken)) == [
-        "serving/open_loop/runs[0]/counters: missing spilled"
+        "serving/open_loop/runs[0]/counters: missing shed"
     ]
 
 

@@ -1,4 +1,4 @@
-"""Serving-layer tests: micro-batch equivalence, eviction, backpressure.
+"""Serving-layer tests: micro-batch equivalence, admission, backpressure.
 
 The tentpole contract: N interleaved streams through the
 micro-batching scheduler produce **bit-identical** per-stream results —
@@ -7,13 +7,12 @@ streaming :class:`~voyager.sim.NeuralPrefetcher` instances (the
 simulator's prefetcher), across state resets.
 The hypothesis property tests drive that over random models, stream
 counts and interleavings; the unit tests cover the operational
-envelope (LRU eviction, shed policies, batch accounting,
+envelope (the session cap, shed policies, batch accounting,
 injected-clock latency percentiles) and the driver's hook.
 ``tests/test_crosslayer.py`` pins the same contract on trained models
 and zoo traces.
 """
 
-import dataclasses
 import gc
 import json
 import weakref
@@ -23,7 +22,6 @@ import pytest
 
 from voyager.baselines import next_line_candidates
 from voyager.infer import InferenceEngine
-from voyager.ioutil import atomic_savez
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.serve import (
     SOURCE_NEURAL,
@@ -34,8 +32,6 @@ from voyager.serve import (
     PrefetchServer,
     ServeConfig,
     ServerStats,
-    SpillStore,
-    StreamSession,
     drive_open_loop,
 )
 from voyager.sim import NeuralPrefetcher
@@ -184,7 +180,7 @@ def test_server_is_deterministic_across_instances():
 
 
 # ----------------------------------------------------------------------
-# session lifecycle: capacity, LRU eviction, orphans
+# session lifecycle: the session cap, orphans
 # ----------------------------------------------------------------------
 def test_open_stream_auto_ids_and_duplicate_rejection():
     model, pc_vocab, page_vocab = serving_setup()
@@ -197,25 +193,42 @@ def test_open_stream_auto_ids_and_duplicate_rejection():
     assert server.open_streams == ["s0", "s1", "core3"]
 
 
-def test_lru_eviction_at_capacity():
+def test_open_stream_past_max_sessions_raises_and_changes_nothing():
+    """``max_sessions`` is an admission limit: one more ``open_stream``
+    raises a ValueError naming the cap and changes nothing (no session
+    dropped, nothing counted, no auto id used up); the held sessions
+    keep serving exactly, and closing a stream frees its slot."""
     model, pc_vocab, page_vocab = serving_setup()
     server = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(max_sessions=2)
+        model, pc_vocab, page_vocab, ServeConfig(degree=DEGREE, max_sessions=2)
     )
     server.open_stream("a")
     server.open_stream("b")
-    # touching "a" makes "b" the LRU victim
-    access = random_access(np.random.default_rng(0))
-    server.submit("a", access.pc, access.address)
-    server.tick()
-    server.open_stream("c")
-    assert server.open_streams == ["a", "c"]
-    assert server.stats.evicted == 1
+    serial = SerialStream(model, pc_vocab, page_vocab)
+    rng = np.random.default_rng(0)
+    access = random_access(rng)
+    got = server.access("a", access.pc, access.address)
+    assert got.candidates == serial.access(access)
+    for stream_id in ("c", None):
+        with pytest.raises(ValueError, match="max_sessions=2"):
+            server.open_stream(stream_id)
+    assert server.open_streams == ["a", "b"]
+    assert (server.stats.opened, server.stats.closed) == (2, 0)
+    for _ in range(2 * SEQ_LEN):  # "a" still answers from its own state
+        access = random_access(rng)
+        got = server.access("a", access.pc, access.address)
+        assert got.candidates == serial.access(access)
+    server.close_stream("b")
+    assert server.open_stream() == "s0"
+    assert server.open_streams == ["a", "s0"]
     with pytest.raises(KeyError):
         server.submit("b", access.pc, access.address)
 
 
-def test_evicted_streams_pending_request_resolves_orphaned():
+def test_closed_streams_pending_request_resolves_orphaned():
+    """A stream closed between submit and tick still resolves its
+    pending request, with the degrade candidates, and the batch
+    histogram counts it."""
     model, pc_vocab, page_vocab = serving_setup()
     server = PrefetchServer(model, pc_vocab, page_vocab)
     server.open_stream("a")
@@ -227,6 +240,7 @@ def test_evicted_streams_pending_request_resolves_orphaned():
     assert response.source == SOURCE_ORPHANED
     assert response.candidates == next_line_candidates(access.block, 2)
     assert server.stats.orphaned == 1
+    assert server.stats.batch_size_hist == {1: 1}
 
 
 def test_close_stream_unknown_raises():
@@ -363,6 +377,8 @@ def test_empty_tick_is_a_noop():
         {"max_pending": 0},
         {"max_batch": 0},
         {"shed_policy": "panic"},
+        {"spill_dir": "spill"},  # sessions stay resident: None only
+        {"stats_seed": -1},
     ],
 )
 def test_serve_config_validation(kwargs):
@@ -418,8 +434,8 @@ def test_empty_server_stats_are_all_zero_and_json_safe():
         "count": 0, "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0,
         "max_s": 0.0, "mean_s": 0.0,
     }
-    assert snapshot["spilled"] == 0
-    assert snapshot["restored"] == 0
+    # sessions stay resident: nothing is evicted, spilled or restored
+    assert not {"evicted", "spilled", "restored"} & set(snapshot)
 
 
 def test_single_tick_histogram_and_percentiles():
@@ -437,42 +453,20 @@ def test_single_tick_histogram_and_percentiles():
     assert latency["p50_s"] == latency["p95_s"] == latency["max_s"]
 
 
-def test_eviction_mid_flight_counts_orphans_in_histogram():
-    """A stream evicted between submit and tick still resolves its
-    pending request (orphaned) and the batch histogram counts it."""
+def test_reopened_stream_never_serves_its_predecessors_requests():
+    """A request whose session was closed resolves as orphaned even
+    when a new stream reopens its id before the tick; the new stream
+    starts from a fresh state and answers like the simulator's
+    prefetcher replaying its own accesses."""
     model, pc_vocab, page_vocab = serving_setup()
     server = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(max_sessions=1)
-    )
-    server.open_stream("a")
-    access = random_access(np.random.default_rng(22))
-    server.submit("a", access.pc, access.address)
-    server.open_stream("b")  # evicts "a" with its request in flight
-    responses = server.tick()
-    assert [r.source for r in responses] == [SOURCE_ORPHANED]
-    assert server.stats.evicted == 1
-    assert server.stats.orphaned == 1
-    assert server.stats.batch_size_hist == {1: 1}
-
-
-@pytest.mark.parametrize("gone", ["close", "evict"])
-def test_reopened_stream_never_serves_its_predecessors_requests(gone):
-    """A request whose session was closed or evicted resolves as
-    orphaned even when a new stream reopens its id before the tick; the
-    new stream starts from a fresh state and answers like the
-    simulator's prefetcher replaying its own accesses."""
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(degree=DEGREE, max_sessions=1)
+        model, pc_vocab, page_vocab, ServeConfig(degree=DEGREE)
     )
     rng = np.random.default_rng(23)
     server.open_stream("a")
     old = random_access(rng)
     seq = server.submit("a", old.pc, old.address)
-    if gone == "close":
-        server.close_stream("a")
-    else:
-        server.open_stream("b")  # evicts "a" with its request in flight
+    server.close_stream("a")
     server.open_stream("a")
     (response,) = server.tick()
     assert (response.seq, response.source) == (seq, SOURCE_ORPHANED)
@@ -615,261 +609,6 @@ def test_answered_requests_are_not_kept():
     gc.collect()
     assert sources == [SOURCE_NEURAL] * 3 + [SOURCE_SHED] * 2
     assert all(ref() is None for ref in refs)
-
-
-# ----------------------------------------------------------------------
-# Evicted-session checkpoint/restore (spill store)
-# ----------------------------------------------------------------------
-def drive_interleaved(server, plan, rng_seed=40):
-    """Drive (stream, access) pairs serially; returns responses."""
-    rng = np.random.default_rng(rng_seed)
-    out = []
-    for stream_id in plan:
-        access = random_access(rng)
-        out.append(server.access(stream_id, access.pc, access.address))
-    return out
-
-
-def test_spill_restore_is_bit_identical_to_never_evicted(tmp_path):
-    """Sessions bounced through the spill store serve the exact
-    candidates (and recurrent state) of a server that never evicts."""
-    model, pc_vocab, page_vocab = serving_setup()
-    spilling = PrefetchServer(
-        model, pc_vocab, page_vocab,
-        ServeConfig(max_sessions=1, spill_dir=str(tmp_path / "spill")),
-    )
-    roomy = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(max_sessions=64)
-    )
-    plan = ["a", "b", "a", "a", "b", "a", "b", "b", "a", "b"] * 2
-    for server in (spilling, roomy):
-        server.open_stream("a")
-        server.open_stream("b")
-    got = drive_interleaved(spilling, plan)
-    want = drive_interleaved(roomy, plan)
-    assert [r.candidates for r in got] == [r.candidates for r in want]
-    assert [r.source for r in got] == [r.source for r in want]
-    assert spilling.stats.spilled > 0
-    assert spilling.stats.restored > 0
-    assert spilling.stats.orphaned == 0
-    for sid in ("a", "b"):
-        # Touch both so each is resident on the spilling server.
-        access = random_access(np.random.default_rng(41))
-        spilling.access(sid, access.pc, access.address)
-        roomy.access(sid, access.pc, access.address)
-        a_state = spilling.session_state(sid)
-        b_state = roomy.session_state(sid)
-        assert np.array_equal(a_state.h, b_state.h)
-        assert np.array_equal(a_state.c, b_state.c)
-
-
-def test_spill_mode_never_orphans_in_flight_requests(tmp_path):
-    """Eviction defers past sessions with queued requests (soft cap)."""
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab,
-        ServeConfig(max_sessions=1, spill_dir=str(tmp_path / "spill")),
-    )
-    server.open_stream("a")
-    access = random_access(np.random.default_rng(42))
-    server.submit("a", access.pc, access.address)
-    server.open_stream("b")  # would evict "a", but it has work in flight
-    assert set(server.open_streams) == {"a", "b"}  # soft cap exceeded
-    responses = server.tick()
-    assert [r.source for r in responses] != [SOURCE_ORPHANED]
-    assert server.stats.orphaned == 0
-    # End-of-tick trim brought the table back under max_sessions.
-    assert len(server.open_streams) == 1
-    assert server.stats.spilled == 1
-
-
-def test_close_stream_discards_spilled_checkpoint(tmp_path):
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab,
-        ServeConfig(max_sessions=1, spill_dir=str(tmp_path / "spill")),
-    )
-    server.open_stream("a")
-    server.open_stream("b")  # spills "a"
-    assert server.stats.spilled == 1
-    server.close_stream("a")  # discards the checkpoint
-    with pytest.raises(KeyError):
-        server.submit("a", PCS[0], 0)  # gone for good
-    with pytest.raises(KeyError):
-        server.close_stream("nope")
-
-
-def _not_npz(path):
-    path.write_bytes(b"not an npz archive\n")
-
-
-def _empty(path):
-    path.write_bytes(b"")
-
-
-def _truncated(path):
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-
-
-def _without_h(path):
-    with np.load(path) as data:
-        fields = {k: data[k] for k in data.files if k != "h"}
-    np.savez(path, **fields)
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [_not_npz, _empty, _truncated, _without_h],
-    ids=lambda f: f.__name__,
-)
-def test_corrupt_spill_file_is_one_clean_error(tmp_path, corrupt):
-    """A spill file that cannot be read back fails ``submit`` with one
-    ValueError naming it: nothing is counted, the file stays, other
-    streams keep serving and ``close_stream`` still removes it."""
-    model, pc_vocab, page_vocab = serving_setup()
-    server = PrefetchServer(
-        model, pc_vocab, page_vocab,
-        ServeConfig(max_sessions=1, spill_dir=str(tmp_path / "spill")),
-    )
-    server.open_stream("a")
-    server.open_stream("b")  # spills "a"
-    (path,) = (tmp_path / "spill").iterdir()
-    corrupt(path)
-    requests, restored = server.stats.requests, server.stats.restored
-    with pytest.raises(ValueError, match="is corrupt or incomplete") as err:
-        server.submit("a", PCS[0], 0)
-    assert str(path) in str(err.value)
-    assert (server.stats.requests, server.stats.restored) == (
-        requests,
-        restored,
-    )
-    assert path.exists()
-    access = random_access(np.random.default_rng(43))
-    response = server.access("b", access.pc, access.address)
-    assert response.source == SOURCE_NEURAL
-    server.close_stream("a")
-    assert not path.exists()
-
-
-def _float64_spill(path):
-    """The spill file of the same session written with float64 state,
-    as a build that served in float64 wrote it."""
-    with np.load(path) as data:
-        fields = {k: data[k] for k in data.files}
-    atomic_savez(
-        path,
-        h=fields["h"].astype(np.float64),
-        c=fields["c"].astype(np.float64),
-        accesses=fields["accesses"],
-    )
-
-
-def test_spill_file_with_the_old_class_entry_restores_bit_identically(
-    tmp_path,
-):
-    """Older builds also saved the stream's request class in its spill
-    file.  Such a file restores to the session it saved: its h, c and
-    access count are the session's whole serving state."""
-    model, pc_vocab, page_vocab = serving_setup()
-    spilling = PrefetchServer(
-        model, pc_vocab, page_vocab,
-        ServeConfig(max_sessions=1, spill_dir=str(tmp_path / "spill")),
-    )
-    roomy = PrefetchServer(model, pc_vocab, page_vocab)
-    for server in (spilling, roomy):
-        server.open_stream("a")
-    assert [r.candidates for r in drive_interleaved(spilling, ["a"] * 4)] == [
-        r.candidates for r in drive_interleaved(roomy, ["a"] * 4)
-    ]
-    spilling.open_stream("b")  # spills "a"
-    (path,) = (tmp_path / "spill").iterdir()
-    with np.load(path) as data:
-        fields = {k: data[k] for k in data.files}
-    atomic_savez(path, qos=np.array("latency"), **fields)
-    plan = ["a"] * (2 * SEQ_LEN)
-    got = drive_interleaved(spilling, plan, rng_seed=44)
-    want = drive_interleaved(roomy, plan, rng_seed=44)
-    assert spilling.stats.restored == 1
-    assert [r.candidates for r in got] == [r.candidates for r in want]
-    assert all(r.source == SOURCE_NEURAL for r in got)
-    state, reference = spilling.session_state("a"), roomy.session_state("a")
-    np.testing.assert_array_equal(state.h, reference.h)
-    np.testing.assert_array_equal(state.c, reference.c)
-
-
-@pytest.mark.parametrize("mismatch", ["hidden_size", "float64"])
-def test_spill_file_the_engine_cannot_serve_is_one_clean_error(
-    tmp_path, mismatch
-):
-    """A spill file whose state the server's engine cannot serve —
-    another model's hidden size left in a shared spill directory, or a
-    float64 state — fails ``submit`` with one ValueError naming it,
-    before anything is queued: nothing is counted, the file stays and
-    other streams keep serving."""
-    spill = str(tmp_path / "spill")
-    model, pc_vocab, page_vocab = serving_setup()
-    first = PrefetchServer(
-        model, pc_vocab, page_vocab, ServeConfig(max_sessions=1, spill_dir=spill)
-    )
-    first.open_stream("a")
-    access = random_access(np.random.default_rng(3))
-    first.access("a", access.pc, access.address)
-    first.open_stream("b")  # spills "a"
-    (path,) = (tmp_path / "spill").iterdir()
-    if mismatch == "float64":
-        _float64_spill(path)
-        server = first
-    else:
-        other = HierarchicalModel(
-            dataclasses.replace(model.config, hidden_dim=model.config.hidden_dim + 1)
-        )
-        server = PrefetchServer(
-            other, pc_vocab, page_vocab, ServeConfig(spill_dir=spill)
-        )
-        server.open_stream("b")
-    requests, restored = server.stats.requests, server.stats.restored
-    with pytest.raises(ValueError, match="cannot serve") as err:
-        server.submit("a", access.pc, access.address)
-    assert str(path) in str(err.value)
-    assert (server.stats.requests, server.stats.restored) == (
-        requests,
-        restored,
-    )
-    assert server.pending == 0
-    assert path.exists()
-    response = server.access("b", access.pc, access.address)
-    assert response.source == SOURCE_NEURAL
-
-
-def test_spill_store_roundtrips_any_hashable_stream_id(tmp_path):
-    model, pc_vocab, page_vocab = serving_setup()
-    engine = InferenceEngine(model)
-    store = SpillStore(tmp_path / "spill")
-    session = StreamSession(("tenant", 7), engine)
-    session.state = engine.step(
-        session.state, np.array([1]), np.array([2]), np.array([3])
-    )
-    session.accesses = 5
-    store.save(session)
-    assert ("tenant", 7) in store
-    back = store.load(("tenant", 7), engine)
-    assert back.accesses == 5
-    assert np.array_equal(back.state.h, session.state.h)
-    assert np.array_equal(back.state.c, session.state.c)
-    assert store.discard(("tenant", 7))
-    assert not store.discard(("tenant", 7))
-
-
-def test_spill_store_rejects_non_directory_root(tmp_path):
-    bogus = tmp_path / "file"
-    bogus.write_text("not a dir")
-    with pytest.raises(ValueError, match="spill_dir"):
-        SpillStore(bogus)
-    with pytest.raises(ValueError, match="spill_dir"):
-        ServeConfig(spill_dir="   ")
-    with pytest.raises(ValueError, match="stats_seed"):
-        ServeConfig(stats_seed=-1)
 
 
 # ----------------------------------------------------------------------

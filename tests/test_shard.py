@@ -1,4 +1,4 @@
-"""Shard-pool tests: partition equality, spill cleanup, pooled smoke.
+"""Shard-pool tests: partition equality, per-shard sizing, pooled smoke.
 
 The pool's contract: because the engine computes every batch row as
 it would alone, *any* stream->shard partition replaying the same
@@ -44,18 +44,14 @@ def test_shard_config_validation():
     # the rest is delegated to ServeConfig at construction time
     with pytest.raises(ValueError, match="degree"):
         ShardConfig(degree=0)
-    with pytest.raises(ValueError, match="spill_dir"):
-        ShardConfig(spill_dir="")
 
 
-def test_shard_config_spill_subdirs_never_collide(tmp_path):
-    config = ShardConfig(shards=2, spill_dir=str(tmp_path / "spill"))
-    dirs = {config.serve_config(k).spill_dir for k in range(2)}
-    assert len(dirs) == 2
-    assert all(d.endswith(f"shard-{k}") for k, d in enumerate(sorted(dirs)))
-    assert ShardConfig().serve_config(0).spill_dir is None
-    # each shard's backlog holds its whole sub-schedule: it never sheds
-    assert ShardConfig().serve_config(0, requests=500).max_pending == 500
+def test_shard_config_sizes_each_server_to_its_shard():
+    """A shard's server admits exactly its streams, and its backlog
+    holds its whole sub-schedule, so it never sheds."""
+    config = ShardConfig().serve_config(0, streams=24, requests=500)
+    assert config.max_sessions == 24
+    assert config.max_pending == 500
 
 
 def test_latency_summary_nearest_rank():
@@ -207,30 +203,6 @@ def test_pooled_two_shard_run_matches_single_process(shard_setup):
     assert pooled["inline"] is False
     assert pooled["candidates"] == single["candidates"]
     assert pooled["counters"]["responses"] == single["counters"]["responses"]
-
-
-def test_spilling_pool_leaves_no_spill_file(shard_setup, tmp_path):
-    """Every stream is closed when the run ends, so no session's
-    checkpoint outlives the run that spilled it."""
-    model, pc_vocab, page_vocab, traces, arrival_s, stream_of, single = (
-        shard_setup
-    )
-    spill = tmp_path / "spill"
-    pooled = run_sharded(
-        model,
-        pc_vocab,
-        page_vocab,
-        traces,
-        arrival_s,
-        stream_of,
-        config=ShardConfig(shards=2, max_sessions=1, spill_dir=str(spill)),
-        inline=True,
-    )
-    assert pooled["candidates"] == single["candidates"]
-    counters = pooled["counters"]
-    assert counters["spilled"] > 0 and counters["restored"] > 0
-    assert not list(spill.rglob("*.npz"))
-    assert counters["closed"] == counters["opened"] == len(traces)
 
 
 # ----------------------------------------------------------------------
